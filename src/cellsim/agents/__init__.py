@@ -23,15 +23,10 @@ from .scoring import (
     STA_CUTOFF,
     AllocationClass,
     ScoringParams,
-    allocation_score,
     allocation_score_vec,
     asr_metrics,
-    classify_allocation,
     classify_vec,
     rus_fits,
-    score_gain,
-    sias,
-    sras,
 )
 from .selection import RemovalCandidate, SelectionConfig, SelectionResult, select_candidate_services
 
@@ -41,7 +36,6 @@ __all__ = [
     "FORCED_FITNESS", "CandidateNodeRecommendation", "Message", "MessageKind",
     "NodeStats", "TaskSnapshot",
     "INITIAL_PARAMS", "REALLOC_PARAMS", "STA_CUTOFF", "AllocationClass",
-    "ScoringParams", "allocation_score", "allocation_score_vec", "asr_metrics",
-    "classify_allocation", "classify_vec", "rus_fits", "score_gain", "sias", "sras",
+    "ScoringParams", "allocation_score_vec", "asr_metrics", "classify_vec", "rus_fits",
     "RemovalCandidate", "SelectionConfig", "SelectionResult", "select_candidate_services",
 ]

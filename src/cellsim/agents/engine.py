@@ -20,14 +20,13 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from ..workload.constraints import matches_attributes
 from ..workload.state import CellState
 from ..workload import events as ev
-from ..workload.store import StateStore
 from .messages import (
     FORCED_FITNESS,
     ZERO_SCORE_FITNESS,
@@ -41,8 +40,6 @@ from .scoring import (
     INITIAL_PARAMS,
     REALLOC_PARAMS,
     allocation_score_vec,
-    asr_metrics,
-    classify_vec,
     rus_fits,
 )
 from .selection import RemovalCandidate, SelectionConfig, select_candidate_services
@@ -73,8 +70,6 @@ class AgentConfig:
     sample_target_rate: int = 5000
     rus_spike_threshold: float = 0.10
     audit: bool = False
-    message_trace: Optional[Callable[[str], None]] = None
-    log: Optional[Callable[[str], None]] = None
 
 
 @dataclass(slots=True)
@@ -128,6 +123,37 @@ class TickMetrics:
     scs_runs: int = 0
     rus_spikes: int = 0
     san_restarts: int = 0
+
+
+class Engine:
+    """What the simulation runner drives, whatever the mode.
+
+    Each tick the runner hands the window's events to ``apply_events``, lets
+    the engine act in ``run_tick`` and reads per-node loads from
+    ``node_table``.  ``log`` and ``message_trace`` are the run's line
+    writers, set by the runner; snapshots leave them out, since they write
+    to files open in this process only.
+    """
+
+    log: Optional[Callable[[str], None]] = None
+    message_trace: Optional[Callable[[str], None]] = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("log", None)
+        state.pop("message_trace", None)
+        return state
+
+    def apply_events(self, events: Iterable) -> None:
+        raise NotImplementedError
+
+    def run_tick(self) -> TickMetrics:
+        raise NotImplementedError
+
+    def node_table(self) -> tuple:
+        """Sorted node ids, then per-node totals, used, required (arrays of
+        shape (N, d)) and resident task counts."""
+        raise NotImplementedError
 
 
 def _stable_seed(*parts) -> int:
@@ -457,8 +483,8 @@ class NodeAgent:
             config=engine.config.selection,
         )
         engine.metrics.scs_runs += 1
-        if result.alert and engine.config.log is not None:
-            engine.config.log(f"ALERT node {self.id}: no removable subset de-overloads")
+        if result.alert and engine.log is not None:
+            engine.log(f"ALERT node {self.id}: no removable subset de-overloads")
         engine.sample_selection(self, result, removable)
         for task_id in result.task_ids:
             self._start_negotiation(task_id)
@@ -486,7 +512,7 @@ class BrokerAgent:
     def __init__(self, broker_id: str, engine: "AgentEngine"):
         self.id = broker_id
         self.engine = engine
-        self.cache: StateStore[str, BrokerCacheEntry] = StateStore()
+        self.cache: dict[str, BrokerCacheEntry] = {}
         self.pending: deque[str] = deque()
         #: failed placements wait here until the next tick, so one stuck task
         #: cannot spin the whole per-round budget on itself
@@ -507,14 +533,14 @@ class BrokerAgent:
             if stats.node_id in self.engine.cell.nodes else {},
             last_update=now,
         )
-        self.cache.put(stats.node_id, entry)
+        self.cache[stats.node_id] = entry
         self._index_dirty = True
 
     def evict_stale(self, now: int) -> None:
         ttl = self.engine.config.cache_entry_ttl_us
-        for node_id, entry in self.cache.items():
+        for node_id, entry in list(self.cache.items()):
             if now - entry.last_update > ttl or node_id not in self.engine.cell.nodes:
-                self.cache.remove(node_id)
+                del self.cache[node_id]
                 self._index_dirty = True
 
     def _rebuild_index(self) -> None:
@@ -723,7 +749,7 @@ class AuditRecord:
     cost_mb: float = 0.0
 
 
-class AgentEngine:
+class AgentEngine(Engine):
     """Deterministic round-based scheduler for the agent network."""
 
     def __init__(self, cell: CellState, config: AgentConfig, seed: int,
@@ -746,7 +772,6 @@ class AgentEngine:
         self._correlation = 0
         self._completions: list[tuple[int, str, str]] = []  # (due, node, task)
         self.metrics = TickMetrics()
-        self.lifetime = TickMetrics()
         self.pending_rec_age: dict[int, int] = {}
         self.audit_log: list[AuditRecord] = []
         self.unschedulable: set[str] = set()
@@ -784,8 +809,8 @@ class AgentEngine:
 
     def send(self, message: Message) -> None:
         self._outbox.append(message)
-        if self.config.message_trace is not None:
-            self.config.message_trace(message.trace_line(self.now_us))
+        if self.message_trace is not None:
+            self.message_trace(message.trace_line(self.now_us))
 
     def node_total(self, node_id: str) -> tuple:
         return self.cell.nodes[node_id].total
@@ -824,8 +849,8 @@ class AgentEngine:
         if task_id not in self.unschedulable:
             self.unschedulable.add(task_id)
             self.metrics.unschedulable += 1
-            if self.config.log is not None:
-                self.config.log(f"ERROR task {task_id} unschedulable: no matching node in cache")
+            if self.log is not None:
+                self.log(f"ERROR task {task_id} unschedulable: no matching node in cache")
 
     def retry_placement(self, task_id: str, rng) -> None:
         broker = self.brokers[self.broker_for(rng)]
@@ -998,7 +1023,7 @@ class AgentEngine:
             self._completions = [c for c in self._completions if c[1] != event.node_id]
         cell.apply(event)
         for broker in self.brokers.values():
-            if broker.cache.remove(event.node_id) is not None:
+            if broker.cache.pop(event.node_id, None) is not None:
                 broker._index_dirty = True
         # displaced tasks re-enter scheduling unless already mid-migration
         for task_id in displaced:
@@ -1018,9 +1043,6 @@ class AgentEngine:
             self._run_round(round_index)
             self.now_us += self.round_us
         self._complete_due_migrations()
-        for name in self.lifetime.__dataclass_fields__:
-            setattr(self.lifetime, name,
-                    getattr(self.lifetime, name) + getattr(self.metrics, name))
         return self.metrics
 
     def _gossip(self) -> None:
@@ -1034,7 +1056,7 @@ class AgentEngine:
                     merged[node_id] = entry
         for broker in self.brokers.values():
             for node_id, entry in merged.items():
-                broker.cache.put(node_id, entry)
+                broker.cache[node_id] = entry
             broker._index_dirty = True
 
     def _run_round(self, round_index: int) -> None:
@@ -1066,14 +1088,19 @@ class AgentEngine:
 
     # -- metrics -----------------------------------------------------------------------
 
-    def classify_nodes(self) -> dict:
-        ids = sorted(self.agents)
-        if not ids:
-            return asr_metrics([])
-        totals = np.stack([self.agents[i].total for i in ids])
-        used = np.stack([self.agents[i].used_sum for i in ids])
-        counts = np.array([len(self.agents[i].resident) for i in ids])
-        return asr_metrics(list(classify_vec(totals, used, counts)))
+    def node_table(self) -> tuple:
+        # The agents' running sums, not a recount from the cell: a recount
+        # can differ in the last bit and move a node across a class boundary.
+        node_ids = sorted(self.agents)
+        if not node_ids:
+            zeros = np.zeros((0, self.dimension))
+            return node_ids, zeros, zeros.copy(), zeros.copy(), np.zeros(0, dtype=np.int64)
+        agents = [self.agents[node_id] for node_id in node_ids]
+        totals = np.stack([agent.total for agent in agents])
+        used = np.stack([agent.used_sum for agent in agents])
+        required = np.stack([agent.required_sum for agent in agents])
+        counts = np.array([len(agent.resident) for agent in agents])
+        return node_ids, totals, used, required, counts
 
     def overloaded_count(self) -> int:
         return sum(1 for agent in self.agents.values() if agent.overloaded())
@@ -1093,7 +1120,7 @@ class AgentEngine:
     # -- decision sampling ----------------------------------------------------------
 
     def sample_selection(self, agent: NodeAgent, result, removable) -> None:
-        if self.config.log is None:
+        if self.log is None:
             return
         self._sample_counters["selection"] += 1
         if self._sample_counters["selection"] % self.config.sample_selection_rate != 1 % self.config.sample_selection_rate:
@@ -1116,10 +1143,10 @@ class AgentEngine:
         cost = sum(self.cell.tasks[t].migration_cost_mb for t in result.task_ids
                    if t in self.cell.tasks)
         lines.append(f"Total migration cost (selected tasks) = {cost} [MB]")
-        self.config.log("\n".join(lines))
+        self.log("\n".join(lines))
 
     def sample_quote(self, broker: BrokerAgent, message: Message, recommendations) -> None:
-        if self.config.log is None:
+        if self.log is None:
             return
         self._sample_counters["quote"] += 1
         if self._sample_counters["quote"] % self.config.sample_quote_rate != 1 % self.config.sample_quote_rate:
@@ -1131,11 +1158,11 @@ class AgentEngine:
                  f"Source node: [{message.sender}]"]
         for rec in recommendations or ():
             lines.append(rec.log_format())
-        self.config.log("\n".join(lines))
+        self.log("\n".join(lines))
 
     def sample_target_selection(self, agent: NodeAgent, negotiation, snapshot,
                                 live, choice) -> None:
-        if self.config.log is None:
+        if self.log is None:
             return
         self._sample_counters["target"] += 1
         if self._sample_counters["target"] % self.config.sample_target_rate != 1 % self.config.sample_target_rate:
@@ -1147,4 +1174,4 @@ class AgentEngine:
         for rec in live:
             star = "* " if rec is choice else ""
             lines.append(star + rec.log_format())
-        self.config.log("\n".join(lines))
+        self.log("\n".join(lines))

@@ -24,17 +24,6 @@ class MessageKind(enum.Enum):
     STATUS_REPORT = "StatusReport"
 
 
-PROTOCOL_KINDS = frozenset(kind for kind in MessageKind if kind is not MessageKind.STATUS_REPORT)
-
-RESPONSE_KINDS = frozenset({
-    MessageKind.GET_CANDIDATE_NODES_RESPONSE,
-    MessageKind.TASK_MIGRATION_ACCEPTANCE_RESPONSE,
-    MessageKind.TASK_MIGRATION_REJECTION_RESPONSE,
-    MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE,
-    MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE,
-})
-
-
 @dataclass(slots=True)
 class CandidateNodeRecommendation:
     """Broker quote for one candidate node.
@@ -102,9 +91,6 @@ class Message:
     forced: bool = False
     #: For quote requests: True when quoting an initial placement.
     initial: bool = False
-
-    def is_response(self) -> bool:
-        return self.kind in RESPONSE_KINDS
 
     def trace_line(self, now_us: int) -> str:
         return (f"{now_us}\t{self.kind.value}\t{self.sender}\t{self.recipient}"

@@ -10,15 +10,16 @@ real usage is still unknown), the re-allocation score peaks just under the
 clamped to zero when negative, zero on any resource at or above 90% of
 capacity (the super-tight band and overloads), and flattened to the
 bias-point value when every resource sits on the far side of the bias from
-the function's target region, which keeps the peak where it belongs.  GAIN
-variants score the improvement a move brings instead of the absolute level.
+the function's target region, which keeps the peak where it belongs.  The
+gain variants (``sias_gain``, ``sras_gain`` in the agent engine) score the
+improvement a move brings instead of the absolute level.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,52 +51,11 @@ INITIAL_PARAMS = ScoringParams(f_bias=0.3, f_steep=350.0, f_floor=0.8, low_biase
 REALLOC_PARAMS = ScoringParams(f_bias=0.6, f_steep=500.0, f_floor=0.8, low_biased=False)
 
 
-def allocation_score(params: ScoringParams, node_total: Sequence[float],
-                     node_used_after: Sequence[float]) -> float:
-    """Score one node under the assumption the candidate task has landed."""
-    exponent = 1.0
-    on_far_side = True
-    for total, used in zip(node_total, node_used_after):
-        if total <= 0.0:
-            if used > 0.0:
-                return 0.0
-            continue  # zero-capacity resource with no demand: ignored
-        if used >= STA_CUTOFF * total:
-            return 0.0
-        delta = used - params.f_bias * total
-        exponent *= delta
-        if params.low_biased:
-            on_far_side = on_far_side and delta > 0.0
-        else:
-            on_far_side = on_far_side and delta < 0.0
-    if on_far_side:
-        exponent = 0.0
-    score = params.f_steep ** exponent - params.f_floor
-    return score if score > 0.0 else 0.0
-
-
-def sias(node_total: Sequence[float], node_used_after: Sequence[float],
-         params: ScoringParams = INITIAL_PARAMS) -> float:
-    """Initial-allocation score; computed from declared requirements."""
-    return allocation_score(params, node_total, node_used_after)
-
-
-def sras(node_total: Sequence[float], node_used_after: Sequence[float],
-         params: ScoringParams = REALLOC_PARAMS) -> float:
-    """Re-allocation score; computed from monitored usage."""
-    return allocation_score(params, node_total, node_used_after)
-
-
-def score_gain(base_scorer: Callable[..., float], node_total: Sequence[float],
-               used_before: Sequence[float], used_after: Sequence[float]) -> float:
-    """Improvement the move brings to the node; never negative."""
-    gain = base_scorer(node_total, used_after) - base_scorer(node_total, used_before)
-    return gain if gain > 0.0 else 0.0
-
-
 def allocation_score_vec(params: ScoringParams, totals: np.ndarray,
                          used_after: np.ndarray) -> np.ndarray:
-    """Vectorized scorer over (N, d) capacity/usage matrices."""
+    """Score each row of (N, d) capacity/usage matrices, the usage being the
+    node's load once the candidate task has landed (or left).  A single
+    (1, d) capacity row applies to every usage row."""
     totals = np.asarray(totals, dtype=np.float64)
     used_after = np.asarray(used_after, dtype=np.float64)
     positive_cap = totals > 0.0
@@ -125,32 +85,10 @@ class AllocationClass(enum.Enum):
     OVERLOADED = "overloaded"
 
 
-def classify_allocation(node_total: Sequence[float], node_used: Sequence[float],
-                        task_count: int) -> AllocationClass:
-    """Total function of the per-resource utilization ratios."""
-    ratios = []
-    for total, used in zip(node_total, node_used):
-        if total <= 0.0:
-            if used > 0.0:
-                return AllocationClass.OVERLOADED
-            continue  # ignored dimension
-        ratios.append(used / total)
-    if any(r > 1.0 for r in ratios):
-        return AllocationClass.OVERLOADED
-    if any(r >= STA_CUTOFF for r in ratios):
-        return AllocationClass.STA
-    if ratios and all(TIGHT_LOWER <= r < STA_CUTOFF for r in ratios):
-        return AllocationClass.TA
-    if task_count == 0:
-        return AllocationClass.IDLE
-    if all(r < TIGHT_LOWER for r in ratios):
-        return AllocationClass.PA
-    return AllocationClass.DA
-
-
 def classify_vec(totals: np.ndarray, used: np.ndarray,
                  task_counts: np.ndarray) -> np.ndarray:
-    """Vectorized classification; returns an array of AllocationClass."""
+    """Classify each row by its per-resource utilization ratios; returns an
+    array of AllocationClass."""
     totals = np.asarray(totals, dtype=np.float64)
     used = np.asarray(used, dtype=np.float64)
     positive = totals > 0.0

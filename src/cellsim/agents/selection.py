@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scoring import REALLOC_PARAMS, allocation_score
+from .scoring import REALLOC_PARAMS, allocation_score_vec
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,6 @@ class SelectionResult:
     feasible: bool       # removal de-overloads the node
     alert: bool          # nothing de-overloads: operator attention needed
     examined: int = 0
-
-
-def _fitness(node_total: np.ndarray, used_after: np.ndarray, cost: float) -> float:
-    score = allocation_score(REALLOC_PARAMS, node_total, used_after)
-    if cost <= 0.0:
-        return float("inf")
-    return score / cost
 
 
 def select_candidate_services(
@@ -93,20 +86,24 @@ def select_candidate_services(
     n = len(pool)
     examined = 0
 
-    def evaluate(mask: np.ndarray) -> tuple[bool, float]:
+    def evaluate(masks: list[np.ndarray]) -> np.ndarray:
+        """Fitness of each removal mask, scored in one call; -1 where the
+        node stays overloaded, +inf where the removal costs nothing."""
         nonlocal examined
-        examined += 1
-        load = remaining - usages[mask].sum(axis=0) if mask.any() else remaining
-        feasible = not overloaded(load)
-        if not feasible:
-            return False, -1.0
-        return True, _fitness(total, load, float(costs[mask].sum()))
+        examined += len(masks)
+        # each subset summed on its own, so a load or cost is bit for bit the
+        # sum of that subset alone
+        loads = remaining - np.array([np.add.reduce(usages[mask]) for mask in masks])
+        cost = np.array([np.add.reduce(costs[mask]) for mask in masks])
+        scores = allocation_score_vec(REALLOC_PARAMS, total[None, :], loads)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fitness = np.where(cost > 0.0, scores / cost, np.inf)
+        return np.where(np.any(loads > total, axis=1), -1.0, fitness)
 
     # Everything-out is the feasibility ceiling: if even that overloads, no
     # subset works and the caller must be alerted.
     all_mask = np.ones(n, dtype=bool)
-    all_feasible, _ = evaluate(all_mask)
-    if not all_feasible:
+    if evaluate([all_mask])[0] < 0.0:
         fallback = compulsory + [c.task_id for c in pool if not c.production]
         return SelectionResult(task_ids=fallback, compulsory=compulsory,
                                fitness=0.0, feasible=False, alert=True,
@@ -129,28 +126,22 @@ def select_candidate_services(
     for _ in range(config.restarts):
         if stall >= config.stall_limit:
             break
-        mask = greedy_start()
-        feasible, fitness = evaluate(mask)
-        if not feasible:
-            mask = all_mask.copy()
-            feasible, fitness = evaluate(mask)
-        local_best, local_fit = mask.copy(), fitness
-        visited = {mask.tobytes()}
+        local_best = greedy_start()  # feasible: at worst it is all_mask
+        local_fit = float(evaluate([local_best])[0])
+        visited = {local_best.tobytes()}
         for _ in range(config.depth):
-            step_mask, step_fit = None, local_fit
-            for index in range(n):
-                probe = local_best.copy()
-                probe[index] = not probe[index]
-                key = probe.tobytes()
-                if key in visited:
-                    continue
-                feasible, fitness = evaluate(probe)
-                if feasible and fitness > step_fit:
-                    step_mask, step_fit = probe, fitness
-            if step_mask is None:
+            # the toggle neighbourhood: flip one task in or out of the subset
+            probes = np.tile(local_best, (n, 1))
+            np.fill_diagonal(probes, ~local_best)
+            probes = [probe for probe in probes if probe.tobytes() not in visited]
+            if not probes:
                 break
-            visited.add(step_mask.tobytes())
-            local_best, local_fit = step_mask, step_fit
+            fitness = evaluate(probes)
+            step = int(np.argmax(fitness))  # first index of the maximum
+            if not fitness[step] > local_fit:
+                break
+            local_best, local_fit = probes[step], float(fitness[step])
+            visited.add(local_best.tobytes())
         if local_fit > best_fitness:
             best_fitness, best_mask = local_fit, local_best
             stall = 0

@@ -67,10 +67,6 @@ class RunOutputs:
         self._ticks.writerow(TICKS_HEADER)
         self._trace_file = None
 
-    @property
-    def ticks_path(self) -> Path:
-        return self.logs_dir / f"{self.run_name}-ticks.csv"
-
     def log(self, line: str) -> None:
         self._log.write(line + "\n")
 
@@ -78,10 +74,14 @@ class RunOutputs:
         self._error_log.write(line + "\n")
 
     def message_trace_writer(self):
-        if self._trace_file is None:
-            self._trace_file = open(self.logs_dir / f"{self.run_name}-messages.log",
-                                    "w", encoding="utf-8")
-        return lambda line: self._trace_file.write(line + "\n")
+        """Line writer for logs/<run>-messages.log, created on the first
+        line, so an engine that sends no messages leaves no file."""
+        def write(line: str) -> None:
+            if self._trace_file is None:
+                self._trace_file = open(self.logs_dir / f"{self.run_name}-messages.log",
+                                        "w", encoding="utf-8")
+            self._trace_file.write(line + "\n")
+        return write
 
     def write_tick(self, record: TickRecord) -> None:
         self._ticks.writerow(record.row())

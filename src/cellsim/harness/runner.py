@@ -1,10 +1,12 @@
 """Simulation driver: tick loop, engine dispatch, metrics, snapshots.
 
-Per tick: collect the event window, filter anomalies, apply events to the
-engine, let the engine act, then emit one tick record.  Everything is
-deterministic for a (config, seed) pair; resuming from a snapshot replays
-the already-consumed windows from the deterministic sources and continues
-bit-identically.
+Per tick: collect the event window, filter anomalies, write every anomaly
+reported since the last tick to the error log, apply events to the engine,
+let the engine act, then emit one tick record.  The three engines (replay,
+metaheuristic, agents) are driven through the same ``Engine`` calls.
+Everything is deterministic for a (config, seed) pair; resuming from a
+snapshot replays the already-consumed windows from the deterministic
+sources and continues bit-identically.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .. import model
-from ..agents.engine import AgentEngine, TickMetrics
-from ..agents.scoring import AllocationClass, classify_vec
+from ..agents.engine import AgentEngine, Engine, TickMetrics
+from ..agents.scoring import asr_metrics, classify_vec
 from ..livemigration import ProfileCatalog, TraceCostModel
 from ..metaheuristics.strategies import STRATEGIES
 from ..workload.anomalies import AnomalySink, filter_anomalies
@@ -52,8 +54,9 @@ def _usage_rows(table, classes):
     return rows
 
 
-class ReplayEngine:
-    """Mirrors recorded placements; does no scheduling of its own."""
+class CellEngine(Engine):
+    """An engine whose whole state is the cell fold: it applies events to
+    the cell as they come and reads node loads back from it."""
 
     def __init__(self, cell: CellState):
         self.cell = cell
@@ -61,28 +64,49 @@ class ReplayEngine:
     def apply_events(self, events: Iterable) -> None:
         for event in events:
             self.cell.apply(event)
-            if isinstance(event, AddTaskEvent) and event.recorded_node is not None:
-                if event.recorded_node in self.cell.nodes:
-                    self.cell.place(event.task_id, event.recorded_node)
 
     def run_tick(self) -> TickMetrics:
         return TickMetrics()
 
-    def node_table(self):
-        return cell_node_table(self.cell)
+    def node_table(self) -> tuple:
+        cell = self.cell
+        node_ids = sorted(cell.nodes)
+        dim = cell.catalog.dimension
+        index = {nid: i for i, nid in enumerate(node_ids)}
+        totals = np.array([cell.nodes[nid].total for nid in node_ids], dtype=np.float64).reshape(
+            len(node_ids), dim)
+        used = np.zeros_like(totals)
+        required = np.zeros_like(totals)
+        counts = np.zeros(len(node_ids), dtype=np.int64)
+        for task_id, node_id in cell.placement.items():
+            i = index.get(node_id)
+            if i is None:
+                continue
+            task = cell.tasks[task_id]
+            used[i] += task.used
+            required[i] += task.required
+            counts[i] += 1
+        return node_ids, totals, used, required, counts
 
 
-class MetaheuristicEngine:
+class ReplayEngine(CellEngine):
+    """Mirrors recorded placements; does no scheduling of its own."""
+
+    def apply_events(self, events: Iterable) -> None:
+        cell = self.cell
+        for event in events:
+            cell.apply(event)
+            if isinstance(event, AddTaskEvent) and event.recorded_node in cell.nodes:
+                cell.place(event.task_id, event.recorded_node)
+
+
+class MetaheuristicEngine(CellEngine):
     """Runs one centralized strategy whenever the cell needs re-balancing."""
 
     def __init__(self, cell: CellState, config: RunConfig):
-        self.cell = cell
+        super().__init__(cell)
         self.config = config
         self.tick_index = 0
-
-    def apply_events(self, events: Iterable) -> None:
-        for event in events:
-            self.cell.apply(event)
 
     def _current_state(self) -> model.SystemState:
         cell = self.cell
@@ -134,43 +158,6 @@ class MetaheuristicEngine:
                     metrics.placements += 1
         return metrics
 
-    def node_table(self):
-        return cell_node_table(self.cell)
-
-
-def cell_node_table(cell: CellState):
-    """Per-node (totals, used, required, task count) arrays from the fold."""
-    node_ids = sorted(cell.nodes)
-    dim = cell.catalog.dimension
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    totals = np.array([cell.nodes[nid].total for nid in node_ids], dtype=np.float64).reshape(
-        len(node_ids), dim)
-    used = np.zeros_like(totals)
-    required = np.zeros_like(totals)
-    counts = np.zeros(len(node_ids), dtype=np.int64)
-    for task_id, node_id in cell.placement.items():
-        i = index.get(node_id)
-        if i is None:
-            continue
-        task = cell.tasks[task_id]
-        used[i] += task.used
-        required[i] += task.required
-        counts[i] += 1
-    return node_ids, totals, used, required, counts
-
-
-def agent_node_table(engine: AgentEngine):
-    node_ids = sorted(engine.agents)
-    dim = engine.dimension
-    if not node_ids:
-        zeros = np.zeros((0, dim))
-        return node_ids, zeros, zeros.copy(), zeros.copy(), np.zeros(0, dtype=np.int64)
-    totals = np.stack([engine.agents[nid].total for nid in node_ids])
-    used = np.stack([engine.agents[nid].used_sum for nid in node_ids])
-    required = np.stack([engine.agents[nid].required_sum for nid in node_ids])
-    counts = np.array([len(engine.agents[nid].resident) for nid in node_ids])
-    return node_ids, totals, used, required, counts
-
 
 class SimulationRunner:
     def __init__(self, config: RunConfig):
@@ -192,7 +179,7 @@ class SimulationRunner:
 
     # -- construction ----------------------------------------------------------
 
-    def _build_engine(self):
+    def _build_engine(self) -> Engine:
         mode = self.config.mode
         if mode == "replay":
             return ReplayEngine(self.cell)
@@ -216,32 +203,19 @@ class SimulationRunner:
             sources = [synth_generate(config.synth)]
         if config.scale_factor > 1:
             sources = [scale_cell(src, config.scale_factor) for src in sources]
-        return WindowCollector(sources)
+        return WindowCollector(sources, self.sink)
 
     # -- snapshots ---------------------------------------------------------------
 
     def save_snapshot_file(self, path: Path) -> None:
-        # engine callbacks (log/trace writers) are process-local: strip them
-        # for the duration of the pickling
-        engine = self.engine
-        stripped = None
-        if isinstance(engine, AgentEngine):
-            stripped = (engine.config.message_trace, engine.config.log)
-            engine.config.message_trace = None
-            engine.config.log = None
-        try:
-            payload = {
-                "tick": self.tick,
-                "cell": self.cell,
-                "engine": engine,
-                "accumulated_stc": self.accumulated_stc,
-                "seed": self.config.seed,
-                "mode": self.config.mode,
-            }
-            save_snapshot(path, payload)
-        finally:
-            if stripped is not None:
-                engine.config.message_trace, engine.config.log = stripped
+        save_snapshot(path, {
+            "tick": self.tick,
+            "cell": self.cell,
+            "engine": self.engine,
+            "accumulated_stc": self.accumulated_stc,
+            "seed": self.config.seed,
+            "mode": self.config.mode,
+        })
 
     def _resume(self, path: Path) -> None:
         data = load_snapshot(path)
@@ -251,23 +225,20 @@ class SimulationRunner:
         self.cell = data["cell"]
         self.engine = data["engine"]  # shares the unpickled cell reference
         self.accumulated_stc = data["accumulated_stc"]
-        # fast-forward the deterministic sources past the consumed windows
+        # fast-forward the deterministic sources past the consumed windows;
+        # the run that saved the snapshot already logged what they report
         for index in range(self.tick):
             start = index * self.config.tick_length_us
             self.collector.collect_window(start, start + self.config.tick_length_us)
+        self.sink.drain()
 
     # -- main loop -----------------------------------------------------------------
 
     def _tick_record(self, metrics: TickMetrics) -> tuple[TickRecord, tuple, list]:
-        if isinstance(self.engine, AgentEngine):
-            table = agent_node_table(self.engine)
-        else:
-            table = self.engine.node_table()
+        table = self.engine.node_table()
         node_ids, totals, used, required, counts = table
         classes = list(classify_vec(totals, used, counts)) if len(node_ids) else []
-        tally = {cls: 0 for cls in AllocationClass}
-        for cls in classes:
-            tally[cls] += 1
+        tally = asr_metrics(classes)["counts"]
         capacity = self.cell.capacity_sum
         used_sum = self.cell.placed_used_sum
         required_sum = self.cell.placed_required_sum
@@ -277,12 +248,12 @@ class SimulationRunner:
 
         record = TickRecord(
             tick=self.tick,
-            idle=tally[AllocationClass.IDLE],
-            sta=tally[AllocationClass.STA],
-            ta=tally[AllocationClass.TA],
-            pa=tally[AllocationClass.PA],
-            da=tally[AllocationClass.DA],
-            overloaded=tally[AllocationClass.OVERLOADED],
+            idle=tally["idle"],
+            sta=tally["sta"],
+            ta=tally["ta"],
+            pa=tally["pa"],
+            da=tally["da"],
+            overloaded=tally["overloaded"],
             migrations_attempted=metrics.migrations_attempted,
             migrations_completed=metrics.migrations_completed,
             collisions=metrics.collisions,
@@ -299,10 +270,9 @@ class SimulationRunner:
         owns_outputs = outputs is None
         if outputs is None:
             outputs = RunOutputs(config.output_dir, config.run_name)
-        if config.message_trace and isinstance(self.engine, AgentEngine):
-            self.engine.config.message_trace = outputs.message_trace_writer()
-        if isinstance(self.engine, AgentEngine):
-            self.engine.config.log = outputs.log
+        self.engine.log = outputs.log
+        if config.message_trace:
+            self.engine.message_trace = outputs.message_trace_writer()
         try:
             wall_start = time.monotonic()
             idle_ticks = 0
@@ -338,8 +308,11 @@ class SimulationRunner:
         batch = self.collector.collect_window(start, start + config.tick_length_us)
         batch, reports = filter_anomalies(self.cell, batch)
         for report in reports:
+            self.sink.report(report.kind, report.detail, report.count)
+        # one path to the error log for every anomaly: the parsers' and the
+        # collector's (reported while reading the window) and the filter's
+        for report in self.sink.drain():
             outputs.error(report.as_line())
-            self.sink.report(report.kind, report.detail)
         if config.compaction_fraction > 0 and self.tick == config.compaction_tick:
             removals = compaction_events(self.cell, config.compaction_fraction,
                                          seed=config.seed, timestamp=start)

@@ -14,7 +14,9 @@ import struct
 from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
-VERSION = 1
+#: Version 2: the broker cache became a plain dict and the engine's writers
+#: left its config, so version-1 pickles no longer load.
+VERSION = 2
 
 
 class SnapshotError(RuntimeError):

@@ -8,7 +8,6 @@ no assignment is ever evaluated twice within a run.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -142,11 +141,7 @@ class CandidateSolution:
 
 
 class SolutionCache:
-    """Bounded LRU cache keyed by canonical assignment encoding.
-
-    Safe for concurrent lookup_or_insert: a racing builder may run twice for
-    the same key, but only one result is retained.
-    """
+    """Bounded LRU cache keyed by canonical assignment encoding."""
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
         if capacity < 1:
@@ -155,7 +150,6 @@ class SolutionCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._lock = threading.RLock()
         self._entries: OrderedDict[bytes, CandidateSolution] = OrderedDict()
 
     def __len__(self) -> int:
@@ -163,25 +157,18 @@ class SolutionCache:
 
     def lookup_or_insert(self, key: bytes,
                          builder: Callable[[], CandidateSolution]) -> CandidateSolution:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return entry
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return entry
         built = builder()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return entry
-            self.misses += 1
-            self._entries[key] = built
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            return built
+        self.misses += 1
+        self._entries[key] = built
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+        return built
 
 
 def neighbors(solution: CandidateSolution,

@@ -1,5 +1,5 @@
 """Workload ingestion: trace parsing, events, constraints, anomaly handling,
-synthetic generation and the shared-state store."""
+the cell fold and synthetic generation."""
 
 from .anomalies import AnomalyKind, AnomalyReport, AnomalySink, filter_anomalies
 from .constraints import (
@@ -12,7 +12,6 @@ from .constraints import (
 from .events import EventBatch, EventKind, WorkloadEvent, sort_events
 from .parsers import ColumnLayout, ParserConfig, map_task_action, open_trace_directory, parse_trace_file
 from .state import CellState
-from .store import StateStore
 from .synth import SynthConfig, synth_generate
 from .window import BufferedEventSource, WindowCollector
 
@@ -23,7 +22,7 @@ __all__ = [
     "EventBatch", "EventKind", "WorkloadEvent", "sort_events",
     "ColumnLayout", "ParserConfig", "map_task_action",
     "open_trace_directory", "parse_trace_file",
-    "CellState", "StateStore",
+    "CellState",
     "SynthConfig", "synth_generate",
     "BufferedEventSource", "WindowCollector",
 ]

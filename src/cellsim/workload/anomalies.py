@@ -1,9 +1,10 @@
 """Trace irregularity detection and reporting.
 
 Real traces contain corrupt records, tasks whose constraints no machine can
-ever satisfy, and windows where reported global usage exceeds global
-capacity.  The first two are dropped and counted; over-usage windows are only
-flagged so metrics can exclude them, since the underlying events are real.
+ever satisfy, events that arrive after their window, and windows where
+reported global usage exceeds global capacity.  The first three are dropped
+and counted; over-usage windows are only flagged so metrics can exclude
+them, since the underlying events are real.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ class AnomalyKind(enum.Enum):
     UNMATCHABLE_CONSTRAINTS = "UnmatchableConstraints"
     OVER_USAGE_WINDOW = "OverUsageWindow"
     CORRUPT_RECORD = "CorruptRecord"
+    LATE_EVENT = "LateEvent"
 
 
 @dataclass(frozen=True)

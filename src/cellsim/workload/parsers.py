@@ -213,11 +213,6 @@ class EventParser:
         self.sink = sink if sink is not None else AnomalySink()
         self.paths = list(paths)
 
-    @classmethod
-    def for_directory(cls, trace_dir: Path, config: ParserConfig | None = None,
-                      sink: AnomalySink | None = None) -> "EventParser":
-        return cls(trace_files(trace_dir, cls.kind), config, sink)
-
     def _shift(self, timestamp: int) -> int:
         return max(0, timestamp - self.config.time_offset_us)
 

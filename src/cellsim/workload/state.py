@@ -217,10 +217,6 @@ class CellState:
         else:
             raise ValueError(f"unhandled event kind {kind!r}")
 
-    def apply_batch(self, batch: ev.EventBatch) -> None:
-        for event in batch:
-            self.apply(event)
-
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> model.SystemState:

@@ -4,7 +4,8 @@ Each parser keeps a bounded read-ahead buffer (thirty simulated minutes or
 one million events, whichever is hit first).  ``collect_window`` merges all
 buffered events falling inside a window into one sorted batch; the call is
 synchronous, so a parser that has not buffered far enough simply reads on
-until it has (or hits end of stream).
+until it has (or hits end of stream).  An event stamped before its window
+is late: it is dropped and reported as an anomaly.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from . import events as ev
+from .anomalies import AnomalyKind, AnomalySink
 
 BUFFER_AHEAD_US = 30 * 60 * 1_000_000
 BUFFER_MAX_EVENTS = 1_000_000
@@ -44,10 +46,6 @@ class BufferedEventSource:
             except StopIteration:
                 self._exhausted = True
 
-    def idle_fill(self, now_us: int) -> None:
-        """Opportunistic read-ahead up to the configured horizon."""
-        self.fill(now_us + self.ahead_us)
-
     def take_until(self, end_us: int) -> list[ev.WorkloadEvent]:
         taken: list[ev.WorkloadEvent] = []
         while True:
@@ -66,7 +64,9 @@ class WindowCollector:
     """Merges per-parser streams into timestamp-sorted window batches."""
 
     def __init__(self, sources: Iterable[Iterable[ev.WorkloadEvent]],
+                 sink: Optional[AnomalySink] = None,
                  ahead_us: int = BUFFER_AHEAD_US, max_events: int = BUFFER_MAX_EVENTS):
+        self.sink = sink if sink is not None else AnomalySink()
         self.sources = [
             src if isinstance(src, BufferedEventSource)
             else BufferedEventSource(src, ahead_us, max_events)
@@ -78,23 +78,23 @@ class WindowCollector:
         return all(src.exhausted for src in self.sources)
 
     def collect_window(self, window_start: int, window_end: int) -> ev.EventBatch:
+        """The sorted events of ``[window_start, window_end)``.
+
+        Windows are collected in order, so an event stamped before
+        ``window_start`` arrived after its own window was applied.  It is
+        dropped, not applied out of order, and reported to the sink as a
+        LATE_EVENT naming its timestamp and this window.
+        """
         if window_end < window_start:
             raise ValueError("window_end must be >= window_start")
         merged: list[ev.WorkloadEvent] = []
         for source in self.sources:
-            merged.extend(e for e in source.take_until(window_end)
-                          if e.timestamp >= window_start)
+            for event in source.take_until(window_end):
+                if event.timestamp >= window_start:
+                    merged.append(event)
+                else:
+                    self.sink.report(
+                        AnomalyKind.LATE_EVENT,
+                        f"{event.kind.value} at {event.timestamp} before window "
+                        f"[{window_start},{window_end}); dropped")
         return ev.EventBatch(window_start, window_end, tuple(ev.sort_events(merged)))
-
-    def windows(self, window_us: int, start_us: int = 0,
-                stop_us: Optional[int] = None) -> Iterator[ev.EventBatch]:
-        """Consecutive windows until the stop time or stream exhaustion."""
-        current = start_us
-        while True:
-            if stop_us is not None and current >= stop_us:
-                return
-            batch = self.collect_window(current, current + window_us)
-            yield batch
-            current += window_us
-            if stop_us is None and self.exhausted:
-                return

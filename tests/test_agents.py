@@ -3,8 +3,11 @@
 import random
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cellsim.agents import (
+    REALLOC_PARAMS,
     AgentConfig,
     AgentEngine,
     FORCED_FITNESS,
@@ -16,6 +19,7 @@ from cellsim.agents import (
 from cellsim.model import ResourceTypeCatalog
 from cellsim.workload import CellState, ConstraintOperator as Op, TaskConstraint
 from cellsim.workload import events as ev
+from scoring_oracle import allocation_score
 
 CAT2 = ResourceTypeCatalog(("cpu", "memory"))
 MIN_US = 60 * 1_000_000
@@ -106,6 +110,33 @@ class TestSelection:
                 removable=candidates, compulsory_ids=[],
                 rng=random.Random(seed))
             assert result.task_ids == ["t1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_selection_fitness_matches_scalar_oracle(data):
+    """On a random overloaded node the chosen subset de-overloads it, and the
+    reported fitness is the scalar re-allocation score of the node's load
+    after removal divided by the subset's migration cost."""
+    unit = st.floats(0.0, 0.6, allow_nan=False)
+    total = np.array(data.draw(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0))))
+    count = data.draw(st.integers(2, 8))
+    candidates = [RemovalCandidate(
+        task_id=f"t{i}", used=np.array(data.draw(st.tuples(unit, unit))),
+        migration_cost_mb=data.draw(st.floats(1.0, 1000.0)),
+        production=data.draw(st.booleans())) for i in range(count)]
+    used_sum = np.sum([c.used for c in candidates], axis=0)
+    assume(np.any(used_sum > total))
+    result = select_candidate_services(
+        node_total=total, used_sum=used_sum, removable=candidates,
+        compulsory_ids=[], rng=random.Random(data.draw(st.integers(0, 2**32))))
+    assert result.feasible and not result.alert
+    chosen = [c for c in candidates if c.task_id in set(result.task_ids)]
+    load = used_sum - np.sum([c.used for c in chosen], axis=0)
+    assert np.all(load <= total)
+    cost = sum(c.migration_cost_mb for c in chosen)
+    expected = allocation_score(REALLOC_PARAMS, total, load) / cost
+    assert result.fitness == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestBrokerQuotes:
@@ -209,8 +240,8 @@ class TestAdmission:
 
 
 def run_ticks(engine, ticks):
-    for _ in range(ticks):
-        engine.run_tick()
+    """Run the ticks; returns their metrics, one TickMetrics per tick."""
+    return [engine.run_tick() for _ in range(ticks)]
 
 
 class TestEndToEnd:
@@ -225,11 +256,11 @@ class TestEndToEnd:
     def test_overload_converges(self):
         engine = self._overload_scenario()
         assert engine.overloaded_count() == 1
-        run_ticks(engine, 5)
+        metrics = run_ticks(engine, 5)
         assert engine.overloaded_count() == 0
         assert engine.cell.conservation_holds()
         assert engine.reservation_invariant_holds()
-        assert engine.lifetime.migrations_completed > 0
+        assert sum(m.migrations_completed for m in metrics) > 0
 
     def test_non_forced_targets_stay_stable(self):
         engine = self._overload_scenario()
@@ -245,8 +276,8 @@ class TestEndToEnd:
     def test_deterministic_trace(self):
         def run():
             trace = []
-            config = AgentConfig(audit=True, message_trace=trace.append)
-            engine = build_engine([(1.0, 1.0)] * 10, seed=5, config=config)
+            engine = build_engine([(1.0, 1.0)] * 10, seed=5)
+            engine.message_trace = trace.append
             for index in range(6):
                 add_task(engine, f"t{index}", required=(0.25, 0.2),
                          used=(0.22, 0.18), cost=50.0 + index, node="n000")
@@ -309,8 +340,8 @@ class TestEndToEnd:
 
 def test_status_messages_flow_every_tick():
     trace = []
-    config = AgentConfig(message_trace=trace.append)
-    engine = build_engine([(1.0, 1.0)] * 3, seed=9, config=config)
+    engine = build_engine([(1.0, 1.0)] * 3, seed=9)
+    engine.message_trace = trace.append
     engine.run_tick()
     status_lines = [line for line in trace if MessageKind.STATUS_REPORT.value in line]
     assert len(status_lines) == 3  # one per node

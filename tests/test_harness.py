@@ -18,8 +18,10 @@ from cellsim.harness import (
 )
 from cellsim.harness.cli import main as cli_main
 from cellsim.harness.scaling import IdCollisionError
+from cellsim.harness.snapshot import MAGIC, VERSION
+from cellsim.harness.tracewriter import write_synthetic_trace
 from cellsim.model import ResourceTypeCatalog
-from cellsim.workload import CellState, SynthConfig, synth_generate
+from cellsim.workload import AnomalyKind, CellState, SynthConfig, synth_generate
 from cellsim.workload import events as ev
 
 CAT2 = ResourceTypeCatalog(("cpu", "memory"))
@@ -236,20 +238,63 @@ class TestSnapshotRoundtrip:
         with pytest.raises(SnapshotError):
             load_snapshot(path)
 
-    def test_resume_reproduces_run(self, tmp_path):
-        full_config = run_config(tmp_path / "full", ticks=8, snapshot_every=None)
+    @pytest.mark.parametrize("mode", ["replay", "masb", "metaheuristic"])
+    def test_resume_reproduces_run(self, tmp_path, mode):
+        # masb also traces messages, so the engine's writers must survive
+        # being left out of the snapshot
+        extra = {"masb": dict(message_trace=True),
+                 "metaheuristic": dict(strategy="greedy", strategy_budget=4000)}.get(mode, {})
+        full_config = run_config(tmp_path / "full", mode=mode, ticks=8,
+                                 snapshot_every=None, **extra)
         SimulationRunner(full_config).run()
         full_rows = read_ticks(full_config)
 
-        half_config = run_config(tmp_path / "half", ticks=4, snapshot_every=4)
+        half_config = run_config(tmp_path / "half", mode=mode, ticks=4,
+                                 snapshot_every=4, **extra)
         SimulationRunner(half_config).run()
         resumed_config = run_config(
-            tmp_path / "half", ticks=8,
+            tmp_path / "half", mode=mode, ticks=8,
             resume_from=Path(half_config.output_dir) / "run-4.snapshot",
-            run_name="resumed")
+            run_name="resumed", **extra)
         SimulationRunner(resumed_config).run()
         resumed_rows = read_ticks(resumed_config)
         assert resumed_rows == full_rows[4:]
+        if mode == "masb":
+            logs = Path(full_config.output_dir) / "logs"
+            full_trace = (logs / "run-messages.log").read_text().splitlines()
+            resumed_trace = (Path(resumed_config.output_dir) / "logs"
+                             / "resumed-messages.log").read_text().splitlines()
+            resumed_from_us = 4 * full_config.tick_length_us
+            assert resumed_trace
+            assert resumed_trace == [line for line in full_trace
+                                     if int(line.split("\t")[0]) >= resumed_from_us]
+
+    def test_old_snapshot_version_refused(self, tmp_path):
+        path = tmp_path / "x.snapshot"
+        save_snapshot(path, {"a": 1})
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC):len(MAGIC) + 4] = (VERSION - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="version"):
+            load_snapshot(path)
+
+
+class TestErrorLog:
+    def test_corrupt_trace_row_reaches_error_log(self, tmp_path):
+        trace_dir = tmp_path / "trace"
+        write_synthetic_trace(synth_config(), trace_dir)
+        part = trace_dir / "task_events" / "part-00000-of-00001.csv"
+        part.write_text("not-a-timestamp,0,1,0,,0\n" + part.read_text())
+        config = run_config(tmp_path, mode="replay", synth=None,
+                            trace_dir=trace_dir, ticks=3)
+        runner = SimulationRunner(config)
+        assert runner.run() == 0
+        error_log = Path(config.output_dir) / "logs" / "run-error.log"
+        corrupt = [line for line in error_log.read_text().splitlines()
+                   if line.startswith(AnomalyKind.CORRUPT_RECORD.value + "\t")]
+        assert len(corrupt) == 1
+        assert runner.sink.count(AnomalyKind.CORRUPT_RECORD) == 1
+        assert runner.sink.reports == []  # drained every tick, not kept
 
 
 class TestCli:

@@ -1,4 +1,8 @@
-"""Score-surface shape, classification boundaries, and gain clamping."""
+"""Score-surface shape, classification boundaries, and gain clamping.
+
+The scalar functions come from ``scoring_oracle``; the vectorized forms in
+``cellsim.agents.scoring`` are checked against them.
+"""
 
 import math
 import random
@@ -6,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from cellsim.agents import AgentConfig, AgentEngine
 from cellsim.agents.scoring import (
     INITIAL_PARAMS,
     REALLOC_PARAMS,
@@ -13,13 +18,12 @@ from cellsim.agents.scoring import (
     ScoringParams,
     allocation_score_vec,
     asr_metrics,
-    classify_allocation,
     classify_vec,
     rus_fits,
-    score_gain,
-    sias,
-    sras,
 )
+from cellsim.model import ResourceTypeCatalog
+from cellsim.workload import CellState
+from scoring_oracle import classify_allocation, score_gain, sias, sras
 
 MAX11 = (1.0, 1.0)
 
@@ -132,6 +136,19 @@ class TestGain:
             a = (rng.uniform(0, 1), rng.uniform(0, 1))
             b = (rng.uniform(0, 1), rng.uniform(0, 1))
             assert score_gain(sras, MAX11, a, b) >= 0.0
+
+    @pytest.mark.parametrize("name,scalar", [("sias_gain", sias), ("sras_gain", sras)])
+    def test_engine_gain_matches_oracle(self, name, scalar):
+        engine = AgentEngine(CellState(ResourceTypeCatalog(("cpu", "memory"))),
+                             AgentConfig(), seed=0)
+        rng = random.Random(23)
+        before = np.array([[rng.uniform(0, 1), rng.uniform(0, 1)] for _ in range(300)])
+        after = before + np.array([[rng.uniform(0, 0.3), rng.uniform(0, 0.3)]
+                                   for _ in range(300)])
+        vec = engine.score_vec(name, np.ones_like(before), before, after)
+        for i in range(len(before)):
+            expected = score_gain(scalar, MAX11, tuple(before[i]), tuple(after[i]))
+            assert vec[i] == pytest.approx(expected, abs=1e-12)
 
 
 class TestClassification:

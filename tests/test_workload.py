@@ -5,6 +5,7 @@ import pytest
 from cellsim.model import ResourceTypeCatalog
 from cellsim.workload import (
     AnomalyKind,
+    AnomalySink,
     CellState,
     ConstraintOperator as Op,
     EventBatch,
@@ -96,6 +97,19 @@ class TestWindowCollector:
         collector = WindowCollector([iter(s) for s in sources])
         collected = sum(len(collector.collect_window(t, t + 100)) for t in range(0, 1100, 100))
         assert collected == total
+
+    def test_late_event_reported_not_lost(self):
+        # out of order: the t=30 event is read only after window [0, 60) is done
+        events = [add_node(0, "n"), add_task(70, "a"), add_task(30, "late"),
+                  add_task(100, "b")]
+        sink = AnomalySink()
+        collector = WindowCollector([iter(events)], sink)
+        assert [e.timestamp for e in collector.collect_window(0, 60)] == [0]
+        assert [e.timestamp for e in collector.collect_window(60, 120)] == [70, 100]
+        assert sink.count(AnomalyKind.LATE_EVENT) == 1
+        (report,) = sink.reports
+        assert report.kind is AnomalyKind.LATE_EVENT
+        assert "at 30 " in report.detail and "[60,120)" in report.detail
 
     def test_buffer_cap_still_collects_everything(self):
         events = [add_task(1, f"t{i}") for i in range(50)]

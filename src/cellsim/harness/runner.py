@@ -21,6 +21,7 @@ from .. import model
 from ..agents.engine import AgentEngine, Engine, TickMetrics
 from ..agents.scoring import asr_metrics, classify_vec
 from ..livemigration import ProfileCatalog, TraceCostModel
+from ..metaheuristics.problem import PackedProblem
 from ..metaheuristics.strategies import STRATEGIES
 from ..workload.anomalies import AnomalySink, filter_anomalies
 from ..workload.events import AddTaskEvent
@@ -32,9 +33,6 @@ from .config import ConfigError, RunConfig
 from .outputs import RunOutputs, TickRecord
 from .scaling import compaction_events, scale_cell
 from .snapshot import load_snapshot, save_snapshot
-
-UNPLACED = "@unplaced"
-
 
 class TraceError(RuntimeError):
     """Trace source cannot be read (CLI exit code 2)."""
@@ -108,54 +106,34 @@ class MetaheuristicEngine(CellEngine):
         self.config = config
         self.tick_index = 0
 
-    def _current_state(self) -> model.SystemState:
-        cell = self.cell
-        assignment = {tid: cell.placement.get(tid, UNPLACED) for tid in cell.tasks}
-        return model.SystemState(
-            catalog=cell.catalog,
-            nodes=tuple(n.to_spec() for n in sorted(cell.nodes.values(), key=lambda n: n.node_id)),
-            tasks=tuple(t.to_spec() for t in sorted(cell.tasks.values(), key=lambda t: t.task_id)),
-            assignment=model.Assignment(assignment),
-        )
-
-    def _check_feasible(self, state: model.SystemState) -> None:
-        if not state.tasks or not state.nodes:
-            if state.tasks and not state.nodes:
-                raise InfeasibleWorkloadError("tasks exist but the cell has no nodes")
-            return
-        demand = np.sum([t.required for t in state.tasks], axis=0)
-        capacity = np.sum([n.total for n in state.nodes], axis=0)
-        if np.any(demand > capacity):
-            raise InfeasibleWorkloadError(
-                f"aggregate demand {demand.tolist()} exceeds capacity {capacity.tolist()}")
-
     def run_tick(self) -> TickMetrics:
         self.tick_index += 1
         metrics = TickMetrics()
-        state = self._current_state()
-        if not state.tasks:
+        problem = PackedProblem.from_cell(self.cell)
+        if problem.task_count == 0 or (problem.origin_in_cell()
+                                       and problem.is_stable(problem.origin)):
             return metrics
-        needs_balancing = (not state.placement_complete()
-                           or not model.is_system_stable(state))
-        if not needs_balancing:
-            return metrics
-        self._check_feasible(state)
+        if problem.node_count == 0:
+            raise InfeasibleWorkloadError("tasks exist but the cell has no nodes")
+        if not problem.demand_fits():
+            raise InfeasibleWorkloadError(
+                f"aggregate demand {problem.required.sum(axis=0).tolist()} exceeds "
+                f"capacity {problem.capacity.sum(axis=0).tolist()}")
         cfg = self.config.strategy_config(seed=self.config.seed * 1_000_003 + self.tick_index)
-        result = STRATEGIES[self.config.strategy](state, cfg)
+        result = STRATEGIES[self.config.strategy](problem, cfg)
         if not result.stable:
             return metrics
-        before = dict(self.cell.placement)
-        assignment = result.best.to_assignment()
-        for task_id, node_id in sorted(assignment.items()):
-            if before.get(task_id) != node_id:
-                self.cell.place(task_id, node_id)
-                if task_id in before:
-                    # a true migration, not an initial placement
-                    metrics.migrations_attempted += 1
-                    metrics.migrations_completed += 1
-                    metrics.stc_mb += self.cell.tasks[task_id].migration_cost_mb
-                else:
-                    metrics.placements += 1
+        assign = result.best.assign
+        # task indices follow task-id order, so tasks are placed in that order
+        for t in np.flatnonzero(assign != problem.origin):
+            self.cell.place(problem.task_ids[t], problem.node_ids[assign[t]])
+            if problem.origin[t] >= 0:
+                # a true migration, not an initial placement
+                metrics.migrations_attempted += 1
+                metrics.migrations_completed += 1
+                metrics.stc_mb += float(problem.costs[t])
+            else:
+                metrics.placements += 1
         return metrics
 
 
@@ -213,6 +191,7 @@ class SimulationRunner:
             "cell": self.cell,
             "engine": self.engine,
             "accumulated_stc": self.accumulated_stc,
+            "anomaly_counts": self.sink.counts,
             "seed": self.config.seed,
             "mode": self.config.mode,
         })
@@ -226,11 +205,13 @@ class SimulationRunner:
         self.engine = data["engine"]  # shares the unpickled cell reference
         self.accumulated_stc = data["accumulated_stc"]
         # fast-forward the deterministic sources past the consumed windows;
-        # the run that saved the snapshot already logged what they report
+        # the run that saved the snapshot already logged and counted what
+        # they report, and its counts cover the filter's reports too
         for index in range(self.tick):
             start = index * self.config.tick_length_us
             self.collector.collect_window(start, start + self.config.tick_length_us)
         self.sink.drain()
+        self.sink.counts = data["anomaly_counts"]
 
     # -- main loop -----------------------------------------------------------------
 

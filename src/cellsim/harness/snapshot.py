@@ -15,8 +15,9 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Version 2: the broker cache became a plain dict and the engine's writers
-#: left its config, so version-1 pickles no longer load.
-VERSION = 2
+#: left its config, so version-1 pickles no longer load.  Version 3: the
+#: payload carries the anomaly counts, which a resumed run restores.
+VERSION = 3
 
 
 class SnapshotError(RuntimeError):

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .. import model
+from ..workload.state import CellState
 
 DEFAULT_CACHE_CAPACITY = 500_000
 
@@ -40,20 +42,39 @@ class PackedProblem:
     origin: np.ndarray        # (T,) int
 
     @classmethod
-    def from_state(cls, state: model.SystemState, usage: str = "required") -> "PackedProblem":
-        tasks = sorted(state.tasks, key=lambda t: t.id)
-        nodes = sorted(state.nodes, key=lambda n: n.id)
-        node_index = {n.id: i for i, n in enumerate(nodes)}
-        demand = [t.required if usage == "required" else t.used for t in tasks]
+    def from_state(cls, state: model.SystemState) -> "PackedProblem":
+        return cls._pack(
+            state.catalog.dimension,
+            [(n.id, n.total) for n in state.nodes],
+            [(t.id, t.required, t.migration_cost_mb, state.assignment[t.id]) for t in state.tasks],
+        )
+
+    @classmethod
+    def from_cell(cls, cell: CellState) -> "PackedProblem":
+        """The live cell as a balancing instance; a pending task gets origin -1."""
+        placement = cell.placement
+        return cls._pack(
+            cell.catalog.dimension,
+            [(n.node_id, n.total) for n in cell.nodes.values()],
+            [(t.task_id, t.required, t.migration_cost_mb, placement.get(t.task_id))
+             for t in cell.tasks.values()],
+        )
+
+    @classmethod
+    def _pack(cls, dimension: int, nodes: list, tasks: list) -> "PackedProblem":
+        """The packing rule: nodes ``(id, total)`` and tasks ``(id, required,
+        migration cost, node id or None)`` are each sorted by id, and a task
+        whose node is not among ``nodes`` gets origin -1."""
+        nodes = sorted(nodes, key=itemgetter(0))
+        tasks = sorted(tasks, key=itemgetter(0))
+        node_index = {node[0]: i for i, node in enumerate(nodes)}
         return cls(
-            task_ids=tuple(t.id for t in tasks),
-            node_ids=tuple(n.id for n in nodes),
-            required=np.array(demand, dtype=np.float64).reshape(len(tasks), state.catalog.dimension),
-            capacity=np.array([n.total for n in nodes], dtype=np.float64).reshape(
-                len(nodes), state.catalog.dimension),
-            costs=np.array([t.migration_cost_mb for t in tasks], dtype=np.float64),
-            origin=np.array([node_index.get(state.assignment[t.id], -1) for t in tasks],
-                            dtype=np.int64),
+            task_ids=tuple(t[0] for t in tasks),
+            node_ids=tuple(n[0] for n in nodes),
+            required=np.array([t[1] for t in tasks], dtype=np.float64).reshape(len(tasks), dimension),
+            capacity=np.array([n[1] for n in nodes], dtype=np.float64).reshape(len(nodes), dimension),
+            costs=np.array([t[2] for t in tasks], dtype=np.float64),
+            origin=np.array([node_index.get(t[3], -1) for t in tasks], dtype=np.int64),
         )
 
     @property
@@ -80,6 +101,11 @@ class PackedProblem:
 
     def origin_in_cell(self) -> bool:
         return bool(np.all(self.origin >= 0))
+
+    def demand_fits(self) -> bool:
+        """Pigeonhole: no assignment is stable when the total demand exceeds
+        the total capacity in some resource."""
+        return not np.any(self.required.sum(axis=0) > self.capacity.sum(axis=0))
 
     def assignment_of(self, assign: np.ndarray) -> model.Assignment:
         return model.Assignment({
@@ -171,11 +197,10 @@ class SolutionCache:
         return built
 
 
-def neighbors(solution: CandidateSolution,
-              problem: Optional[PackedProblem] = None) -> Iterator[CandidateSolution]:
+def neighbors(solution: CandidateSolution) -> Iterator[CandidateSolution]:
     """All assignments differing in exactly one task's node:
     |tasks| * (|nodes| - 1) of them, in deterministic (task, node) order."""
-    problem = problem or solution.problem
+    problem = solution.problem
     base = solution.assign
     for t in range(problem.task_count):
         current = int(base[t])

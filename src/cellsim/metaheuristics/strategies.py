@@ -19,19 +19,32 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .. import model
 from .problem import (
     CandidateSolution,
-    DEFAULT_CACHE_CAPACITY,
     InfeasibleError,
     PackedProblem,
     SolutionCache,
     random_stable_solution,
 )
+
+
+#: A fixture scenario's state or an already packed (live-cell) instance.
+Instance = Union[model.SystemState, PackedProblem]
+
+SA_COOLING = 0.95
+SA_STEPS_PER_TEMPERATURE = 4
+GA_POPULATION = 24
+GA_MUTATION_RATE = 0.3
+#: Fresh injections per generation.
+GA_DRIFT = 2
+#: Seeded GA's population as a share of the plain GA population.
+SGA_POOL_FRACTION = 0.25
+FULL_SCAN_NODE_CAP = 50_000_000
 
 
 class SearchSpaceCapExceeded(RuntimeError):
@@ -47,17 +60,8 @@ class StrategyConfig:
     time_budget_s: Optional[float] = None
     stable_iteration_cap: int = 10_000
     tabu_dull_move_limit: int = 25
-    sa_initial_temperature: Optional[float] = None
-    sa_cooling: float = 0.95
-    sa_steps_per_temperature: int = 4
-    ga_population: int = 24
-    ga_mutation_rate: float = 0.3
-    ga_drift: int = 2
-    sga_pool_fraction: float = 0.25
     full_scan_leaf_cap: float = 1e8
-    full_scan_node_cap: int = 50_000_000
     cache_enabled: bool = True
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
 
     def __post_init__(self) -> None:
         if self.seed is None:
@@ -78,11 +82,12 @@ class BalancerResult:
 class _Run:
     """Shared per-invocation context: rng, cache, budget accounting."""
 
-    def __init__(self, problem: PackedProblem, cfg: StrategyConfig):
-        self.problem = problem
+    def __init__(self, instance: Instance, cfg: StrategyConfig):
+        self.problem = (instance if isinstance(instance, PackedProblem)
+                        else PackedProblem.from_state(instance))
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.cache = SolutionCache(cfg.cache_capacity) if cfg.cache_enabled else None
+        self.cache = SolutionCache() if cfg.cache_enabled else None
         self.examined = 0
         self.runs = 0
         self.best: Optional[CandidateSolution] = None
@@ -192,9 +197,9 @@ def _neighbor_scan(run: _Run, current: CandidateSolution,
     return run.candidate(assign)
 
 
-def greedy(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
+def greedy(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     """Hill-climb to a local cost optimum, restarting while budget remains."""
-    run = _Run(PackedProblem.from_state(state), cfg)
+    run = _Run(instance, cfg)
     shortcut = _origin_shortcut(run)
     if shortcut is not None:
         return shortcut
@@ -212,10 +217,10 @@ def greedy(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
     return run.result()
 
 
-def tabu_search(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
+def tabu_search(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     """Greedy walk that never revisits an assignment and tolerates a bounded
     number of non-improving (dull) moves before restarting."""
-    run = _Run(PackedProblem.from_state(state), cfg)
+    run = _Run(instance, cfg)
     shortcut = _origin_shortcut(run)
     if shortcut is not None:
         return shortcut
@@ -242,11 +247,11 @@ def tabu_search(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult
     return run.result()
 
 
-def simulated_annealing(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
+def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     """Random-neighbor walk accepting regressions with probability
     exp(-delta/T) under geometric cooling; only stable candidates can become
     the reported best."""
-    run = _Run(PackedProblem.from_state(state), cfg)
+    run = _Run(instance, cfg)
     problem = run.problem
     shortcut = _origin_shortcut(run)
     if shortcut is not None:
@@ -265,8 +270,6 @@ def simulated_annealing(state: model.SystemState, cfg: StrategyConfig) -> Balanc
         return cost
 
     def initial_temperature(start: CandidateSolution) -> float:
-        if cfg.sa_initial_temperature is not None:
-            return cfg.sa_initial_temperature
         deltas = []
         for _ in range(min(64, problem.task_count * (problem.node_count - 1))):
             t = run.rng.randrange(problem.task_count)
@@ -305,8 +308,8 @@ def simulated_annealing(state: model.SystemState, cfg: StrategyConfig) -> Balanc
                 current_energy = energy(neighbor)
                 run.offer(current)
             steps_at_t += 1
-            if steps_at_t >= cfg.sa_steps_per_temperature:
-                temperature *= cfg.sa_cooling
+            if steps_at_t >= SA_STEPS_PER_TEMPERATURE:
+                temperature *= SA_COOLING
                 steps_at_t = 0
     return run.result()
 
@@ -329,7 +332,6 @@ def _mutate(run: _Run, assign: np.ndarray) -> np.ndarray:
 def _ga_loop(run: _Run, population: list[CandidateSolution],
              drift: Callable[[], Optional[CandidateSolution]]) -> None:
     """Shared evolution loop; ``drift`` supplies per-generation injections."""
-    cfg = run.cfg
     problem = run.problem
     if problem.task_count == 0 or problem.node_count < 2:
         return
@@ -345,11 +347,11 @@ def _ga_loop(run: _Run, population: list[CandidateSolution],
         while len(offspring) < target_size and run.budget_left():
             a, b = run.rng.sample(elite, 2) if len(elite) >= 2 else (elite[0], elite[0])
             child = _crossover(run, a, b)
-            if run.rng.random() < cfg.ga_mutation_rate:
+            if run.rng.random() < GA_MUTATION_RATE:
                 child = _mutate(run, child)
             # crossover is not stability-preserving: re-validate via ranking
             offspring.append(run.candidate(child))
-        for _ in range(cfg.ga_drift):
+        for _ in range(GA_DRIFT):
             if not run.budget_left():
                 break
             injected = drift()
@@ -358,15 +360,15 @@ def _ga_loop(run: _Run, population: list[CandidateSolution],
         population = offspring
 
 
-def genetic(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
+def genetic(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     """Population search: rank by (stability, cost), uniform crossover,
     single-move mutation, and fresh random stable injections each generation."""
-    run = _Run(PackedProblem.from_state(state), cfg)
+    run = _Run(instance, cfg)
     shortcut = _origin_shortcut(run)
     if shortcut is not None:
         return shortcut
     population = []
-    for _ in range(cfg.ga_population):
+    for _ in range(GA_POPULATION):
         if not run.budget_left():
             break
         solution = run.random_stable()
@@ -377,10 +379,10 @@ def genetic(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
     return run.result()
 
 
-SEEDER_STRATEGIES: dict[str, Callable[[model.SystemState, StrategyConfig], BalancerResult]] = {}
+SEEDER_STRATEGIES: dict[str, Callable[[Instance, StrategyConfig], BalancerResult]] = {}
 
 
-def seeded_genetic(state: model.SystemState, cfg: StrategyConfig,
+def seeded_genetic(instance: Instance, cfg: StrategyConfig,
                    seeders: Sequence[str] = ("tabu",)) -> BalancerResult:
     """Genetic search whose population (and drift) comes from locally optimal
     solutions produced by the seeder strategies, at a quarter of the plain
@@ -390,12 +392,12 @@ def seeded_genetic(state: model.SystemState, cfg: StrategyConfig,
     unknown = [s for s in seeders if s not in SEEDER_STRATEGIES]
     if unknown:
         raise ValueError(f"unknown seeders {unknown}; choose from {sorted(SEEDER_STRATEGIES)}")
-    run = _Run(PackedProblem.from_state(state), cfg)
+    run = _Run(instance, cfg)
     shortcut = _origin_shortcut(run)
     if shortcut is not None:
         return shortcut
 
-    pool_size = max(2, int(round(cfg.ga_population * cfg.sga_pool_fraction)))
+    pool_size = max(2, int(round(GA_POPULATION * SGA_POOL_FRACTION)))
     # One locally optimal seed costs about a full descent: a neighbor scan
     # per step, roughly one step per task to re-home.  Cutting seeds off
     # mid-descent produces mediocre genotypes, which defeats seeding.
@@ -414,11 +416,9 @@ def seeded_genetic(state: model.SystemState, cfg: StrategyConfig,
             # seeds should be cheap local optima: long dull-move wandering
             # inside a seeding slice only eats the shared budget
             tabu_dull_move_limit=min(3, cfg.tabu_dull_move_limit),
-            sa_initial_temperature=cfg.sa_initial_temperature,
-            sa_cooling=cfg.sa_cooling,
             cache_enabled=False,
         )
-        sub = SEEDER_STRATEGIES[name](state, sub_cfg)
+        sub = SEEDER_STRATEGIES[name](problem, sub_cfg)
         run.charge(sub.stats["candidates_examined"])
         if sub.best is None:
             return None
@@ -455,7 +455,7 @@ def seeded_genetic(state: model.SystemState, cfg: StrategyConfig,
     return run.result()
 
 
-def full_scan(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
+def full_scan(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     """Exhaustive branch-and-bound: provably optimal or provably infeasible.
 
     Tasks are scanned in descending migration-cost order; a branch dies when
@@ -464,7 +464,7 @@ def full_scan(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
     than the configured leaf count are refused outright rather than silently
     truncated.
     """
-    run = _Run(PackedProblem.from_state(state), cfg)
+    run = _Run(instance, cfg)
     problem = run.problem
     n_tasks, n_nodes = problem.task_count, problem.node_count
     if n_nodes == 0:
@@ -480,8 +480,7 @@ def full_scan(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
     if shortcut is not None:
         shortcut.stats["proven_optimal"] = True
         return shortcut
-    # pigeonhole: total demand must fit total capacity in every resource
-    if np.any(problem.required.sum(axis=0) > problem.capacity.sum(axis=0)):
+    if not problem.demand_fits():
         return run.result({"proven_infeasible": True})
 
     # A couple of quick random stable solutions seed the incumbent so cost
@@ -509,9 +508,9 @@ def full_scan(state: model.SystemState, cfg: StrategyConfig) -> BalancerResult:
     def dfs(depth: int, acc_cost: float) -> None:
         nonlocal best_cost, best_assign, visited_nodes
         visited_nodes += 1
-        if visited_nodes > cfg.full_scan_node_cap:
+        if visited_nodes > FULL_SCAN_NODE_CAP:
             raise SearchSpaceCapExceeded(
-                f"explored more than {cfg.full_scan_node_cap} branch nodes")
+                f"explored more than {FULL_SCAN_NODE_CAP} branch nodes")
         if depth == n_tasks:
             if acc_cost < best_cost:
                 best_cost = acc_cost

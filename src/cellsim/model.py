@@ -3,8 +3,9 @@
 Nodes offer fixed resource capacities, tasks demand resource vectors, and an
 assignment maps every task to a node.  A node is *stable* when no resource is
 over-committed; moving a task between nodes costs its migration size in MB.
-All types are immutable values: transformations build new states, which makes
-states safe to share across threads and cheap to cache by identity.
+All types are frozen values: ``apply_moves`` builds a new state instead of
+changing the old one.  The fixture scenarios are ``SystemState`` values; a
+running simulation keeps its cell in the mutable ``workload.state.CellState``.
 """
 
 from __future__ import annotations
@@ -201,10 +202,6 @@ class SystemState:
             return self.task_by_id[task_id]
         except KeyError:
             raise UnknownIdError(f"unknown task {task_id!r}") from None
-
-    def placement_complete(self) -> bool:
-        """True when every task is mapped to a live node of this state."""
-        return all(nid in self.node_by_id for nid in self.assignment.mapping.values())
 
 
 def _demand(task: TaskSpec, usage: str) -> Vector:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from . import events as ev
 from .constraints import matches_attributes
@@ -35,19 +34,15 @@ class AnomalyReport:
 
 
 class AnomalySink:
-    """Collects anomaly reports; optionally forwards each to a writer."""
+    """Collects anomaly reports until drained, and counts them per kind."""
 
-    def __init__(self, writer: Optional[Callable[[str], None]] = None):
+    def __init__(self):
         self.reports: list[AnomalyReport] = []
         self.counts: dict[AnomalyKind, int] = {kind: 0 for kind in AnomalyKind}
-        self._writer = writer
 
     def report(self, kind: AnomalyKind, detail: str, count: int = 1) -> None:
-        record = AnomalyReport(kind, detail, count)
-        self.reports.append(record)
+        self.reports.append(AnomalyReport(kind, detail, count))
         self.counts[kind] += count
-        if self._writer is not None:
-            self._writer(record.as_line())
 
     def count(self, kind: AnomalyKind) -> int:
         return self.counts[kind]
@@ -58,8 +53,7 @@ class AnomalySink:
         return out
 
 
-def filter_anomalies(cell_state, batch: ev.EventBatch,
-                     memory_index: Optional[int] = None) -> tuple[ev.EventBatch, list[AnomalyReport]]:
+def filter_anomalies(cell_state, batch: ev.EventBatch) -> tuple[ev.EventBatch, list[AnomalyReport]]:
     """Drop unmatchable task additions; flag over-usage windows.
 
     A task whose constraints match no node in the current cell can never be
@@ -70,11 +64,9 @@ def filter_anomalies(cell_state, batch: ev.EventBatch,
     reports: list[AnomalyReport] = []
     node_attributes = [node.attributes for node in cell_state.nodes.values()]
     kept: list[ev.WorkloadEvent] = []
-    dropped = 0
     for event in batch:
         if isinstance(event, ev.AddTaskEvent) and event.constraints:
             if not any(matches_attributes(event.constraints, attrs) for attrs in node_attributes):
-                dropped += 1
                 reports.append(AnomalyReport(
                     AnomalyKind.UNMATCHABLE_CONSTRAINTS,
                     f"task {event.task_id} matches no node; dropped",
@@ -82,9 +74,8 @@ def filter_anomalies(cell_state, batch: ev.EventBatch,
                 continue
         kept.append(event)
 
-    if memory_index is None and "memory" in cell_state.catalog.names:
+    if "memory" in cell_state.catalog.names and cell_state.nodes:
         memory_index = cell_state.catalog.index("memory")
-    if memory_index is not None and cell_state.nodes:
         capacity = sum(node.total[memory_index] for node in cell_state.nodes.values())
         used = sum(task.used[memory_index] for task in cell_state.tasks.values())
         if capacity > 0 and used > capacity:

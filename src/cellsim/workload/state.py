@@ -1,8 +1,9 @@
 """Mutable cell runtime built by folding workload events.
 
 The engines (replay, metaheuristic, agent-based) all consume this runtime:
-it tracks nodes, tasks, attributes and the recorded/live placements, and can
-export an immutable model snapshot for analysis or balancing.
+it tracks nodes, tasks, attributes and the recorded/live placements.  The
+engines read it directly; the centralized balancer packs it into arrays
+(``PackedProblem.from_cell``) every tick.
 """
 
 from __future__ import annotations
@@ -28,27 +29,12 @@ class TaskRuntime:
     unstarted: bool = True
     recorded_node: Optional[str] = None
 
-    def to_spec(self) -> model.TaskSpec:
-        return model.TaskSpec(
-            id=self.task_id,
-            required=self.required,
-            used=self.used if not self.unstarted else model.zero_vector(len(self.required)),
-            migration_cost_mb=self.migration_cost_mb,
-            priority=self.priority,
-            production=self.production,
-            constraints=self.constraints,
-            unstarted=self.unstarted,
-        )
-
 
 @dataclass
 class NodeRuntime:
     node_id: str
     total: model.Vector
     attributes: dict[str, str] = field(default_factory=dict)
-
-    def to_spec(self) -> model.NodeSpec:
-        return model.NodeSpec(id=self.node_id, total=self.total, attributes=self.attributes)
 
 
 @dataclass
@@ -217,17 +203,7 @@ class CellState:
         else:
             raise ValueError(f"unhandled event kind {kind!r}")
 
-    # -- snapshots ---------------------------------------------------------------
-
-    def snapshot(self) -> model.SystemState:
-        """Immutable model view of the placed tasks (pending ones excluded)."""
-        placed = [t for t in self.tasks.values() if t.task_id in self.placement]
-        return model.SystemState(
-            catalog=self.catalog,
-            nodes=tuple(n.to_spec() for n in sorted(self.nodes.values(), key=lambda n: n.node_id)),
-            tasks=tuple(t.to_spec() for t in sorted(placed, key=lambda t: t.task_id)),
-            assignment=model.Assignment({t.task_id: self.placement[t.task_id] for t in placed}),
-        )
+    # -- invariants --------------------------------------------------------------
 
     def conservation_holds(self) -> bool:
         accounted = set(self.placement) | set(self.pending)

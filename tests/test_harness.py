@@ -3,6 +3,7 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cellsim.harness import (
@@ -20,7 +21,15 @@ from cellsim.harness.cli import main as cli_main
 from cellsim.harness.scaling import IdCollisionError
 from cellsim.harness.snapshot import MAGIC, VERSION
 from cellsim.harness.tracewriter import write_synthetic_trace
-from cellsim.model import ResourceTypeCatalog
+from cellsim.metaheuristics import PackedProblem
+from cellsim.model import (
+    Assignment,
+    NodeSpec,
+    ResourceTypeCatalog,
+    SystemState,
+    TaskSpec,
+    zero_vector,
+)
 from cellsim.workload import AnomalyKind, CellState, SynthConfig, synth_generate
 from cellsim.workload import events as ev
 
@@ -45,6 +54,24 @@ def read_ticks(config):
     path = Path(config.output_dir) / "logs" / f"{config.run_name}-ticks.csv"
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def cell_state_oracle(cell):
+    """The cell as validated model values, with a sentinel node for pending
+    tasks: the per-tick conversion the centralized balancer once made."""
+    assignment = {tid: cell.placement.get(tid, "@unplaced") for tid in cell.tasks}
+    return SystemState(
+        catalog=cell.catalog,
+        nodes=tuple(NodeSpec(id=n.node_id, total=n.total, attributes=n.attributes)
+                    for n in sorted(cell.nodes.values(), key=lambda n: n.node_id)),
+        tasks=tuple(TaskSpec(id=t.task_id, required=t.required,
+                             used=zero_vector(len(t.required)) if t.unstarted else t.used,
+                             migration_cost_mb=t.migration_cost_mb, priority=t.priority,
+                             production=t.production, constraints=t.constraints,
+                             unstarted=t.unstarted)
+                    for t in sorted(cell.tasks.values(), key=lambda t: t.task_id)),
+        assignment=Assignment(assignment),
+    )
 
 
 class TestConfig:
@@ -212,6 +239,33 @@ class TestMetaheuristicMode:
         rows = read_ticks(config)
         assert all(r["overloaded"] == "0" for r in rows[1:])
 
+    def test_from_cell_matches_state_oracle(self, tmp_path):
+        config = run_config(tmp_path, mode="metaheuristic", ticks=4,
+                            strategy="greedy", strategy_budget=4000)
+        runner = SimulationRunner(config)
+        runner.run()
+        cell = runner.cell
+        # mid-run: the next window is folded but not balanced, and the
+        # busiest node leaves, so tasks are placed, pending and unplaced
+        start = runner.tick * config.tick_length_us
+        runner.engine.apply_events(
+            runner.collector.collect_window(start, start + config.tick_length_us))
+        hosted = list(cell.placement.values())
+        busiest = max(sorted(set(hosted)), key=hosted.count)
+        cell.apply(ev.RemoveNodeEvent(start, busiest))
+        assert cell.placement and len(cell.pending) > hosted.count(busiest)
+
+        packed = PackedProblem.from_cell(cell)
+        expected = PackedProblem.from_state(cell_state_oracle(cell))
+        assert packed.task_ids == expected.task_ids
+        assert packed.node_ids == expected.node_ids
+        assert busiest not in packed.node_ids
+        for name in ("required", "capacity", "costs", "origin"):
+            got, want = getattr(packed, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        assert np.count_nonzero(packed.origin < 0) == len(cell.pending)
+
 
 class TestSnapshotRoundtrip:
     def test_save_load_identity(self, tmp_path):
@@ -268,6 +322,39 @@ class TestSnapshotRoundtrip:
             assert resumed_trace
             assert resumed_trace == [line for line in full_trace
                                      if int(line.split("\t")[0]) >= resumed_from_us]
+
+    @pytest.mark.parametrize("source", ["trace", "synth"])
+    def test_resumed_anomaly_counts_cover_whole_run(self, tmp_path, source):
+        # anomalies reported before the snapshot tick: with the trace, one
+        # corrupt row (a parser report) and a usage row overcommitting the
+        # one node's memory (a filter report); with the synthetic source,
+        # constrained tasks arriving before any node (filter reports)
+        if source == "trace":
+            trace_dir = tmp_path / "trace"
+            write_synthetic_trace(synth_config(node_count=1), trace_dir)
+            events = trace_dir / "task_events" / "part-00000-of-00001.csv"
+            events.write_text("not-a-timestamp,0,1,0,,0\n" + events.read_text())
+            usage = trace_dir / "task_usage" / "part-00000-of-00001.csv"
+            first, rest = usage.read_text().split("\n", 1)
+            usage.write_text(",".join(first.split(",")[:-1] + ["1.5"]) + "\n" + rest)
+            kinds = (AnomalyKind.CORRUPT_RECORD, AnomalyKind.OVER_USAGE_WINDOW)
+            extra = dict(synth=None, trace_dir=trace_dir)
+        else:
+            kinds = (AnomalyKind.UNMATCHABLE_CONSTRAINTS,)
+            extra = dict(synth=synth_config(constraint_rate=0.3))
+        full = SimulationRunner(run_config(tmp_path / "full", mode="replay", **extra))
+        full.run()
+        half_config = run_config(tmp_path / "half", mode="replay", ticks=4,
+                                 snapshot_every=4, **extra)
+        half = SimulationRunner(half_config)
+        half.run()
+        resumed = SimulationRunner(run_config(
+            tmp_path / "half", mode="replay",
+            resume_from=Path(half_config.output_dir) / "run-4.snapshot",
+            run_name="resumed", **extra))
+        resumed.run()
+        assert all(half.sink.count(kind) > 0 for kind in kinds)
+        assert resumed.sink.counts == full.sink.counts
 
     def test_old_snapshot_version_refused(self, tmp_path):
         path = tmp_path / "x.snapshot"

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellsim.metaheuristics import PackedProblem
 from cellsim.model import (
     Assignment,
     NodeSpec,
@@ -239,13 +240,15 @@ def test_transformation_cost_additive_over_disjoint_moves(seed):
     assert cost_both >= 0
 
 
-def test_placement_complete_detects_offcell_origin():
+def test_offcell_origin_is_not_in_cell():
     state = build_state(
         [NodeSpec("A", (1.0, 1.0))],
         [task("t", (0.1, 0.1))],
         {"t": "GONE"},
     )
-    assert not state.placement_complete()
+    problem = PackedProblem.from_state(state)
+    assert problem.origin.tolist() == [-1]
+    assert not problem.origin_in_cell()
     # Stability is about live nodes only; validity is a separate check.
     assert is_system_stable(state)
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from ..workload.constraints import matches_attributes
-from ..workload.state import CellState
+from ..workload.state import CellState, NodeRuntime
 from ..workload import events as ev
 from .messages import (
     FORCED_FITNESS,
@@ -128,11 +128,13 @@ class TickMetrics:
 class Engine:
     """What the simulation runner drives, whatever the mode.
 
-    Each tick the runner hands the window's events to ``apply_events``, lets
-    the engine act in ``run_tick`` and reads per-node loads from
-    ``node_table``.  ``log`` and ``message_trace`` are the run's line
-    writers, set by the runner; snapshots leave them out, since they write
-    to files open in this process only.
+    Each tick the runner hands the window's events to ``apply_events`` and
+    lets the engine act in ``run_tick``; every engine keeps its placements in
+    the ``CellState`` it was given, so per-node loads are read from the cell
+    (``CellState.node_table``), not from the engine.  ``log`` and
+    ``message_trace`` are the run's line writers, set by the runner;
+    snapshots leave them out, since they write to files open in this process
+    only.
     """
 
     log: Optional[Callable[[str], None]] = None
@@ -150,28 +152,24 @@ class Engine:
     def run_tick(self) -> TickMetrics:
         raise NotImplementedError
 
-    def node_table(self) -> tuple:
-        """Sorted node ids, then per-node totals, used, required (arrays of
-        shape (N, d)) and resident task counts."""
-        raise NotImplementedError
-
 
 def _stable_seed(*parts) -> int:
     return zlib.crc32(":".join(str(p) for p in parts).encode())
 
 
 class NodeAgent:
-    """Keeps one node stable; negotiates migrations for overloading tasks."""
+    """Keeps one node stable; negotiates migrations for overloading tasks.
+
+    The node's residents and load sums live in the cell (``self.node``);
+    the agent keeps only its reservations, out-migrations, negotiations and
+    random stream.
+    """
 
     def __init__(self, node_id: str, engine: "AgentEngine"):
         self.id = node_id
         self.engine = engine
         dim = engine.dimension
         self.total = np.array(engine.cell.nodes[node_id].total, dtype=np.float64)
-        self.resident: set[str] = set()
-        self.used_sum = np.zeros(dim)
-        self.required_sum = np.zeros(dim)
-        self.prod_req_sum = np.zeros(dim)
         self.in_migrations: dict[str, InMigration] = {}
         self.incoming_used = np.zeros(dim)
         self.incoming_prod_req = np.zeros(dim)
@@ -182,31 +180,19 @@ class NodeAgent:
     # -- node-side accounting ---------------------------------------------------
 
     @property
+    def node(self) -> NodeRuntime:
+        return self.engine.cell.nodes[self.id]
+
+    @property
     def attributes(self) -> dict:
-        return self.engine.cell.nodes[self.id].attributes
+        return self.node.attributes
 
     def overloaded(self) -> bool:
-        return bool(np.any(self.used_sum > self.total))
+        return bool(np.any(self.node.used > self.total))
 
-    def add_resident(self, task_id: str) -> None:
-        task = self.engine.cell.tasks[task_id]
-        self.resident.add(task_id)
-        self.used_sum += np.asarray(task.used)
-        self.required_sum += np.asarray(task.required)
-        if task.production:
-            self.prod_req_sum += np.asarray(task.required)
-
-    def remove_resident(self, task_id: str) -> None:
-        if task_id not in self.resident:
-            return
-        task = self.engine.cell.tasks.get(task_id)
-        self.resident.discard(task_id)
+    def task_left(self, task_id: str) -> None:
+        """A task on this node finished or migrated away: stop moving it."""
         self.out_migrations.discard(task_id)
-        if task is not None:
-            self.used_sum -= np.asarray(task.used)
-            self.required_sum -= np.asarray(task.required)
-            if task.production:
-                self.prod_req_sum -= np.asarray(task.required)
         self.drop_negotiation(task_id)
 
     def drop_negotiation(self, task_id: str) -> None:
@@ -240,7 +226,7 @@ class NodeAgent:
     # -- admission checks ---------------------------------------------------------
 
     def projected_used(self, extra: np.ndarray) -> np.ndarray:
-        return self.used_sum + self.incoming_used + extra
+        return self.node.used + self.incoming_used + extra
 
     def admission_ok(self, snapshot: TaskSnapshot, forced: bool) -> bool:
         if not matches_attributes(snapshot.constraints, self.attributes):
@@ -252,17 +238,18 @@ class NodeAgent:
         projected = self.projected_used(np.asarray(snapshot.used))
         if np.any(projected > self.total):
             return False
-        prod = self.prod_req_sum + self.incoming_prod_req
+        prod = self.node.prod_required + self.incoming_prod_req
         if snapshot.production:
             prod = prod + np.asarray(snapshot.required)
         return rus_fits(self.total, prod)
 
     def stats(self) -> NodeStats:
+        used = self.node.used
         return NodeStats(
             node_id=self.id,
             total=tuple(self.total),
-            used=tuple(self.used_sum),
-            projected_used=tuple(self.used_sum + self.incoming_used),
+            used=tuple(used),
+            projected_used=tuple(used + self.incoming_used),
         )
 
     # -- protocol ------------------------------------------------------------------
@@ -301,7 +288,7 @@ class NodeAgent:
         rec_age = engine.pending_rec_age.pop(message.correlation_id, 0)
         task = engine.cell.tasks.get(snapshot.task_id)
         duplicate = (snapshot.task_id in self.in_migrations
-                     or snapshot.task_id in self.resident)
+                     or snapshot.task_id in self.node.residents)
         if task is None or duplicate or not self.admission_ok(snapshot, message.forced):
             engine.send(Message(
                 kind=MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE,
@@ -447,7 +434,7 @@ class NodeAgent:
 
     def _compulsory_tasks(self) -> list[str]:
         out = []
-        for task_id in self.resident:
+        for task_id in self.node.residents:
             task = self.engine.cell.tasks[task_id]
             if task.constraints and not matches_attributes(task.constraints, self.attributes):
                 out.append(task_id)
@@ -462,7 +449,7 @@ class NodeAgent:
         compulsory = self._compulsory_tasks()
         if not self.overloaded() and not compulsory:
             return
-        movable = sorted(self.resident)
+        movable = sorted(self.node.residents)
         removable = []
         for task_id in movable:
             task = engine.cell.tasks[task_id]
@@ -476,7 +463,7 @@ class NodeAgent:
             return
         result = select_candidate_services(
             node_total=self.total,
-            used_sum=self.used_sum,
+            node_used=self.node.used,
             removable=removable,
             compulsory_ids=compulsory,
             rng=self.rng,
@@ -862,10 +849,8 @@ class AgentEngine(Engine):
         """Replay-style placement bypassing negotiation (scenario setup);
         broker caches learn the new load immediately."""
         self.cell.place(task_id, node_id)
-        agent = self.agents[node_id]
-        agent.add_resident(task_id)
         for broker in self.brokers.values():
-            broker.update_cache(agent.stats(), self.now_us)
+            broker.update_cache(self.agents[node_id].stats(), self.now_us)
 
     def commit_initial_placement(self, task_id: str, node_id: str) -> None:
         agent = self.agents.get(node_id)
@@ -873,7 +858,6 @@ class AgentEngine(Engine):
             return
         reservation = agent.release_reservation(task_id)
         self.cell.place(task_id, node_id)
-        agent.add_resident(task_id)
         self.metrics.placements += 1
         if self.config.audit:
             self._audit(task_id, None, agent, reservation, initial=True)
@@ -900,10 +884,9 @@ class AgentEngine(Engine):
             if task_id not in self.cell.tasks:
                 continue
             source = self.agents.get(reservation.source)
-            if source is not None:
-                source.remove_resident(task_id)
+            if source is not None and task_id in source.node.residents:
+                source.task_left(task_id)
             self.cell.place(task_id, node_id)
-            target.add_resident(task_id)
             task = self.cell.tasks[task_id]
             self.metrics.migrations_completed += 1
             self.metrics.stc_mb += task.migration_cost_mb
@@ -922,7 +905,7 @@ class AgentEngine(Engine):
             constraints_ok=reservation.constraints_ok if reservation is not None else True,
             capacity_ok=reservation.capacity_ok if reservation is not None else True,
             stable_after=not target.overloaded(),
-            rus_after=rus_fits(target.total, target.prod_req_sum),
+            rus_after=rus_fits(target.total, target.node.prod_required),
             rec_age_us=reservation.rec_age_us if reservation is not None else 0,
             ttl_us=self.config.recommendation_ttl_us,
             cost_mb=0.0 if initial else self.cell.tasks[task_id].migration_cost_mb,
@@ -955,9 +938,9 @@ class AgentEngine(Engine):
             broker.enqueue_placement(event.task_id)
         elif kind is ev.EventKind.REMOVE_TASK:
             task_id = event.task_id
-            owner = cell.placement.get(task_id)
-            if owner is not None and owner in self.agents:
-                self.agents[owner].remove_resident(task_id)
+            owner = self.agents.get(cell.placement.get(task_id))
+            if owner is not None:
+                owner.task_left(task_id)
             target = self.reservation_target.get(task_id)
             if target is not None:
                 if target in self.agents:
@@ -969,38 +952,16 @@ class AgentEngine(Engine):
             cell.apply(event)
         elif kind is ev.EventKind.UPDATE_TASK_USED:
             task = cell.tasks.get(event.task_id)
-            before = np.asarray(task.used) if task is not None else None
-            was_unstarted = task.unstarted if task is not None else True
+            before = task.used if task is not None else None
             cell.apply(event)
-            task = cell.tasks.get(event.task_id)
-            if task is None:
-                return
-            owner = cell.placement.get(event.task_id)
-            if owner is not None and owner in self.agents:
-                agent = self.agents[owner]
-                old = np.zeros(self.dimension) if was_unstarted else before
-                delta = np.asarray(task.used) - old
-                agent.used_sum += delta
-                threshold = self.config.rus_spike_threshold
+            agent = self.agents.get(cell.placement.get(event.task_id))
+            if before is not None and agent is not None:
+                # a usage jump above the threshold share of the node is a RUS spike
+                delta = np.asarray(task.used) - np.asarray(before)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     jump = np.where(agent.total > 0, delta / np.where(agent.total > 0, agent.total, 1.0), 0.0)
-                if np.any(jump > threshold):
+                if np.any(jump > self.config.rus_spike_threshold):
                     self.metrics.rus_spikes += 1
-        elif kind is ev.EventKind.UPDATE_TASK_REQUIRED:
-            task = cell.tasks.get(event.task_id)
-            before = np.asarray(task.required) if task is not None else None
-            production = task.production if task is not None else False
-            cell.apply(event)
-            task = cell.tasks.get(event.task_id)
-            if task is None or before is None:
-                return
-            owner = cell.placement.get(event.task_id)
-            if owner is not None and owner in self.agents:
-                agent = self.agents[owner]
-                delta = np.asarray(task.required) - before
-                agent.required_sum += delta
-                if production:
-                    agent.prod_req_sum += delta
         else:
             cell.apply(event)
 
@@ -1010,7 +971,7 @@ class AgentEngine(Engine):
         self._agent_order = None
         displaced: list[str] = []
         if agent is not None:
-            displaced = sorted(agent.resident)
+            displaced = sorted(agent.node.residents)
             # inbound reservations die with the node; their sources retry
             for task_id in list(agent.in_migrations):
                 reservation = agent.release_reservation(task_id)
@@ -1088,20 +1049,6 @@ class AgentEngine(Engine):
 
     # -- metrics -----------------------------------------------------------------------
 
-    def node_table(self) -> tuple:
-        # The agents' running sums, not a recount from the cell: a recount
-        # can differ in the last bit and move a node across a class boundary.
-        node_ids = sorted(self.agents)
-        if not node_ids:
-            zeros = np.zeros((0, self.dimension))
-            return node_ids, zeros, zeros.copy(), zeros.copy(), np.zeros(0, dtype=np.int64)
-        agents = [self.agents[node_id] for node_id in node_ids]
-        totals = np.stack([agent.total for agent in agents])
-        used = np.stack([agent.used_sum for agent in agents])
-        required = np.stack([agent.required_sum for agent in agents])
-        counts = np.array([len(agent.resident) for agent in agents])
-        return node_ids, totals, used, required, counts
-
     def overloaded_count(self) -> int:
         return sum(1 for agent in self.agents.values() if agent.overloaded())
 
@@ -1127,7 +1074,7 @@ class AgentEngine(Engine):
             return
         lines = [f"SAMPLE: selected overloading tasks for node [{agent.id}]",
                  f"Node total resources = [{', '.join(f'{v:.10f}' for v in agent.total)}]",
-                 f"Node used resources (all tasks) = [{', '.join(f'{v:.10f}' for v in agent.used_sum)}]"]
+                 f"Node used resources (all tasks) = [{', '.join(f'{v:.10f}' for v in agent.node.used)}]"]
         selected = set(result.task_ids)
         for candidate in removable:
             task = self.cell.tasks.get(candidate.task_id)

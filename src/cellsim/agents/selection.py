@@ -48,7 +48,7 @@ class SelectionResult:
 
 def select_candidate_services(
     node_total: Sequence[float],
-    used_sum: Sequence[float],
+    node_used: Sequence[float],
     removable: Sequence[RemovalCandidate],
     compulsory_ids: Sequence[str],
     rng,
@@ -56,11 +56,11 @@ def select_candidate_services(
 ) -> SelectionResult:
     """Pick the compulsory tasks plus a de-overloading subset of removables.
 
-    ``used_sum`` must already include every listed task.  Compulsory tasks
+    ``node_used`` must already include every listed task.  Compulsory tasks
     are removed unconditionally; the tabu search then works on what remains.
     """
     total = np.asarray(node_total, dtype=np.float64)
-    remaining = np.asarray(used_sum, dtype=np.float64).copy()
+    remaining = np.asarray(node_used, dtype=np.float64).copy()
 
     compulsory = list(compulsory_ids)
     by_id = {c.task_id: c for c in removable}

@@ -1,12 +1,15 @@
 """Simulation driver: tick loop, engine dispatch, metrics, snapshots.
 
-Per tick: collect the event window, filter anomalies, write every anomaly
-reported since the last tick to the error log, apply events to the engine,
+Per tick: collect the event window, filter anomalies, apply events to the
+engine, write every anomaly reported since the last tick to the error log,
 let the engine act, then emit one tick record.  The three engines (replay,
-metaheuristic, agents) are driven through the same ``Engine`` calls.
-Everything is deterministic for a (config, seed) pair; resuming from a
-snapshot replays the already-consumed windows from the deterministic
-sources and continues bit-identically.
+metaheuristic, agents) are driven through the same ``Engine`` calls and all
+keep their placements in the one ``CellState``, so the tick record, its
+cell-wide ratios and the usage dumps are read from the per-node loads the
+cell fold keeps (``CellState.node_table``), whatever the mode.  Everything
+is deterministic for a (config, seed) pair; resuming from a snapshot
+replays the already-consumed windows from the deterministic sources and
+continues bit-identically.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def _usage_rows(table, classes):
 
 class CellEngine(Engine):
     """An engine whose whole state is the cell fold: it applies events to
-    the cell as they come and reads node loads back from it."""
+    the cell as they come."""
 
     def __init__(self, cell: CellState):
         self.cell = cell
@@ -65,26 +68,6 @@ class CellEngine(Engine):
 
     def run_tick(self) -> TickMetrics:
         return TickMetrics()
-
-    def node_table(self) -> tuple:
-        cell = self.cell
-        node_ids = sorted(cell.nodes)
-        dim = cell.catalog.dimension
-        index = {nid: i for i, nid in enumerate(node_ids)}
-        totals = np.array([cell.nodes[nid].total for nid in node_ids], dtype=np.float64).reshape(
-            len(node_ids), dim)
-        used = np.zeros_like(totals)
-        required = np.zeros_like(totals)
-        counts = np.zeros(len(node_ids), dtype=np.int64)
-        for task_id, node_id in cell.placement.items():
-            i = index.get(node_id)
-            if i is None:
-                continue
-            task = cell.tasks[task_id]
-            used[i] += task.used
-            required[i] += task.required
-            counts[i] += 1
-        return node_ids, totals, used, required, counts
 
 
 class ReplayEngine(CellEngine):
@@ -149,7 +132,7 @@ class SimulationRunner:
         self.sink = AnomalySink()
         self.tick = 0
         self.accumulated_stc = 0.0
-        self.cell: CellState = CellState(self.catalog, self.cost_model)
+        self.cell: CellState = CellState(self.catalog, self.cost_model, self.sink)
         self.engine = self._build_engine()
         self.collector = self._build_collector()
         if config.resume_from is not None:
@@ -202,6 +185,7 @@ class SimulationRunner:
             raise ConfigError("snapshot was produced by a different mode or seed")
         self.tick = data["tick"]
         self.cell = data["cell"]
+        self.cell.sink = self.sink
         self.engine = data["engine"]  # shares the unpickled cell reference
         self.accumulated_stc = data["accumulated_stc"]
         # fast-forward the deterministic sources past the consumed windows;
@@ -216,13 +200,11 @@ class SimulationRunner:
     # -- main loop -----------------------------------------------------------------
 
     def _tick_record(self, metrics: TickMetrics) -> tuple[TickRecord, tuple, list]:
-        table = self.engine.node_table()
+        table = self.cell.node_table()
         node_ids, totals, used, required, counts = table
         classes = list(classify_vec(totals, used, counts)) if len(node_ids) else []
         tally = asr_metrics(classes)["counts"]
-        capacity = self.cell.capacity_sum
-        used_sum = self.cell.placed_used_sum
-        required_sum = self.cell.placed_required_sum
+        capacity, used_sum, required_sum = totals.sum(axis=0), used.sum(axis=0), required.sum(axis=0)
 
         def ratio(values, index):
             return values[index] / capacity[index] if index < len(capacity) and capacity[index] > 0 else 0.0
@@ -290,16 +272,17 @@ class SimulationRunner:
         batch, reports = filter_anomalies(self.cell, batch)
         for report in reports:
             self.sink.report(report.kind, report.detail, report.count)
-        # one path to the error log for every anomaly: the parsers' and the
-        # collector's (reported while reading the window) and the filter's
-        for report in self.sink.drain():
-            outputs.error(report.as_line())
         if config.compaction_fraction > 0 and self.tick == config.compaction_tick:
             removals = compaction_events(self.cell, config.compaction_fraction,
                                          seed=config.seed, timestamp=start)
             outputs.log(f"compaction at tick {self.tick}: removing {len(removals)} nodes")
             self.engine.apply_events(removals)
         self.engine.apply_events(batch)
+        # one path to the error log for every anomaly: the parsers' and the
+        # collector's (reported while reading the window), the filter's and
+        # the cell fold's
+        for report in self.sink.drain():
+            outputs.error(report.as_line())
         metrics = self.engine.run_tick()
         self.accumulated_stc += metrics.stc_mb
         record, table, classes = self._tick_record(metrics)

@@ -17,7 +17,10 @@ MAGIC = b"CSIMSNAP"
 #: Version 2: the broker cache became a plain dict and the engine's writers
 #: left its config, so version-1 pickles no longer load.  Version 3: the
 #: payload carries the anomaly counts, which a resumed run restores.
-VERSION = 3
+#: Version 4: the pickled cell changed shape (each node holds its residents
+#: and load sums, ``pending`` is a dict, the cell holds the anomaly sink)
+#: and node agents no longer carry their own copy of those sums.
+VERSION = 4
 
 
 class SnapshotError(RuntimeError):

@@ -25,14 +25,6 @@ def as_vector(values: Iterable[float]) -> Vector:
     return tuple(float(v) for v in values)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def zero_vector(dimension: int) -> Vector:
     return (0.0,) * dimension
 

@@ -33,6 +33,10 @@ TRACE_KINDS = (
 #: state, so the default offset re-bases them to simulation time zero.
 GCD_TIME_SHIFT_US = 600 * 1_000_000
 
+#: Priority at or above this marks a production task (trace convention: the
+#: top priority band is production).
+PRODUCTION_PRIORITY = 9
+
 # Machine event codes.
 MACHINE_ADD, MACHINE_REMOVE, MACHINE_UPDATE = 0, 1, 2
 
@@ -103,11 +107,6 @@ class ColumnLayout:
 class ParserConfig:
     layout: ColumnLayout = field(default_factory=ColumnLayout)
     time_offset_us: int = GCD_TIME_SHIFT_US
-    #: Priority at or above this marks a production task (trace convention:
-    #: the top priority band is production).
-    production_priority: int = 9
-    #: Pending task-constraint sets are attached to the matching AddTask.
-    attach_pending_constraints: bool = True
 
 
 class Row:
@@ -171,8 +170,8 @@ def trace_files(trace_dir: Path, kind: str) -> list[Path]:
                   if p.name.startswith("part-") and (p.suffix == ".csv" or p.name.endswith(".csv.gz")))
 
 
-def map_task_action(action: str, row: Row, config: ParserConfig,
-                    sink: AnomalySink, timestamp: int) -> Optional[ev.WorkloadEvent]:
+def map_task_action(action: str, row: Row, sink: AnomalySink,
+                    timestamp: int) -> Optional[ev.WorkloadEvent]:
     """Trace action -> event: submit adds, terminal actions remove, updates
     refresh requirements; scheduler-internal actions produce nothing."""
     task_id = f"{row.require('job_id')}-{row.require('task_index')}"
@@ -184,7 +183,7 @@ def map_task_action(action: str, row: Row, config: ParserConfig,
             task_id=task_id,
             required=(row.float_field("cpu_request", 0.0), row.float_field("memory_request", 0.0)),
             priority=priority,
-            production=priority >= config.production_priority,
+            production=priority >= PRODUCTION_PRIORITY,
             recorded_node=machine or None,
         )
     if action == "SCHEDULE":
@@ -273,14 +272,10 @@ class MachineAttributesParser(EventParser):
 
 
 class TaskEventsParser(EventParser):
-    kind = "task_events"
+    """Task lifecycle rows; constraints reach the cell separately, as
+    ``UpdateTaskConstraints`` events from the constraints parser."""
 
-    def __init__(self, paths, config=None, sink=None,
-                 pending_constraints: Optional[dict] = None):
-        super().__init__(paths, config, sink)
-        # task_id -> constraint tuple collected by the constraints parser for
-        # timestamps at/before the task submission.
-        self.pending_constraints = pending_constraints if pending_constraints is not None else {}
+    kind = "task_events"
 
     def parse_row(self, row: Row) -> Optional[ev.WorkloadEvent]:
         timestamp = self._shift(row.int_field("timestamp"))
@@ -289,22 +284,7 @@ class TaskEventsParser(EventParser):
         if action is None:
             self.sink.report(AnomalyKind.CORRUPT_RECORD, f"unknown task event code {code}")
             return None
-        event = map_task_action(action, row, self.config, self.sink, timestamp)
-        if (
-            isinstance(event, ev.AddTaskEvent)
-            and self.config.attach_pending_constraints
-            and event.task_id in self.pending_constraints
-        ):
-            return ev.AddTaskEvent(
-                timestamp=event.timestamp,
-                task_id=event.task_id,
-                required=event.required,
-                priority=event.priority,
-                production=event.production,
-                constraints=self.pending_constraints.pop(event.task_id),
-                recorded_node=event.recorded_node,
-            )
-        return event
+        return map_task_action(action, row, self.sink, timestamp)
 
 
 class TaskUsageParser(EventParser):

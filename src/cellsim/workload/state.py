@@ -1,8 +1,12 @@
 """Mutable cell runtime built by folding workload events.
 
 The engines (replay, metaheuristic, agent-based) all consume this runtime:
-it tracks nodes, tasks, attributes and the recorded/live placements.  The
-engines read it directly; the centralized balancer packs it into arrays
+it tracks nodes, tasks, attributes, the recorded/live placements and, per
+node, the resident tasks and the float64 sums of their used, required and
+production-required vectors.  Placement moves (``place``/``unplace``) and
+task events keep those sums current, so this is the one place a node's load
+is defined: the agents read it, ``node_table`` stacks it for ``ticks.csv``
+and the usage dumps, and the centralized balancer packs the cell into arrays
 (``PackedProblem.from_cell``) every tick.
 """
 
@@ -11,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .. import model
 from ..livemigration import TraceCostModel, lmdt_estimate
+from .anomalies import AnomalyKind, AnomalySink
 from .constraints import TaskConstraint
 from . import events as ev
 
@@ -32,9 +39,34 @@ class TaskRuntime:
 
 @dataclass
 class NodeRuntime:
+    """A node and the tasks placed on it.  The load sums follow from the
+    residents' vectors, so they take no part in equality."""
+
     node_id: str
     total: model.Vector
     attributes: dict[str, str] = field(default_factory=dict)
+    residents: set[str] = field(default_factory=set)
+    used: np.ndarray = field(init=False, compare=False)
+    required: np.ndarray = field(init=False, compare=False)
+    prod_required: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        dim = len(self.total)
+        self.used, self.required, self.prod_required = np.zeros(dim), np.zeros(dim), np.zeros(dim)
+
+    def attach(self, task: TaskRuntime) -> None:
+        self.residents.add(task.task_id)
+        self.used += np.asarray(task.used)
+        self.required += np.asarray(task.required)
+        if task.production:
+            self.prod_required += np.asarray(task.required)
+
+    def detach(self, task: TaskRuntime) -> None:
+        self.residents.discard(task.task_id)
+        self.used -= np.asarray(task.used)
+        self.required -= np.asarray(task.required)
+        if task.production:
+            self.prod_required -= np.asarray(task.required)
 
 
 @dataclass
@@ -51,23 +83,22 @@ class CellState:
 
     Placement is engine-owned: this class only stores it; who decides it
     (trace replay or a balancer) is up to the driver.  Tasks without a node
-    sit in the pending set.
+    sit in ``pending``, an insertion-ordered dict used as a set.  A usage
+    row whose migration cost overflows the estimator is reported to
+    ``sink`` and keeps the task's previous cost.
     """
 
-    def __init__(self, catalog: model.ResourceTypeCatalog, cost_model: TraceCostModel | None = None):
+    def __init__(self, catalog: model.ResourceTypeCatalog, cost_model: TraceCostModel | None = None,
+                 sink: AnomalySink | None = None):
         self.catalog = catalog
         self.cost_model = cost_model
+        self.sink = sink if sink is not None else AnomalySink()
         self.nodes: dict[str, NodeRuntime] = {}
         self.tasks: dict[str, TaskRuntime] = {}
         self.placement: dict[str, str] = {}
-        self.pending: list[str] = []
+        self.pending: dict[str, None] = {}
         self.counters = Counters()
         self._memory_index = catalog.index("memory") if "memory" in catalog.names else None
-        # running sums for cheap per-tick ratios
-        dim = catalog.dimension
-        self.capacity_sum = model.zero_vector(dim)
-        self.placed_used_sum = model.zero_vector(dim)
-        self.placed_required_sum = model.zero_vector(dim)
 
     # -- placement bookkeeping -------------------------------------------------
 
@@ -76,23 +107,34 @@ class CellState:
             raise model.UnknownIdError(f"unknown task {task_id!r}")
         if node_id not in self.nodes:
             raise model.UnknownIdError(f"unknown node {node_id!r}")
-        if task_id not in self.placement:
+        current = self.placement.get(task_id)
+        if current != node_id:
             task = self.tasks[task_id]
-            self.placed_used_sum = model.vec_add(self.placed_used_sum, task.used)
-            self.placed_required_sum = model.vec_add(self.placed_required_sum, task.required)
-        self.placement[task_id] = node_id
-        try:
-            self.pending.remove(task_id)
-        except ValueError:
-            pass
+            if current is not None:
+                self.nodes[current].detach(task)
+            self.nodes[node_id].attach(task)
+            self.placement[task_id] = node_id
+        self.pending.pop(task_id, None)
 
     def unplace(self, task_id: str) -> None:
-        if self.placement.pop(task_id, None) is not None and task_id in self.tasks:
-            task = self.tasks[task_id]
-            self.placed_used_sum = model.vec_sub(self.placed_used_sum, task.used)
-            self.placed_required_sum = model.vec_sub(self.placed_required_sum, task.required)
-        if task_id in self.tasks and task_id not in self.pending:
-            self.pending.append(task_id)
+        node_id = self.placement.pop(task_id, None)
+        if node_id is not None:
+            self.nodes[node_id].detach(self.tasks[task_id])
+        if task_id in self.tasks:
+            self.pending[task_id] = None
+
+    def node_table(self) -> tuple:
+        """Sorted node ids, then per-node totals, used and required (float64
+        arrays of shape (N, d)) and resident task counts."""
+        node_ids = sorted(self.nodes)
+        nodes = [self.nodes[node_id] for node_id in node_ids]
+
+        def stack(rows: list) -> np.ndarray:
+            return np.array(rows, dtype=np.float64).reshape(len(nodes), self.catalog.dimension)
+
+        return (node_ids, stack([n.total for n in nodes]), stack([n.used for n in nodes]),
+                stack([n.required for n in nodes]),
+                np.array([len(n.residents) for n in nodes], dtype=np.int64))
 
     # -- event fold --------------------------------------------------------------
 
@@ -107,36 +149,34 @@ class CellState:
         if self.cost_model is None or self._memory_index is None:
             return None
         used_mem = event.used[self._memory_index] if len(event.used) > self._memory_index else 0.0
-        return self.cost_model.cost_mb(used_mem, event.canonical_memory)
+        try:
+            return self.cost_model.cost_mb(used_mem, event.canonical_memory)
+        except OverflowError:
+            self.sink.report(AnomalyKind.COST_OVERFLOW,
+                             f"task {event.task_id}: used memory {used_mem} overflows the "
+                             "migration cost estimate; previous cost kept")
+            return None
 
     def apply(self, event: ev.WorkloadEvent) -> None:
         self.counters.events_applied += 1
         kind = event.kind
         if kind is ev.EventKind.ADD_NODE:
-            previous = self.nodes.get(event.node_id)
-            if previous is not None:
-                self.capacity_sum = model.vec_sub(self.capacity_sum, previous.total)
-            self.nodes[event.node_id] = NodeRuntime(
-                node_id=event.node_id,
-                total=model.as_vector(event.total),
-                attributes=dict(event.attributes),
-            )
-            self.capacity_sum = model.vec_add(self.capacity_sum, self.nodes[event.node_id].total)
+            total = model.as_vector(event.total)
+            node = self.nodes.setdefault(event.node_id, NodeRuntime(event.node_id, total))
+            # a node added again keeps what sits on it
+            node.total, node.attributes = total, dict(event.attributes)
             self.counters.nodes_added += 1
         elif kind is ev.EventKind.REMOVE_NODE:
             removed = self.nodes.pop(event.node_id, None)
             if removed is not None:
-                self.capacity_sum = model.vec_sub(self.capacity_sum, removed.total)
                 self.counters.nodes_removed += 1
-            for task_id, node_id in list(self.placement.items()):
-                if node_id == event.node_id:
-                    self.unplace(task_id)
+                for task_id in sorted(removed.residents):
+                    del self.placement[task_id]
+                    self.pending[task_id] = None
         elif kind is ev.EventKind.UPDATE_NODE_TOTAL:
             node = self.nodes.get(event.node_id)
             if node is not None:
-                self.capacity_sum = model.vec_sub(self.capacity_sum, node.total)
                 node.total = model.as_vector(event.total)
-                self.capacity_sum = model.vec_add(self.capacity_sum, node.total)
         elif kind is ev.EventKind.ADD_NODE_ATTRIBUTES:
             node = self.nodes.get(event.node_id)
             if node is not None:
@@ -147,11 +187,10 @@ class CellState:
                 for name in event.attribute_names:
                     node.attributes.pop(name, None)
         elif kind is ev.EventKind.ADD_TASK:
-            dim = self.catalog.dimension
-            self.tasks[event.task_id] = TaskRuntime(
+            task = TaskRuntime(
                 task_id=event.task_id,
                 required=model.as_vector(event.required),
-                used=model.zero_vector(dim),
+                used=model.zero_vector(self.catalog.dimension),
                 migration_cost_mb=self._default_cost(),
                 priority=event.priority,
                 production=event.production,
@@ -159,38 +198,44 @@ class CellState:
                 unstarted=True,
                 recorded_node=event.recorded_node,
             )
+            node_id = self.placement.get(event.task_id)
+            if node_id is None:
+                self.pending[event.task_id] = None
+            else:  # resubmitted while placed: the node now carries the new vectors
+                self.nodes[node_id].detach(self.tasks[event.task_id])
+                self.nodes[node_id].attach(task)
+            self.tasks[event.task_id] = task
             self.counters.tasks_added += 1
-            if event.task_id not in self.placement and event.task_id not in self.pending:
-                self.pending.append(event.task_id)
         elif kind is ev.EventKind.REMOVE_TASK:
             task = self.tasks.pop(event.task_id, None)
             if task is not None:
                 self.counters.tasks_removed += 1
-                if self.placement.pop(event.task_id, None) is not None:
-                    self.placed_used_sum = model.vec_sub(self.placed_used_sum, task.used)
-                    self.placed_required_sum = model.vec_sub(self.placed_required_sum, task.required)
-            try:
-                self.pending.remove(event.task_id)
-            except ValueError:
-                pass
+                node_id = self.placement.pop(event.task_id, None)
+                if node_id is not None:
+                    self.nodes[node_id].detach(task)
+            self.pending.pop(event.task_id, None)
         elif kind is ev.EventKind.UPDATE_TASK_REQUIRED:
             task = self.tasks.get(event.task_id)
             if task is not None:
-                if event.task_id in self.placement:
-                    self.placed_required_sum = model.vec_add(
-                        model.vec_sub(self.placed_required_sum, task.required),
-                        model.as_vector(event.required))
-                task.required = model.as_vector(event.required)
+                required = model.as_vector(event.required)
+                node_id = self.placement.get(event.task_id)
+                if node_id is not None:
+                    node = self.nodes[node_id]
+                    delta = np.asarray(required) - np.asarray(task.required)
+                    node.required += delta
+                    if task.production:
+                        node.prod_required += delta
+                task.required = required
                 if event.priority is not None:
                     task.priority = event.priority
         elif kind is ev.EventKind.UPDATE_TASK_USED:
             task = self.tasks.get(event.task_id)
             if task is not None:
-                if event.task_id in self.placement:
-                    self.placed_used_sum = model.vec_add(
-                        model.vec_sub(self.placed_used_sum, task.used),
-                        model.as_vector(event.used))
-                task.used = model.as_vector(event.used)
+                used = model.as_vector(event.used)
+                node_id = self.placement.get(event.task_id)
+                if node_id is not None:
+                    self.nodes[node_id].used += np.asarray(used) - np.asarray(task.used)
+                task.used = used
                 task.unstarted = False
                 cost = self._derive_cost(event)
                 if cost is not None:

@@ -61,7 +61,7 @@ class TestSelection:
 
     def test_not_overloaded_returns_empty(self):
         result = select_candidate_services(
-            node_total=(1.0, 1.0), used_sum=(0.5, 0.5),
+            node_total=(1.0, 1.0), node_used=(0.5, 0.5),
             removable=self._candidates([((0.2, 0.2), 10.0, False)]),
             compulsory_ids=[], rng=random.Random(0))
         assert result.task_ids == []
@@ -76,7 +76,7 @@ class TestSelection:
         ])
         used = (1.2, 0.4)
         result = select_candidate_services(
-            node_total=(1.0, 1.0), used_sum=used,
+            node_total=(1.0, 1.0), node_used=used,
             removable=candidates, compulsory_ids=[], rng=random.Random(1))
         assert result.feasible and not result.alert
         removed = np.sum([c.used for c in candidates if c.task_id in set(result.task_ids)], axis=0)
@@ -86,7 +86,7 @@ class TestSelection:
         candidates = self._candidates([((0.1, 0.1), 10.0, False),
                                        ((0.1, 0.1), 10.0, False)])
         result = select_candidate_services(
-            node_total=(1.0, 1.0), used_sum=(0.3, 0.3),
+            node_total=(1.0, 1.0), node_used=(0.3, 0.3),
             removable=candidates, compulsory_ids=["t1"], rng=random.Random(2))
         assert "t1" in result.task_ids
 
@@ -94,7 +94,7 @@ class TestSelection:
         candidates = self._candidates([((0.1, 0.1), 10.0, False),
                                        ((0.1, 0.1), 10.0, True)])
         result = select_candidate_services(
-            node_total=(1.0, 1.0), used_sum=(2.0, 0.5),
+            node_total=(1.0, 1.0), node_used=(2.0, 0.5),
             removable=candidates, compulsory_ids=[], rng=random.Random(3))
         assert result.alert and not result.feasible
         assert result.task_ids == ["t0"]  # production tasks stay pinned
@@ -106,7 +106,7 @@ class TestSelection:
                                        ((0.4, 0.4), 10.0, False)])
         for seed in range(10):
             result = select_candidate_services(
-                node_total=(1.0, 1.0), used_sum=(1.1, 1.1),
+                node_total=(1.0, 1.0), node_used=(1.1, 1.1),
                 removable=candidates, compulsory_ids=[],
                 rng=random.Random(seed))
             assert result.task_ids == ["t1"]
@@ -128,7 +128,7 @@ def test_selection_fitness_matches_scalar_oracle(data):
     used_sum = np.sum([c.used for c in candidates], axis=0)
     assume(np.any(used_sum > total))
     result = select_candidate_services(
-        node_total=total, used_sum=used_sum, removable=candidates,
+        node_total=total, node_used=used_sum, removable=candidates,
         compulsory_ids=[], rng=random.Random(data.draw(st.integers(0, 2**32))))
     assert result.feasible and not result.alert
     chosen = [c for c in candidates if c.task_id in set(result.task_ids)]
@@ -296,7 +296,7 @@ class TestEndToEnd:
         ])
         run_ticks(engine, 2)
         assert len(engine.cell.placement) == 8
-        assert engine.cell.pending == []
+        assert list(engine.cell.pending) == []
         assert engine.cell.conservation_holds()
 
     def test_compulsory_constraint_task_moves_out(self):
@@ -325,7 +325,7 @@ class TestEndToEnd:
         engine.apply_events([ev.RemoveNodeEvent(timestamp=0, node_id="n000")])
         assert set(engine.cell.pending) == {"a", "b"}
         run_ticks(engine, 3)
-        assert engine.cell.pending == []
+        assert list(engine.cell.pending) == []
         assert set(engine.cell.placement) == {"a", "b"}
         assert engine.cell.conservation_holds()
 

@@ -1,11 +1,15 @@
 """Harness behavior: tick loop, modes, scaling, snapshots, CLI plumbing."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cell_oracle import assert_loads_match
 from cellsim.harness import (
     ConfigError,
     RunConfig,
@@ -54,6 +58,13 @@ def read_ticks(config):
     path = Path(config.output_dir) / "logs" / f"{config.run_name}-ticks.csv"
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def output_tree(config):
+    """Every file a run wrote, by path relative to its output directory."""
+    root = Path(config.output_dir)
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def cell_state_oracle(cell):
@@ -170,7 +181,7 @@ class TestMasbMode:
         assert len(rows) == 10
         assert runner.cell.conservation_holds()
         # everything got placed by the brokers
-        assert runner.cell.pending == []
+        assert list(runner.cell.pending) == []
 
     def test_byte_identical_with_same_seed(self, tmp_path):
         out_a = run_config(tmp_path / "a")
@@ -235,7 +246,7 @@ class TestMetaheuristicMode:
                             strategy="greedy", strategy_budget=4000)
         runner = SimulationRunner(config)
         assert runner.run() == 0
-        assert runner.cell.pending == []
+        assert list(runner.cell.pending) == []
         rows = read_ticks(config)
         assert all(r["overloaded"] == "0" for r in rows[1:])
 
@@ -366,6 +377,61 @@ class TestSnapshotRoundtrip:
             load_snapshot(path)
 
 
+class TestBrokersAndNodeLoss:
+    """Runs with two brokers (cache gossip) or with a compaction that takes
+    nodes away: repeatable to the byte, every task accounted for, and the
+    cell's node loads equal to a recount afterwards."""
+
+    CASES = {
+        "masb-2-brokers": dict(mode="masb", broker_count=2),
+        "masb-compaction": dict(mode="masb", compaction_fraction=0.25, compaction_tick=3),
+        "metaheuristic-compaction": dict(mode="metaheuristic", compaction_fraction=0.25,
+                                         compaction_tick=3, strategy="greedy",
+                                         strategy_budget=4000),
+        "replay-compaction": dict(mode="replay", compaction_fraction=0.25, compaction_tick=3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_repeatable_and_conserving(self, tmp_path, case):
+        trees = []
+        for name in ("a", "b"):
+            config = run_config(tmp_path / name, message_trace=True, **self.CASES[case])
+            runner = SimulationRunner(config)
+            assert runner.run() == 0
+            assert runner.cell.conservation_holds()
+            assert_loads_match(runner.cell)
+            if config.mode == "masb":
+                assert runner.engine.reservation_invariant_holds()
+            if config.compaction_fraction:
+                assert len(runner.cell.nodes) == 6  # 2 of the 8 nodes left
+            trees.append(output_tree(config))
+        assert trees[0] == trees[1]
+
+
+class TestCrossProcessDeterminism:
+    @pytest.mark.parametrize("mode", ["replay", "masb", "metaheuristic"])
+    def test_output_ignores_hash_seed(self, tmp_path, mode):
+        """Set iteration order follows PYTHONHASHSEED; no output may."""
+        synth_path = tmp_path / "synth.json"
+        synth_config(node_count=30, duration_minutes=12.0).to_file(synth_path)
+        src = Path(__file__).resolve().parent.parent / "src"
+        trees = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"out-{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            subprocess.run(
+                [sys.executable, "-m", "cellsim.harness.cli", "run", "--mode", mode,
+                 "--seed", "5", "--synth-config", str(synth_path), "--out", str(out),
+                 "--ticks", "12", "--message-trace", "--usage-dump-every", "3",
+                 "--brokers", "2", "--compaction", "0.2"],
+                env=env, check=True, capture_output=True, timeout=300)
+            trees.append(output_tree(RunConfig(mode=mode, seed=5, output_dir=out)))
+        assert len(trees[0]) >= 6  # log, error log, ticks, four usage dumps
+        assert trees[0] == trees[1]
+
+
 class TestErrorLog:
     def test_corrupt_trace_row_reaches_error_log(self, tmp_path):
         trace_dir = tmp_path / "trace"
@@ -382,6 +448,22 @@ class TestErrorLog:
         assert len(corrupt) == 1
         assert runner.sink.count(AnomalyKind.CORRUPT_RECORD) == 1
         assert runner.sink.reports == []  # drained every tick, not kept
+
+    def test_overflowing_usage_row_is_reported_not_fatal(self, tmp_path):
+        # memory 100.0 scales to 100 x 64 GiB: e^(af * am) overflows a float
+        trace_dir = tmp_path / "trace"
+        write_synthetic_trace(synth_config(), trace_dir)
+        usage = trace_dir / "task_usage" / "part-00000-of-00001.csv"
+        first, rest = usage.read_text().split("\n", 1)
+        usage.write_text(",".join(first.split(",")[:-1] + ["100.0"]) + "\n" + rest)
+        config = run_config(tmp_path, mode="replay", synth=None, trace_dir=trace_dir)
+        runner = SimulationRunner(config)
+        assert runner.run() == 0
+        error_log = Path(config.output_dir) / "logs" / "run-error.log"
+        overflow = [line for line in error_log.read_text().splitlines()
+                    if line.startswith(AnomalyKind.COST_OVERFLOW.value + "\t")]
+        assert len(overflow) == 1
+        assert runner.sink.count(AnomalyKind.COST_OVERFLOW) == 1
 
 
 class TestCli:

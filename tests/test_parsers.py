@@ -84,7 +84,7 @@ class TestTaskEvents:
         row = self._row({"timestamp": 5, "job_id": 10, "task_index": 3,
                          "event_type": 0, "priority": 11, "cpu_request": 0.25,
                          "memory_request": 0.125})
-        event = map_task_action("SUBMIT", row, NO_SHIFT, AnomalySink(), 5)
+        event = map_task_action("SUBMIT", row, AnomalySink(), 5)
         assert isinstance(event, ev.AddTaskEvent)
         assert event.task_id == "10-3"
         assert event.required == (0.25, 0.125)
@@ -92,12 +92,12 @@ class TestTaskEvents:
 
     def test_schedule_generates_nothing(self):
         row = self._row({"timestamp": 5, "job_id": 1, "task_index": 0, "event_type": 1})
-        assert map_task_action("SCHEDULE", row, NO_SHIFT, AnomalySink(), 5) is None
+        assert map_task_action("SCHEDULE", row, AnomalySink(), 5) is None
 
     @pytest.mark.parametrize("action", ["EVICT", "FAIL", "FINISH", "KILL", "LOST"])
     def test_terminal_actions_remove(self, action):
         row = self._row({"timestamp": 5, "job_id": 1, "task_index": 0})
-        event = map_task_action(action, row, NO_SHIFT, AnomalySink(), 5)
+        event = map_task_action(action, row, AnomalySink(), 5)
         assert isinstance(event, ev.RemoveTaskEvent)
         assert event.task_id == "1-0"
 
@@ -105,13 +105,13 @@ class TestTaskEvents:
     def test_updates_refresh_required(self, action):
         row = self._row({"timestamp": 5, "job_id": 1, "task_index": 0,
                          "cpu_request": 0.5, "memory_request": 0.5})
-        event = map_task_action(action, row, NO_SHIFT, AnomalySink(), 5)
+        event = map_task_action(action, row, AnomalySink(), 5)
         assert isinstance(event, ev.UpdateTaskRequiredEvent)
 
     def test_unknown_action_reported(self):
         sink = AnomalySink()
         row = self._row({"timestamp": 5, "job_id": 1, "task_index": 0})
-        assert map_task_action("EXPLODE", row, NO_SHIFT, sink, 5) is None
+        assert map_task_action("EXPLODE", row, sink, 5) is None
         assert sink.count(AnomalyKind.CORRUPT_RECORD) == 1
 
     def test_file_parse_emits_in_order(self, tmp_path):

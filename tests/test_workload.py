@@ -1,7 +1,10 @@
 """Event model, windowed collection, anomaly filtering, replay determinism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cell_oracle import assert_loads_match
+from cellsim.livemigration import TraceCostModel, profile_for
 from cellsim.model import ResourceTypeCatalog
 from cellsim.workload import (
     AnomalyKind,
@@ -126,9 +129,9 @@ class TestCellStateFold:
             ev.UpdateTaskUsedEvent(2, "t1", (0.1, 0.1), migration_cost_mb=55.0),
         ]:
             cell.apply(event)
-        assert cell.pending == ["t1"]
+        assert list(cell.pending) == ["t1"]
         cell.place("t1", "n1")
-        assert cell.pending == []
+        assert list(cell.pending) == []
         task = cell.tasks["t1"]
         assert task.used == (0.1, 0.1)
         assert task.migration_cost_mb == 55.0
@@ -143,7 +146,7 @@ class TestCellStateFold:
         cell.apply(add_task(0, "t1"))
         cell.place("t1", "n1")
         cell.apply(ev.RemoveNodeEvent(1, "n1"))
-        assert cell.pending == ["t1"]
+        assert list(cell.pending) == ["t1"]
         assert cell.conservation_holds()
 
     def test_constraints_replace_wholesale(self):
@@ -171,6 +174,78 @@ class TestCellStateFold:
         first, second = run(), run()
         assert first[2], "the fold placed no task; the comparison would be vacuous"
         assert first == second
+
+
+NODE_IDS = ("n0", "n1", "n2")
+TASK_IDS = ("t0", "t1", "t2", "t3", "t4")
+#: place and the adds come more often, so tasks move between live nodes
+FOLD_KINDS = ("add_node", "add_node", "remove_node", "node_total", "add_task", "add_task",
+              "remove_task", "used", "required", "place", "place", "place", "unplace")
+#: (kind, index, index, vector, flag): adds take the first index into the id
+#: pools above, so a live id may come again; every other step takes it into
+#: the live ids, and place takes the second into the live nodes
+FOLD_STEPS = st.tuples(st.sampled_from(FOLD_KINDS), st.integers(0, 15), st.integers(0, 15),
+                       st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), st.booleans())
+
+
+def fold_step(cell, step):
+    kind, index, other, vector, flag = step
+    if kind == "add_node":
+        cell.apply(add_node(0, NODE_IDS[index % len(NODE_IDS)], total=vector))
+        return
+    if kind == "add_task":
+        cell.apply(add_task(0, TASK_IDS[index % len(TASK_IDS)], required=vector,
+                            production=flag))
+        return
+    ids = sorted(cell.nodes if kind in ("remove_node", "node_total") else cell.tasks)
+    if not ids:
+        return
+    target = ids[index % len(ids)]
+    if kind == "remove_node":
+        cell.apply(ev.RemoveNodeEvent(0, target))
+    elif kind == "node_total":
+        cell.apply(ev.UpdateNodeTotalEvent(0, target, vector))
+    elif kind == "remove_task":
+        cell.apply(ev.RemoveTaskEvent(0, target))
+    elif kind == "used":
+        cell.apply(ev.UpdateTaskUsedEvent(0, target, vector, migration_cost_mb=1.0))
+    elif kind == "required":
+        cell.apply(ev.UpdateTaskRequiredEvent(0, target, vector))
+    elif kind == "place":
+        if cell.nodes:
+            cell.place(target, sorted(cell.nodes)[other % len(cell.nodes)])
+    else:
+        cell.unplace(target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FOLD_STEPS, min_size=20, max_size=80))
+def test_node_loads_match_recount(steps):
+    """After every step the cell's per-node residents and sums equal a
+    recount from the placement map, and every task is accounted for once."""
+    cell = CellState(CAT2)
+    for step in steps:
+        fold_step(cell, step)
+        assert_loads_match(cell)
+        assert cell.conservation_holds()
+
+
+class TestCostOverflow:
+    def test_overflowing_usage_keeps_cost_and_is_reported(self):
+        cell = CellState(CAT2, TraceCostModel(profile_for("apache")))
+        cell.apply(add_node(0, "n1"))
+        cell.apply(add_task(0, "t1"))
+        cell.place("t1", "n1")
+        cell.apply(ev.UpdateTaskUsedEvent(1, "t1", (0.1, 0.2)))
+        cost = cell.tasks["t1"].migration_cost_mb
+        cell.apply(ev.UpdateTaskUsedEvent(2, "t1", (0.1, 100.0)))
+        task = cell.tasks["t1"]
+        assert task.used == (0.1, 100.0)
+        assert cell.nodes["n1"].used.tolist() == [0.1, 100.0]
+        assert task.migration_cost_mb == cost
+        assert cell.sink.count(AnomalyKind.COST_OVERFLOW) == 1
+        (report,) = cell.sink.reports
+        assert "t1" in report.detail
 
 
 class TestAnomalyFilter:

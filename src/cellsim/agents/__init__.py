@@ -28,7 +28,7 @@ from .scoring import (
     classify_vec,
     rus_fits,
 )
-from .selection import RemovalCandidate, SelectionConfig, SelectionResult, select_candidate_services
+from .selection import RemovalCandidate, SelectionResult, select_candidate_services
 
 __all__ = [
     "AgentConfig", "AgentEngine", "AuditRecord", "BrokerAgent", "BrokerCacheEntry",
@@ -37,5 +37,5 @@ __all__ = [
     "NodeStats", "TaskSnapshot",
     "INITIAL_PARAMS", "REALLOC_PARAMS", "STA_CUTOFF", "AllocationClass",
     "ScoringParams", "allocation_score_vec", "asr_metrics", "classify_vec", "rus_fits",
-    "RemovalCandidate", "SelectionConfig", "SelectionResult", "select_candidate_services",
+    "RemovalCandidate", "SelectionResult", "select_candidate_services",
 ]

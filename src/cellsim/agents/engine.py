@@ -42,41 +42,46 @@ from .scoring import (
     allocation_score_vec,
     rus_fits,
 )
-from .selection import RemovalCandidate, SelectionConfig, select_candidate_services
+from .selection import RemovalCandidate, select_candidate_services
 
 MINUTE_US = 60 * 1_000_000
+#: Candidate nodes per broker quote.
+RECOMMENDATION_COUNT = 15
+#: Cached nodes a broker scans per quote: initial placements, re-allocations.
+INITIAL_SCAN_LIMIT = 200
+REALLOC_SCAN_LIMIT = 2000
+RECOMMENDATION_TTL_US = 3 * MINUTE_US
+CACHE_ENTRY_TTL_US = 5 * MINUTE_US
+ACCEPTANCE_WAIT_US = 30 * 1_000_000
+#: Queued placements a broker serves per round.
+PLACEMENTS_PER_ROUND = 50_000
+#: Transfer duration for one live migration, in rounds.
+TRANSFER_ROUNDS = 1
+#: A usage jump above this share of the node's total counts as a RUS spike.
+RUS_SPIKE_THRESHOLD = 0.10
+#: The run log gets the 1st, (N+1)th, ... decision record of each kind.
+SAMPLE_RATES = {"selection": 50, "quote": 5000, "target": 5000}
 
 
 @dataclass
 class AgentConfig:
+    """What a run chooses (``RunConfig.agent_config``); the protocol's fixed
+    parameters are the constants above and in ``selection``."""
+
     tick_length_us: int = MINUTE_US
     rounds_per_tick: int = 6
     broker_count: int = 1
-    recommendation_count: int = 15
-    initial_scan_limit: int = 200
-    realloc_scan_limit: int = 2000
-    recommendation_ttl_us: int = 3 * MINUTE_US
-    cache_entry_ttl_us: int = 5 * MINUTE_US
-    acceptance_wait_us: int = 30 * 1_000_000
     #: Scorer names: initial in {sias, sias_gain}, realloc in {sras, sras_gain}.
     initial_scorer: str = "sias_gain"
     realloc_scorer: str = "sras"
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
-    placements_per_round: int = 50_000
-    #: Transfer duration for one live migration, in rounds.
-    transfer_rounds: int = 1
-    sample_selection_rate: int = 50
-    sample_quote_rate: int = 5000
-    sample_target_rate: int = 5000
-    rus_spike_threshold: float = 0.10
     audit: bool = False
 
 
 @dataclass(slots=True)
 class BrokerCacheEntry:
-    node_id: str
+    """A node's last reported availability (the cell holds the rest)."""
+
     available: tuple
-    attributes: dict
     last_update: int
 
 
@@ -160,16 +165,16 @@ def _stable_seed(*parts) -> int:
 class NodeAgent:
     """Keeps one node stable; negotiates migrations for overloading tasks.
 
-    The node's residents and load sums live in the cell (``self.node``);
-    the agent keeps only its reservations, out-migrations, negotiations and
-    random stream.
+    The node's totals, attributes, residents and load sums live in the cell
+    (``self.node``); the agent keeps only its reservations, out-migrations,
+    negotiations and random stream.  A negotiation is only ever open for a
+    task that sits on this node.
     """
 
     def __init__(self, node_id: str, engine: "AgentEngine"):
         self.id = node_id
         self.engine = engine
         dim = engine.dimension
-        self.total = np.array(engine.cell.nodes[node_id].total, dtype=np.float64)
         self.in_migrations: dict[str, InMigration] = {}
         self.incoming_used = np.zeros(dim)
         self.incoming_prod_req = np.zeros(dim)
@@ -184,8 +189,8 @@ class NodeAgent:
         return self.engine.cell.nodes[self.id]
 
     @property
-    def attributes(self) -> dict:
-        return self.node.attributes
+    def total(self) -> np.ndarray:
+        return np.asarray(self.node.total, dtype=np.float64)
 
     def overloaded(self) -> bool:
         return bool(np.any(self.node.used > self.total))
@@ -193,20 +198,14 @@ class NodeAgent:
     def task_left(self, task_id: str) -> None:
         """A task on this node finished or migrated away: stop moving it."""
         self.out_migrations.discard(task_id)
-        self.drop_negotiation(task_id)
-
-    def drop_negotiation(self, task_id: str) -> None:
-        # A finished or dead task invalidates all its recommendations.
-        if self.negotiations.pop(task_id, None) is not None:
-            if self.engine.negotiation_source.get(task_id) == self.id:
-                self.engine.negotiation_source.pop(task_id, None)
+        self.negotiations.pop(task_id, None)
 
     def reserve(self, snapshot: TaskSnapshot, source: Optional[str], forced: bool,
                 complete_at: int, rec_age_us: int) -> None:
         self.in_migrations[snapshot.task_id] = InMigration(
             snapshot=snapshot, source=source, forced=forced,
             complete_at=complete_at, rec_age_us=rec_age_us,
-            constraints_ok=matches_attributes(snapshot.constraints, self.attributes),
+            constraints_ok=matches_attributes(snapshot.constraints, self.node.attributes),
             capacity_ok=bool(np.all(np.asarray(snapshot.required) <= self.total)))
         self.engine.reservation_target[snapshot.task_id] = self.id
         self.incoming_used += np.asarray(snapshot.used)
@@ -229,19 +228,20 @@ class NodeAgent:
         return self.node.used + self.incoming_used + extra
 
     def admission_ok(self, snapshot: TaskSnapshot, forced: bool) -> bool:
-        if not matches_attributes(snapshot.constraints, self.attributes):
+        if not matches_attributes(snapshot.constraints, self.node.attributes):
             return False
-        if np.any(np.asarray(snapshot.required) > self.total):
+        total = self.total
+        if np.any(np.asarray(snapshot.required) > total):
             return False  # total capacity must suffice even when forced
         if forced:
             return True
         projected = self.projected_used(np.asarray(snapshot.used))
-        if np.any(projected > self.total):
+        if np.any(projected > total):
             return False
         prod = self.node.prod_required + self.incoming_prod_req
         if snapshot.production:
             prod = prod + np.asarray(snapshot.required)
-        return rus_fits(self.total, prod)
+        return rus_fits(total, prod)
 
     def stats(self) -> NodeStats:
         used = self.node.used
@@ -296,7 +296,7 @@ class NodeAgent:
                 correlation_id=message.correlation_id, task=snapshot))
             return
         # Final check passed: resources are reserved and the transfer starts.
-        complete_at = engine.now_us + engine.config.transfer_rounds * engine.round_us
+        complete_at = engine.now_us + TRANSFER_ROUNDS * engine.round_us
         self.reserve(snapshot, source=message.sender if not message.initial else None,
                      forced=message.forced, complete_at=complete_at, rec_age_us=rec_age)
         engine.schedule_completion(self.id, snapshot.task_id, complete_at)
@@ -312,7 +312,7 @@ class NodeAgent:
             return
         negotiation.recommendations = list(message.recommendations)
         negotiation.state = "accepts"
-        negotiation.deadline_us = self.engine.now_us + self.engine.config.acceptance_wait_us
+        negotiation.deadline_us = self.engine.now_us + ACCEPTANCE_WAIT_US
         live = [r for r in negotiation.recommendations if not r.force_migration]
         if not live:
             self._select_target(negotiation)
@@ -336,31 +336,27 @@ class NodeAgent:
         if len(negotiation.accepted) + len(negotiation.rejected) >= expected:
             self._select_target(negotiation)
 
-    def _rescore(self, rec: CandidateNodeRecommendation, stats: NodeStats,
-                 snapshot: TaskSnapshot) -> float:
-        engine = self.engine
+    def _rescore(self, stats: NodeStats, snapshot: TaskSnapshot) -> float:
         before = np.asarray(stats.projected_used)
-        after = before + np.asarray(snapshot.used)
-        return engine.score_single(engine.config.realloc_scorer, np.asarray(stats.total),
-                                   before, after)
+        return self.engine.score_single(self.engine.config.realloc_scorer, np.asarray(stats.total),
+                                        before, before + np.asarray(snapshot.used))
 
     def _select_target(self, negotiation: Negotiation) -> None:
         engine = self.engine
         task = engine.cell.tasks.get(negotiation.task_id)
         if task is None:
-            self.drop_negotiation(negotiation.task_id)
+            self.negotiations.pop(negotiation.task_id, None)
             return
         snapshot = engine.snapshot_task(negotiation.task_id)
         now = engine.now_us
-        ttl = engine.config.recommendation_ttl_us
         live = [r for r in negotiation.recommendations
-                if not r.expired(now, ttl) and r.node_id not in negotiation.attempted]
+                if not r.expired(now, RECOMMENDATION_TTL_US) and r.node_id not in negotiation.attempted]
         regular = [r for r in live if not r.force_migration and r.node_id in negotiation.accepted]
         forced = [r for r in live if r.force_migration]
 
         choice: Optional[CandidateNodeRecommendation] = None
         if regular:
-            weights = [self._rescore(r, negotiation.accepted[r.node_id], snapshot)
+            weights = [self._rescore(negotiation.accepted[r.node_id], snapshot)
                        for r in regular]
             positive = [(r, w) for r, w in zip(regular, weights) if w > 0]
             if positive:
@@ -374,12 +370,12 @@ class NodeAgent:
         if choice is None:
             # Nothing left: negotiation dies; the overload check next tick
             # restarts the whole selection from scratch.
-            self.drop_negotiation(negotiation.task_id)
+            self.negotiations.pop(negotiation.task_id, None)
             engine.metrics.san_restarts += 1
             return
         negotiation.attempted.add(choice.node_id)
         negotiation.state = "confirm"
-        negotiation.deadline_us = now + engine.config.acceptance_wait_us
+        negotiation.deadline_us = now + ACCEPTANCE_WAIT_US
         corr = engine.next_correlation()
         engine.pending_rec_age[corr] = now - choice.created_at
         engine.metrics.migrations_attempted += 1
@@ -422,7 +418,7 @@ class NodeAgent:
                 else:
                     # quote or confirm never answered: give up, the next
                     # overload check restarts the whole flow
-                    self.drop_negotiation(negotiation.task_id)
+                    self.negotiations.pop(negotiation.task_id, None)
                     engine.metrics.san_restarts += 1
 
     def _report_status(self) -> None:
@@ -434,11 +430,12 @@ class NodeAgent:
 
     def _compulsory_tasks(self) -> list[str]:
         out = []
+        total = self.total
         for task_id in self.node.residents:
             task = self.engine.cell.tasks[task_id]
-            if task.constraints and not matches_attributes(task.constraints, self.attributes):
+            if task.constraints and not matches_attributes(task.constraints, self.node.attributes):
                 out.append(task_id)
-            elif np.any(np.asarray(task.required) > self.total):
+            elif np.any(np.asarray(task.required) > total):
                 out.append(task_id)
         return sorted(out)
 
@@ -462,12 +459,11 @@ class NodeAgent:
         if not removable:
             return
         result = select_candidate_services(
-            node_total=self.total,
-            node_used=self.node.used,
+            total=self.total,
+            used=self.node.used,
             removable=removable,
             compulsory_ids=compulsory,
             rng=self.rng,
-            config=engine.config.selection,
         )
         engine.metrics.scs_runs += 1
         if result.alert and engine.log is not None:
@@ -483,9 +479,8 @@ class NodeAgent:
         corr = engine.next_correlation()
         negotiation = Negotiation(
             task_id=task_id, state="quote", quote_corr=corr,
-            deadline_us=engine.now_us + engine.config.acceptance_wait_us)
+            deadline_us=engine.now_us + ACCEPTANCE_WAIT_US)
         self.negotiations[task_id] = negotiation
-        engine.negotiation_source[task_id] = self.id
         broker = engine.broker_for(self.rng)
         engine.send(Message(
             kind=MessageKind.GET_CANDIDATE_NODES_REQUEST, sender=self.id,
@@ -513,34 +508,31 @@ class BrokerAgent:
     # -- cache ------------------------------------------------------------------
 
     def update_cache(self, stats: NodeStats, now: int) -> None:
-        entry = BrokerCacheEntry(
-            node_id=stats.node_id,
+        if stats.node_id not in self.engine.cell.nodes:
+            return  # a report delivered after its node left the cell
+        self.cache[stats.node_id] = BrokerCacheEntry(
             available=tuple(t - u for t, u in zip(stats.total, stats.used)),
-            attributes=self.engine.cell.nodes[stats.node_id].attributes
-            if stats.node_id in self.engine.cell.nodes else {},
-            last_update=now,
-        )
-        self.cache[stats.node_id] = entry
+            last_update=now)
         self._index_dirty = True
 
     def evict_stale(self, now: int) -> None:
-        ttl = self.engine.config.cache_entry_ttl_us
         for node_id, entry in list(self.cache.items()):
-            if now - entry.last_update > ttl or node_id not in self.engine.cell.nodes:
+            if now - entry.last_update > CACHE_ENTRY_TTL_US or node_id not in self.engine.cell.nodes:
                 del self.cache[node_id]
                 self._index_dirty = True
 
     def _rebuild_index(self) -> None:
         entries = sorted(self.cache.items())
         ids = [node_id for node_id, _ in entries]
-        if ids:
-            totals = np.array([self.engine.node_total(node_id) for node_id in ids])
+        nodes = [self.engine.cell.nodes[node_id] for node_id in ids]
+        if nodes:
+            totals = np.array([node.total for node in nodes])
             avail = np.array([entry.available for _, entry in entries])
         else:
             dim = self.engine.dimension
             totals = np.zeros((0, dim))
             avail = np.zeros((0, dim))
-        attrs = [entry.attributes for _, entry in entries]
+        attrs = [node.attributes for node in nodes]
         id_pos = {node_id: i for i, node_id in enumerate(ids)}
         self._index = (ids, totals, np.maximum(totals - avail, 0.0), attrs, id_pos)
         self._index_dirty = False
@@ -557,7 +549,7 @@ class BrokerAgent:
         count = len(ids)
         if count == 0:
             return None
-        scan_limit = config.initial_scan_limit if initial else config.realloc_scan_limit
+        scan_limit = INITIAL_SCAN_LIMIT if initial else REALLOC_SCAN_LIMIT
         order = self.np_rng.permutation(count)  # fresh shuffle per request
         exclude_pos = id_pos.get(exclude, -1) if exclude is not None else -1
         required = np.asarray(snapshot.required)
@@ -619,26 +611,26 @@ class BrokerAgent:
             totals[pool], used[pool], after)
         positive = scores > 0.0
         scored_pool, pos_scores = pool[positive], scores[positive]
-        take = min(config.recommendation_count, len(scored_pool))
+        take = min(RECOMMENDATION_COUNT, len(scored_pool))
         if take > 0:
             picked = self.np_rng.choice(len(scored_pool), size=take, replace=False,
                                         p=pos_scores / pos_scores.sum())
             for i in sorted(picked, key=lambda i: (-pos_scores[i], ids[scored_pool[i]])):
                 recommend(int(scored_pool[i]), float(pos_scores[i]), forced=False)
-        if len(recommendations) < config.recommendation_count:
+        if len(recommendations) < RECOMMENDATION_COUNT:
             # zero-score nodes with room still beat any forced entry: a flat
             # score never justifies skipping availability checks
             room = np.all(totals[pool] - used[pool] >= task_vec, axis=1)
             for index in pool[~positive & room]:
-                if len(recommendations) >= config.recommendation_count:
+                if len(recommendations) >= RECOMMENDATION_COUNT:
                     break
                 recommend(int(index), ZERO_SCORE_FITNESS, forced=False)
-        if len(recommendations) < config.recommendation_count:
+        if len(recommendations) < RECOMMENDATION_COUNT:
             # Last resort: matching nodes with sufficient total capacity whose
             # current availability is insufficient.
-            needed = config.recommendation_count - len(recommendations)
+            needed = RECOMMENDATION_COUNT - len(recommendations)
             for index in capable_indices(needed, chosen):
-                if len(recommendations) >= config.recommendation_count:
+                if len(recommendations) >= RECOMMENDATION_COUNT:
                     break
                 recommend(index, FORCED_FITNESS, forced=True)
         return recommendations
@@ -679,9 +671,8 @@ class BrokerAgent:
         self.retry_queue.clear()
 
     def on_round(self, round_index: int) -> None:
-        budget = self.engine.config.placements_per_round
         served = 0
-        while self.pending and served < budget:
+        while self.pending and served < PLACEMENTS_PER_ROUND:
             task_id = self.pending.popleft()
             served += 1
             if task_id not in self.engine.cell.tasks:
@@ -704,7 +695,7 @@ class BrokerAgent:
         engine = self.engine
         while flow.next_index < len(flow.recommendations):
             rec = flow.recommendations[flow.next_index]
-            if rec.expired(engine.now_us, engine.config.recommendation_ttl_us):
+            if rec.expired(engine.now_us, RECOMMENDATION_TTL_US):
                 flow.next_index += 1
                 continue
             corr = engine.next_correlation()
@@ -762,23 +753,22 @@ class AgentEngine(Engine):
         self.pending_rec_age: dict[int, int] = {}
         self.audit_log: list[AuditRecord] = []
         self.unschedulable: set[str] = set()
-        self._sample_counters = {"selection": 0, "quote": 0, "target": 0}
-        #: task -> node indexes so task/node removal is O(1), not O(nodes)
+        self._sample_counters = dict.fromkeys(SAMPLE_RATES, 0)
+        #: task -> the node holding its reservation, so task removal is O(1)
         self.reservation_target: dict[str, str] = {}
-        self.negotiation_source: dict[str, str] = {}
         self._agent_order: Optional[list[str]] = None
         for node_id in sorted(cell.nodes):
             self.agents[node_id] = NodeAgent(node_id, self)
-            self._bootstrap_cache(node_id)
+            self._report_to_brokers(node_id)
 
     def agent_order(self) -> list[str]:
         if self._agent_order is None:
             self._agent_order = sorted(self.agents)
         return self._agent_order
 
-    def _bootstrap_cache(self, node_id: str) -> None:
-        # A joining node registers with the brokers right away, so quotes can
-        # cover it before its first periodic status report lands.
+    def _report_to_brokers(self, node_id: str) -> None:
+        # A joining node (or a direct placement) reaches the broker caches
+        # right away, not with the node's next periodic status report.
         agent = self.agents[node_id]
         for broker in self.brokers.values():
             broker.update_cache(agent.stats(), self.now_us)
@@ -798,9 +788,6 @@ class AgentEngine(Engine):
         self._outbox.append(message)
         if self.message_trace is not None:
             self.message_trace(message.trace_line(self.now_us))
-
-    def node_total(self, node_id: str) -> tuple:
-        return self.cell.nodes[node_id].total
 
     def snapshot_task(self, task_id: str) -> TaskSnapshot:
         task = self.cell.tasks[task_id]
@@ -849,8 +836,7 @@ class AgentEngine(Engine):
         """Replay-style placement bypassing negotiation (scenario setup);
         broker caches learn the new load immediately."""
         self.cell.place(task_id, node_id)
-        for broker in self.brokers.values():
-            broker.update_cache(self.agents[node_id].stats(), self.now_us)
+        self._report_to_brokers(node_id)
 
     def commit_initial_placement(self, task_id: str, node_id: str) -> None:
         agent = self.agents.get(node_id)
@@ -907,7 +893,7 @@ class AgentEngine(Engine):
             stable_after=not target.overloaded(),
             rus_after=rus_fits(target.total, target.node.prod_required),
             rec_age_us=reservation.rec_age_us if reservation is not None else 0,
-            ttl_us=self.config.recommendation_ttl_us,
+            ttl_us=RECOMMENDATION_TTL_US,
             cost_mb=0.0 if initial else self.cell.tasks[task_id].migration_cost_mb,
         ))
 
@@ -922,22 +908,20 @@ class AgentEngine(Engine):
         kind = event.kind
         if kind is ev.EventKind.ADD_NODE:
             cell.apply(event)
-            self.agents[event.node_id] = NodeAgent(event.node_id, self)
-            self._agent_order = None
-            self._bootstrap_cache(event.node_id)
+            # a node added again keeps its agent, and so its reservations
+            if event.node_id not in self.agents:
+                self.agents[event.node_id] = NodeAgent(event.node_id, self)
+                self._agent_order = None
+            self._report_to_brokers(event.node_id)
         elif kind is ev.EventKind.REMOVE_NODE:
             self._remove_node(event)
-        elif kind is ev.EventKind.UPDATE_NODE_TOTAL:
-            cell.apply(event)
-            agent = self.agents.get(event.node_id)
-            if agent is not None:
-                agent.total = np.array(event.total, dtype=np.float64)
         elif kind is ev.EventKind.ADD_TASK:
             cell.apply(event)
             broker = self.brokers[self.broker_for(self.rng)]
             broker.enqueue_placement(event.task_id)
         elif kind is ev.EventKind.REMOVE_TASK:
             task_id = event.task_id
+            # its negotiation, if any, is open on the node it sits on
             owner = self.agents.get(cell.placement.get(task_id))
             if owner is not None:
                 owner.task_left(task_id)
@@ -946,9 +930,6 @@ class AgentEngine(Engine):
                 if target in self.agents:
                     self.agents[target].release_reservation(task_id)
                 self._completions = [c for c in self._completions if c[2] != task_id]
-            source = self.negotiation_source.get(task_id)
-            if source is not None and source in self.agents:
-                self.agents[source].drop_negotiation(task_id)
             cell.apply(event)
         elif kind is ev.EventKind.UPDATE_TASK_USED:
             task = cell.tasks.get(event.task_id)
@@ -958,9 +939,9 @@ class AgentEngine(Engine):
             if before is not None and agent is not None:
                 # a usage jump above the threshold share of the node is a RUS spike
                 delta = np.asarray(task.used) - np.asarray(before)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    jump = np.where(agent.total > 0, delta / np.where(agent.total > 0, agent.total, 1.0), 0.0)
-                if np.any(jump > self.config.rus_spike_threshold):
+                total = agent.total
+                jump = np.divide(delta, total, out=np.zeros_like(delta), where=total > 0)
+                if np.any(jump > RUS_SPIKE_THRESHOLD):
                     self.metrics.rus_spikes += 1
         else:
             cell.apply(event)
@@ -976,11 +957,7 @@ class AgentEngine(Engine):
             for task_id in list(agent.in_migrations):
                 reservation = agent.release_reservation(task_id)
                 if reservation and reservation.source in self.agents:
-                    source = self.agents[reservation.source]
-                    source.out_migrations.discard(task_id)
-                    source.drop_negotiation(task_id)
-            for task_id in list(agent.negotiations):
-                agent.drop_negotiation(task_id)
+                    self.agents[reservation.source].task_left(task_id)
             self._completions = [c for c in self._completions if c[1] != event.node_id]
         cell.apply(event)
         for broker in self.brokers.values():
@@ -1066,11 +1043,16 @@ class AgentEngine(Engine):
 
     # -- decision sampling ----------------------------------------------------------
 
-    def sample_selection(self, agent: NodeAgent, result, removable) -> None:
+    def _sampled(self, kind: str) -> bool:
+        """Count one decision of this kind; True if its record is logged."""
         if self.log is None:
-            return
-        self._sample_counters["selection"] += 1
-        if self._sample_counters["selection"] % self.config.sample_selection_rate != 1 % self.config.sample_selection_rate:
+            return False
+        self._sample_counters[kind] += 1
+        rate = SAMPLE_RATES[kind]
+        return self._sample_counters[kind] % rate == 1 % rate
+
+    def sample_selection(self, agent: NodeAgent, result, removable) -> None:
+        if not self._sampled("selection"):
             return
         lines = [f"SAMPLE: selected overloading tasks for node [{agent.id}]",
                  f"Node total resources = [{', '.join(f'{v:.10f}' for v in agent.total)}]",
@@ -1093,10 +1075,7 @@ class AgentEngine(Engine):
         self.log("\n".join(lines))
 
     def sample_quote(self, broker: BrokerAgent, message: Message, recommendations) -> None:
-        if self.log is None:
-            return
-        self._sample_counters["quote"] += 1
-        if self._sample_counters["quote"] % self.config.sample_quote_rate != 1 % self.config.sample_quote_rate:
+        if not self._sampled("quote"):
             return
         lines = [f"SAMPLE: candidate nodes recommendations for migration-out of task:",
                  f"Task [{message.task.task_id}] Required resources="
@@ -1109,10 +1088,7 @@ class AgentEngine(Engine):
 
     def sample_target_selection(self, agent: NodeAgent, negotiation, snapshot,
                                 live, choice) -> None:
-        if self.log is None:
-            return
-        self._sample_counters["target"] += 1
-        if self._sample_counters["target"] % self.config.sample_target_rate != 1 % self.config.sample_target_rate:
+        if not self._sampled("target"):
             return
         lines = [f"SAMPLE: accepted recommendations for migration-out of task:",
                  f"Task [{snapshot.task_id}] Migration cost = {snapshot.migration_cost_mb:.2f} [MB]",

@@ -111,10 +111,10 @@ def classify_vec(totals: np.ndarray, used: np.ndarray,
     return out
 
 
-def rus_fits(node_total: Sequence[float], production_required: Sequence[float]) -> bool:
+def rus_fits(total: Sequence[float], production_required: Sequence[float]) -> bool:
     """Production tasks must fit at their full declared requirements, so a
     usage spike never forces an immediate migration of production work."""
-    return all(req <= total for total, req in zip(node_total, production_required))
+    return all(req <= cap for cap, req in zip(total, production_required))
 
 
 def asr_metrics(classes: Sequence[AllocationClass]) -> dict:

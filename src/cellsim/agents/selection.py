@@ -21,11 +21,11 @@ import numpy as np
 from .scoring import REALLOC_PARAMS, allocation_score_vec
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    restarts: int = 25
-    depth: int = 5
-    stall_limit: int = 6
+#: Greedy-started restarts, toggle steps per restart, and restarts in a row
+#: without a better subset after which the search stops.
+RESTARTS = 25
+DEPTH = 5
+STALL_LIMIT = 6
 
 
 @dataclass
@@ -47,20 +47,20 @@ class SelectionResult:
 
 
 def select_candidate_services(
-    node_total: Sequence[float],
-    node_used: Sequence[float],
+    total: Sequence[float],
+    used: Sequence[float],
     removable: Sequence[RemovalCandidate],
     compulsory_ids: Sequence[str],
     rng,
-    config: SelectionConfig = SelectionConfig(),
 ) -> SelectionResult:
     """Pick the compulsory tasks plus a de-overloading subset of removables.
 
-    ``node_used`` must already include every listed task.  Compulsory tasks
-    are removed unconditionally; the tabu search then works on what remains.
+    ``used`` is the node's load and must already include every listed task.
+    Compulsory tasks are removed unconditionally; the tabu search then works
+    on what remains, within ``RESTARTS``, ``DEPTH`` and ``STALL_LIMIT``.
     """
-    total = np.asarray(node_total, dtype=np.float64)
-    remaining = np.asarray(node_used, dtype=np.float64).copy()
+    total = np.asarray(total, dtype=np.float64)
+    remaining = np.asarray(used, dtype=np.float64).copy()
 
     compulsory = list(compulsory_ids)
     by_id = {c.task_id: c for c in removable}
@@ -123,13 +123,13 @@ def select_candidate_services(
     best_mask: Optional[np.ndarray] = None
     best_fitness = -1.0
     stall = 0
-    for _ in range(config.restarts):
-        if stall >= config.stall_limit:
+    for _ in range(RESTARTS):
+        if stall >= STALL_LIMIT:
             break
         local_best = greedy_start()  # feasible: at worst it is all_mask
         local_fit = float(evaluate([local_best])[0])
         visited = {local_best.tobytes()}
-        for _ in range(config.depth):
+        for _ in range(DEPTH):
             # the toggle neighbourhood: flip one task in or out of the subset
             probes = np.tile(local_best, (n, 1))
             np.fill_diagonal(probes, ~local_best)

@@ -17,6 +17,7 @@ import csv
 import sys
 from pathlib import Path
 
+from ..livemigration import profile_for
 from ..metaheuristics import SCENARIOS, STRATEGIES, StrategyConfig, benchmark_state
 from ..metaheuristics.problem import InfeasibleError
 from ..metaheuristics.strategies import SearchSpaceCapExceeded
@@ -175,8 +176,12 @@ def cmd_synth(args) -> int:
     try:
         config = SynthConfig.from_file(args.config)
         config.validate()
+        profile_for(config.migration_profile)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except KeyError as exc:
+        print(f"config error: {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
     counts = write_synthetic_trace(config, args.out)
     for group, count in sorted(counts.items()):

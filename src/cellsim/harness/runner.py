@@ -125,9 +125,14 @@ class SimulationRunner:
         config.validate()
         self.config = config
         self.catalog = model.ResourceTypeCatalog(("cpu", "memory"))
-        profiles = (ProfileCatalog.from_file(config.profile_file)
-                    if config.profile_file else ProfileCatalog())
-        profile = profiles.get(config.migration_profile)
+        self.profiles = (ProfileCatalog.from_file(config.profile_file)
+                         if config.profile_file else ProfileCatalog())
+        try:
+            profile = self.profiles.get(config.migration_profile)
+            if config.synth is not None:
+                self.profiles.get(config.synth.migration_profile)
+        except KeyError as exc:
+            raise ConfigError(f"{exc.args[0]}; known: {', '.join(self.profiles.kinds())}") from None
         self.cost_model = TraceCostModel(profile, config.node_memory_mb)
         self.sink = AnomalySink()
         self.tick = 0
@@ -161,7 +166,7 @@ class SimulationRunner:
                 raise TraceError(f"no trace files found under {trace_dir}")
             sources = parsers
         else:
-            sources = [synth_generate(config.synth)]
+            sources = [synth_generate(config.synth, self.profiles)]
         if config.scale_factor > 1:
             sources = [scale_cell(src, config.scale_factor) for src in sources]
         return WindowCollector(sources, self.sink)

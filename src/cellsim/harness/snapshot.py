@@ -19,8 +19,10 @@ MAGIC = b"CSIMSNAP"
 #: payload carries the anomaly counts, which a resumed run restores.
 #: Version 4: the pickled cell changed shape (each node holds its residents
 #: and load sums, ``pending`` is a dict, the cell holds the anomaly sink)
-#: and node agents no longer carry their own copy of those sums.
-VERSION = 4
+#: and node agents no longer carry their own copy of those sums.  Version 5:
+#: node agents and broker cache entries read totals and attributes from the
+#: cell, and the engine keeps no negotiation-source index.
+VERSION = 5
 
 
 class SnapshotError(RuntimeError):

@@ -58,7 +58,6 @@ class StrategyConfig:
     #: wall-clock budgets used in benchmarking mode.
     max_candidates: int = 50_000
     time_budget_s: Optional[float] = None
-    stable_iteration_cap: int = 10_000
     tabu_dull_move_limit: int = 25
     full_scan_leaf_cap: float = 1e8
     cache_enabled: bool = True
@@ -119,7 +118,7 @@ class _Run:
 
     def random_stable(self) -> Optional[CandidateSolution]:
         try:
-            assign = random_stable_solution(self.problem, self.rng, self.cfg.stable_iteration_cap)
+            assign = random_stable_solution(self.problem, self.rng)
         except InfeasibleError:
             return None
         solution = self.candidate(assign)
@@ -412,7 +411,6 @@ def seeded_genetic(instance: Instance, cfg: StrategyConfig,
         sub_cfg = StrategyConfig(
             seed=run.rng.randrange(2**63),
             max_candidates=min(slice_budget, remaining),
-            stable_iteration_cap=cfg.stable_iteration_cap,
             # seeds should be cheap local optima: long dull-move wandering
             # inside a seeding slice only eats the shared budget
             tabu_dull_move_limit=min(3, cfg.tabu_dull_move_limit),

@@ -59,22 +59,32 @@ class AnomalySink:
 def filter_anomalies(cell_state, batch: ev.EventBatch) -> tuple[ev.EventBatch, list[AnomalyReport]]:
     """Drop unmatchable task additions; flag over-usage windows.
 
-    A task whose constraints match no node in the current cell can never be
-    placed, so its AddTask is dropped and reported.  Node events are never
-    dropped.  When the summed used memory of all tasks exceeds total cell
-    memory within this window, the batch is flagged (events retained).
+    A task whose constraints match no node, as the batch's earlier node
+    events leave the cell, can never be placed, so its AddTask is dropped and
+    reported.  Node events are never dropped.  When the summed used memory of
+    all tasks exceeds total cell memory within this window, the batch is
+    flagged (events retained).
     """
     reports: list[AnomalyReport] = []
-    node_attributes = [node.attributes for node in cell_state.nodes.values()]
+    # node id -> attributes; a dict the batch changes is copied, not written
+    attributes = {node_id: node.attributes for node_id, node in cell_state.nodes.items()}
     kept: list[ev.WorkloadEvent] = []
     for event in batch:
-        if isinstance(event, ev.AddTaskEvent) and event.constraints:
-            if not any(matches_attributes(event.constraints, attrs) for attrs in node_attributes):
-                reports.append(AnomalyReport(
-                    AnomalyKind.UNMATCHABLE_CONSTRAINTS,
-                    f"task {event.task_id} matches no node; dropped",
-                ))
-                continue
+        kind = event.kind
+        if kind is ev.EventKind.ADD_NODE:
+            attributes[event.node_id] = dict(event.attributes)
+        elif kind is ev.EventKind.REMOVE_NODE:
+            attributes.pop(event.node_id, None)
+        elif kind is ev.EventKind.ADD_NODE_ATTRIBUTES and event.node_id in attributes:
+            attributes[event.node_id] = {**attributes[event.node_id], **dict(event.attributes)}
+        elif kind is ev.EventKind.REMOVE_NODE_ATTRIBUTES and event.node_id in attributes:
+            attributes[event.node_id] = {name: value for name, value in attributes[event.node_id].items()
+                                         if name not in event.attribute_names}
+        elif kind is ev.EventKind.ADD_TASK and event.constraints and not any(
+                matches_attributes(event.constraints, attrs) for attrs in attributes.values()):
+            reports.append(AnomalyReport(AnomalyKind.UNMATCHABLE_CONSTRAINTS,
+                                         f"task {event.task_id} matches no node; dropped"))
+            continue
         kept.append(event)
 
     if "memory" in cell_state.catalog.names and cell_state.nodes:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cell_oracle import assert_loads_match
 from cellsim.agents import (
     REALLOC_PARAMS,
     AgentConfig,
@@ -61,7 +62,7 @@ class TestSelection:
 
     def test_not_overloaded_returns_empty(self):
         result = select_candidate_services(
-            node_total=(1.0, 1.0), node_used=(0.5, 0.5),
+            total=(1.0, 1.0), used=(0.5, 0.5),
             removable=self._candidates([((0.2, 0.2), 10.0, False)]),
             compulsory_ids=[], rng=random.Random(0))
         assert result.task_ids == []
@@ -76,7 +77,7 @@ class TestSelection:
         ])
         used = (1.2, 0.4)
         result = select_candidate_services(
-            node_total=(1.0, 1.0), node_used=used,
+            total=(1.0, 1.0), used=used,
             removable=candidates, compulsory_ids=[], rng=random.Random(1))
         assert result.feasible and not result.alert
         removed = np.sum([c.used for c in candidates if c.task_id in set(result.task_ids)], axis=0)
@@ -86,7 +87,7 @@ class TestSelection:
         candidates = self._candidates([((0.1, 0.1), 10.0, False),
                                        ((0.1, 0.1), 10.0, False)])
         result = select_candidate_services(
-            node_total=(1.0, 1.0), node_used=(0.3, 0.3),
+            total=(1.0, 1.0), used=(0.3, 0.3),
             removable=candidates, compulsory_ids=["t1"], rng=random.Random(2))
         assert "t1" in result.task_ids
 
@@ -94,7 +95,7 @@ class TestSelection:
         candidates = self._candidates([((0.1, 0.1), 10.0, False),
                                        ((0.1, 0.1), 10.0, True)])
         result = select_candidate_services(
-            node_total=(1.0, 1.0), node_used=(2.0, 0.5),
+            total=(1.0, 1.0), used=(2.0, 0.5),
             removable=candidates, compulsory_ids=[], rng=random.Random(3))
         assert result.alert and not result.feasible
         assert result.task_ids == ["t0"]  # production tasks stay pinned
@@ -106,7 +107,7 @@ class TestSelection:
                                        ((0.4, 0.4), 10.0, False)])
         for seed in range(10):
             result = select_candidate_services(
-                node_total=(1.0, 1.0), node_used=(1.1, 1.1),
+                total=(1.0, 1.0), used=(1.1, 1.1),
                 removable=candidates, compulsory_ids=[],
                 rng=random.Random(seed))
             assert result.task_ids == ["t1"]
@@ -128,7 +129,7 @@ def test_selection_fitness_matches_scalar_oracle(data):
     used_sum = np.sum([c.used for c in candidates], axis=0)
     assume(np.any(used_sum > total))
     result = select_candidate_services(
-        node_total=total, node_used=used_sum, removable=candidates,
+        total=total, used=used_sum, removable=candidates,
         compulsory_ids=[], rng=random.Random(data.draw(st.integers(0, 2**32))))
     assert result.feasible and not result.alert
     chosen = [c for c in candidates if c.task_id in set(result.task_ids)]
@@ -345,3 +346,100 @@ def test_status_messages_flow_every_tick():
     engine.run_tick()
     status_lines = [line for line in trace if MessageKind.STATUS_REPORT.value in line]
     assert len(status_lines) == 3  # one per node
+
+
+def test_node_added_again_keeps_its_reservations():
+    # with two rounds a tick, a placement reserved in the last round is
+    # committed when the confirmation lands next tick
+    engine = build_engine([(1.0, 1.0)] * 2, seed=4,
+                          config=AgentConfig(rounds_per_tick=2, audit=True))
+    add_task(engine, "big", required=(0.9, 0.9), used=(0.9, 0.9), node="n000")
+    engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.3, 0.3))])
+    engine.run_tick()
+    agent = engine.agents["n001"]
+    assert "t" in agent.in_migrations and engine.reservation_target == {"t": "n001"}
+    engine.apply_events([ev.AddNodeEvent(timestamp=0, node_id="n001", total=(1.0, 1.0))])
+    assert engine.agents["n001"] is agent and "t" in agent.in_migrations
+    engine.run_tick()
+    assert engine.cell.placement["t"] == "n001"
+    assert engine.reservation_target == {} and not agent.in_migrations
+    # the node leaves: its task must be placed again, not wait for a
+    # reservation that no agent holds
+    engine.apply_events([ev.RemoveTaskEvent(timestamp=0, task_id="big"),
+                         ev.RemoveNodeEvent(timestamp=0, node_id="n001")])
+    run_ticks(engine, 3)
+    assert engine.cell.placement == {"t": "n000"}
+    assert engine.cell.conservation_holds()
+
+
+def test_status_report_from_a_removed_node_is_ignored():
+    # with one round a tick, the status reports sent in a tick reach the
+    # brokers after the next window's events, which may remove the sender
+    engine = build_engine([(1.0, 1.0)] * 3, seed=6,
+                          config=AgentConfig(rounds_per_tick=1, audit=True))
+    engine.run_tick()
+    engine.apply_events([ev.RemoveNodeEvent(timestamp=0, node_id="n002"),
+                         ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.3, 0.3))])
+    run_ticks(engine, 4)
+    assert all("n002" not in broker.cache for broker in engine.brokers.values())
+    assert engine.cell.placement["t"] in ("n000", "n001")
+
+
+def check_agent_invariants(engine):
+    """The facts the engine keeps outside the cell agree with the cell."""
+    for node_id, agent in engine.agents.items():
+        assert agent.node is engine.cell.nodes[node_id]
+        # a negotiation is only open for a task on the agent's own node
+        assert set(agent.negotiations) <= agent.node.residents, node_id
+    assert engine.agents.keys() == engine.cell.nodes.keys()
+    assert engine.reservation_invariant_holds()
+    for task_id, node_id in engine.reservation_target.items():
+        assert task_id in engine.agents[node_id].in_migrations, (task_id, node_id)
+    assert engine.cell.conservation_holds()
+    assert_loads_match(engine.cell)
+
+
+@pytest.mark.parametrize("rounds", [2, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_churn_keeps_agent_invariants(seed, rounds):
+    """Seeded random windows of task arrivals and removals, usage jumps,
+    node total changes, node removals and node re-adds (of live and of
+    removed nodes); the invariants hold after every tick."""
+    rng = random.Random(seed)
+    engine = build_engine([(1.0, 1.0)] * 6, seed=seed,
+                          config=AgentConfig(rounds_per_tick=rounds, audit=True))
+    gone: dict[str, tuple] = {}
+    next_task = 0
+    for _ in range(30):
+        batch = []
+        for _ in range(rng.randrange(1, 8)):
+            tasks, nodes = sorted(engine.cell.tasks), sorted(engine.cell.nodes)
+            roll = rng.random()
+            if roll < 0.3 or not tasks:
+                required = (rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3))
+                batch.append(ev.AddTaskEvent(timestamp=0, task_id=f"t{next_task}",
+                                             required=required))
+                next_task += 1
+            elif roll < 0.45:
+                batch.append(ev.RemoveTaskEvent(timestamp=0, task_id=rng.choice(tasks)))
+            elif roll < 0.7:
+                used = (rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6))
+                batch.append(ev.UpdateTaskUsedEvent(timestamp=0, task_id=rng.choice(tasks),
+                                                    used=used, migration_cost_mb=rng.uniform(1, 100)))
+            elif roll < 0.8:
+                total = (rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5))
+                batch.append(ev.UpdateNodeTotalEvent(timestamp=0, node_id=rng.choice(nodes),
+                                                     total=total))
+            elif roll < 0.9 and len(nodes) > 2:
+                node_id = rng.choice(nodes)
+                gone[node_id] = engine.cell.nodes[node_id].total
+                batch.append(ev.RemoveNodeEvent(timestamp=0, node_id=node_id))
+            else:
+                node_id = rng.choice(sorted(gone) + nodes)
+                total = gone.pop(node_id, None) or engine.cell.nodes[node_id].total
+                batch.append(ev.AddNodeEvent(timestamp=0, node_id=node_id, total=total))
+            # apply one at a time: the choices above read the cell as it stands
+            engine.apply_events(batch[-1:])
+        engine.run_tick()
+        check_agent_invariants(engine)
+

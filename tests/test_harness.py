@@ -339,7 +339,8 @@ class TestSnapshotRoundtrip:
         # anomalies reported before the snapshot tick: with the trace, one
         # corrupt row (a parser report) and a usage row overcommitting the
         # one node's memory (a filter report); with the synthetic source,
-        # constrained tasks arriving before any node (filter reports)
+        # tasks constrained to attribute groups that no node has (two nodes
+        # hold groups 0 and 1 of four; filter reports)
         if source == "trace":
             trace_dir = tmp_path / "trace"
             write_synthetic_trace(synth_config(node_count=1), trace_dir)
@@ -352,7 +353,8 @@ class TestSnapshotRoundtrip:
             extra = dict(synth=None, trace_dir=trace_dir)
         else:
             kinds = (AnomalyKind.UNMATCHABLE_CONSTRAINTS,)
-            extra = dict(synth=synth_config(constraint_rate=0.3))
+            extra = dict(synth=synth_config(node_count=2, attribute_groups=4,
+                                            constraint_rate=0.3))
         full = SimulationRunner(run_config(tmp_path / "full", mode="replay", **extra))
         full.run()
         half_config = run_config(tmp_path / "half", mode="replay", ticks=4,
@@ -490,6 +492,34 @@ class TestCli:
                          "--trace-dir", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["flag", "synth"])
+    def test_unknown_migration_profile_is_config_error(self, tmp_path, capsys, where):
+        config_path = tmp_path / "synth.json"
+        synth_config(migration_profile="nope" if where == "synth" else "apache").to_file(config_path)
+        args = ["run", "--mode", "masb", "--seed", "1", "--synth-config", str(config_path),
+                "--out", str(tmp_path / "out"), "--ticks", "2"]
+        if where == "flag":
+            args += ["--migration-profile", "nope"]
+        assert cli_main(args) == 1
+        if where == "synth":
+            assert cli_main(["synth", "--config", str(config_path),
+                             "--out", str(tmp_path / "trace")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == (2 if where == "synth" else 1)
+        assert all(line.startswith("config error: unknown migration profile 'nope'")
+                   for line in lines)
+
+    def test_profile_file_reaches_synthetic_config(self, tmp_path):
+        profile_path = tmp_path / "profiles.json"
+        profile_path.write_text('{"custom": {"cmdt_mb": 50.0, "af": 0.001}}')
+        config_path = tmp_path / "synth.json"
+        synth_config(migration_profile="custom").to_file(config_path)
+        code = cli_main(["run", "--mode", "masb", "--seed", "1",
+                         "--synth-config", str(config_path), "--profile-file", str(profile_path),
+                         "--migration-profile", "custom",
+                         "--out", str(tmp_path / "out"), "--ticks", "2"])
+        assert code == 0
 
     def test_bench_writes_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

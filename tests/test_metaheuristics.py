@@ -304,8 +304,7 @@ class TestStrategySoundness:
         state = SystemState(catalog=catalog, nodes=nodes, tasks=tasks,
                             assignment=Assignment({"t": "a"}))
         for name, strategy in STRATEGY_CASES:
-            result = strategy(state, StrategyConfig(seed=1, max_candidates=300,
-                                                    stable_iteration_cap=30))
+            result = strategy(state, StrategyConfig(seed=1, max_candidates=300))
             assert not result.stable
             assert result.best is None
 

@@ -285,6 +285,39 @@ class TestAnomalyFilter:
         assert list(filtered) == list(batch)
         assert reports == []
 
+    def test_constrained_tasks_see_the_batch_node_events_before_them(self):
+        cell = self._cell_with_node([("zone", "eu")])
+        eu = (TaskConstraint(Op.EQUAL, "zone", "eu"),)
+        us = (TaskConstraint(Op.EQUAL, "zone", "us"),)
+        gpu = (TaskConstraint(Op.EQUAL, "gpu", "yes"),)
+        batch = EventBatch(0, 10, (
+            add_task(1, "us-early", constraints=us),     # before its node: dropped
+            add_node(2, "n2", attrs=[("zone", "us")]),
+            add_task(2, "us-late", constraints=us),
+            ev.AddNodeAttributesEvent(3, "n1", (("gpu", "yes"),)),
+            add_task(3, "gpu", constraints=gpu),
+            ev.RemoveNodeAttributesEvent(4, "n1", ("zone",)),
+            add_task(4, "eu-late", constraints=eu),      # attribute gone: dropped
+            ev.RemoveNodeEvent(5, "n2"),
+            add_task(5, "us-gone", constraints=us),      # node gone: dropped
+        ))
+        filtered, reports = filter_anomalies(cell, batch)
+        kept = [e.task_id for e in filtered if isinstance(e, ev.AddTaskEvent)]
+        assert kept == ["us-late", "gpu"]
+        assert len(filtered) == len(batch) - 3
+        assert [r.detail.split()[1] for r in reports] == ["us-early", "eu-late", "us-gone"]
+        assert cell.nodes["n1"].attributes == {"zone": "eu"}  # the cell is not written
+
+    def test_first_window_constrained_tasks_kept(self):
+        # a synthetic stream adds its nodes at t=0, in the first window
+        config = SynthConfig(seed=3, node_count=4, task_arrival_rate=60.0,
+                             duration_minutes=2.0, constraint_rate=0.5)
+        events = [e for e in synth_generate(config) if e.timestamp < 60_000_000]
+        constrained = [e for e in events if isinstance(e, ev.AddTaskEvent) and e.constraints]
+        assert constrained
+        filtered, reports = filter_anomalies(CellState(CAT2), EventBatch(0, 60_000_000, events))
+        assert reports == [] and list(filtered) == events
+
 
 class TestSynthGenerator:
     def test_same_seed_identical_streams(self):

@@ -55,7 +55,10 @@ CACHE_ENTRY_TTL_US = 5 * MINUTE_US
 ACCEPTANCE_WAIT_US = 30 * 1_000_000
 #: Queued placements a broker serves per round.
 PLACEMENTS_PER_ROUND = 50_000
-#: Transfer duration for one live migration, in rounds.
+#: Transfer duration for one live migration, in rounds.  At one round a
+#: transfer completes at the start of the round that delivers its
+#: confirmation, so ``task_left`` has closed the source's negotiation before
+#: the source hears of it, and the source keeps no record of departures.
 TRANSFER_ROUNDS = 1
 #: A usage jump above this share of the node's total counts as a RUS spike.
 RUS_SPIKE_THRESHOLD = 0.10
@@ -90,7 +93,6 @@ class InMigration:
     snapshot: TaskSnapshot
     source: Optional[str]
     forced: bool
-    complete_at: int
     rec_age_us: int
     #: What the admission check established; audited against these because
     #: task attributes may legitimately change while the transfer runs.
@@ -166,9 +168,9 @@ class NodeAgent:
     """Keeps one node stable; negotiates migrations for overloading tasks.
 
     The node's totals, attributes, residents and load sums live in the cell
-    (``self.node``); the agent keeps only its reservations, out-migrations,
-    negotiations and random stream.  A negotiation is only ever open for a
-    task that sits on this node.
+    (``self.node``); the agent keeps only its reservations, negotiations and
+    random stream.  A negotiation is only ever open for a task that sits on
+    this node.
     """
 
     def __init__(self, node_id: str, engine: "AgentEngine"):
@@ -178,7 +180,6 @@ class NodeAgent:
         self.in_migrations: dict[str, InMigration] = {}
         self.incoming_used = np.zeros(dim)
         self.incoming_prod_req = np.zeros(dim)
-        self.out_migrations: set[str] = set()
         self.negotiations: dict[str, Negotiation] = {}
         self.rng = random.Random(_stable_seed(engine.seed, "na", node_id))
 
@@ -197,14 +198,12 @@ class NodeAgent:
 
     def task_left(self, task_id: str) -> None:
         """A task on this node finished or migrated away: stop moving it."""
-        self.out_migrations.discard(task_id)
         self.negotiations.pop(task_id, None)
 
     def reserve(self, snapshot: TaskSnapshot, source: Optional[str], forced: bool,
-                complete_at: int, rec_age_us: int) -> None:
+                rec_age_us: int) -> None:
         self.in_migrations[snapshot.task_id] = InMigration(
-            snapshot=snapshot, source=source, forced=forced,
-            complete_at=complete_at, rec_age_us=rec_age_us,
+            snapshot=snapshot, source=source, forced=forced, rec_age_us=rec_age_us,
             constraints_ok=matches_attributes(snapshot.constraints, self.node.attributes),
             capacity_ok=bool(np.all(np.asarray(snapshot.required) <= self.total)))
         self.engine.reservation_target[snapshot.task_id] = self.id
@@ -265,8 +264,6 @@ class NodeAgent:
         elif kind in (MessageKind.TASK_MIGRATION_ACCEPTANCE_RESPONSE,
                       MessageKind.TASK_MIGRATION_REJECTION_RESPONSE):
             self._handle_accept_reject(message)
-        elif kind is MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE:
-            self._handle_process_confirmation(message)
         elif kind is MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE:
             self._handle_process_error(message)
 
@@ -296,10 +293,12 @@ class NodeAgent:
                 correlation_id=message.correlation_id, task=snapshot))
             return
         # Final check passed: resources are reserved and the transfer starts.
-        complete_at = engine.now_us + TRANSFER_ROUNDS * engine.round_us
-        self.reserve(snapshot, source=message.sender if not message.initial else None,
-                     forced=message.forced, complete_at=complete_at, rec_age_us=rec_age)
-        engine.schedule_completion(self.id, snapshot.task_id, complete_at)
+        source = None if message.initial else message.sender
+        self.reserve(snapshot, source=source, forced=message.forced, rec_age_us=rec_age)
+        if source is not None:
+            # an initial placement commits when its broker gets the confirmation
+            engine.schedule_completion(self.id, snapshot.task_id,
+                                       engine.now_us + TRANSFER_ROUNDS * engine.round_us)
         engine.send(Message(
             kind=MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE,
             sender=self.id, recipient=message.sender,
@@ -385,14 +384,6 @@ class NodeAgent:
             recipient=choice.node_id, correlation_id=corr, task=snapshot,
             forced=choice.force_migration))
 
-    def _handle_process_confirmation(self, message: Message) -> None:
-        task_id = message.task.task_id
-        negotiation = self.negotiations.get(task_id)
-        if negotiation is None:
-            return
-        self.out_migrations.add(task_id)
-        # ownership stays here until the transfer completes
-
     def _handle_process_error(self, message: Message) -> None:
         task_id = message.task.task_id
         negotiation = self.negotiations.get(task_id)
@@ -441,7 +432,7 @@ class NodeAgent:
 
     def _run_selection_if_needed(self) -> None:
         engine = self.engine
-        if self.negotiations or self.out_migrations:
+        if self.negotiations:
             return  # let in-flight departures resolve before selecting more
         compulsory = self._compulsory_tasks()
         if not self.overloaded() and not compulsory:
@@ -473,7 +464,7 @@ class NodeAgent:
             self._start_negotiation(task_id)
 
     def _start_negotiation(self, task_id: str) -> None:
-        if task_id in self.negotiations or task_id in self.out_migrations:
+        if task_id in self.negotiations:
             return
         engine = self.engine
         corr = engine.next_correlation()
@@ -863,9 +854,6 @@ class AgentEngine(Engine):
             reservation = target.in_migrations.get(task_id)
             if reservation is None:
                 continue
-            if reservation.source is None:
-                # initial placements commit on confirmation receipt instead
-                continue
             target.release_reservation(task_id)
             if task_id not in self.cell.tasks:
                 continue
@@ -1030,15 +1018,11 @@ class AgentEngine(Engine):
         return sum(1 for agent in self.agents.values() if agent.overloaded())
 
     def reservation_invariant_holds(self) -> bool:
-        """Every out-migrating task is reserved on exactly one target."""
+        """Every reserved task is reserved on exactly one target."""
         reserved: dict[str, int] = {}
         for agent in self.agents.values():
             for task_id in agent.in_migrations:
                 reserved[task_id] = reserved.get(task_id, 0) + 1
-        for agent in self.agents.values():
-            for task_id in agent.out_migrations:
-                if reserved.get(task_id, 0) != 1:
-                    return False
         return all(count == 1 for count in reserved.values())
 
     # -- decision sampling ----------------------------------------------------------

@@ -28,7 +28,7 @@ from ..metaheuristics.problem import PackedProblem
 from ..metaheuristics.strategies import STRATEGIES
 from ..workload.anomalies import AnomalySink, filter_anomalies
 from ..workload.events import AddTaskEvent
-from ..workload.parsers import ParserConfig, open_trace_directory
+from ..workload.parsers import GCD_TIME_SHIFT_US, open_trace_directory
 from ..workload.state import CellState
 from ..workload.synth import synth_generate
 from ..workload.window import WindowCollector
@@ -159,9 +159,8 @@ class SimulationRunner:
             trace_dir = Path(config.trace_dir)
             if not trace_dir.is_dir():
                 raise TraceError(f"trace directory {trace_dir} does not exist")
-            parser_config = ParserConfig(
-                time_offset_us=600_000_000 if config.gcd_time_shift else 0)
-            parsers = open_trace_directory(trace_dir, parser_config, self.sink)
+            time_offset_us = GCD_TIME_SHIFT_US if config.gcd_time_shift else 0
+            parsers = open_trace_directory(trace_dir, time_offset_us, self.sink)
             if not parsers:
                 raise TraceError(f"no trace files found under {trace_dir}")
             sources = parsers

@@ -2,7 +2,7 @@
 CSV layout, so the regular file parsers can replay it.
 
 Timestamps are written with the conventional ten-minute lead applied, which
-the default parser configuration strips back off.
+a run with the trace time shift (the default) strips back off.
 """
 
 from __future__ import annotations

@@ -39,27 +39,6 @@ class MigrationProfile:
             raise ValueError("mf_mb must be > 0")
 
 
-@dataclass(frozen=True)
-class ApplicationMemory:
-    total_used_mb: float
-    canonical_mb: float
-
-    def __post_init__(self) -> None:
-        if self.canonical_mb < 0 or self.total_used_mb < 0:
-            raise ValueError("memory sizes must be >= 0")
-        if self.total_used_mb < self.canonical_mb:
-            raise ValueError("total used memory cannot be below canonical memory")
-
-    @property
-    def application_mb(self) -> float:
-        return self.total_used_mb - self.canonical_mb
-
-
-def application_memory(total_used_mb: float, canonical_mb: float) -> float:
-    """Memory owned by the application itself: total used minus canonical."""
-    return ApplicationMemory(total_used_mb, canonical_mb).application_mb
-
-
 def lmdt_estimate(profile: MigrationProfile, am_mb: float) -> float:
     """Estimated MB transferred: cmdt + mf * e^(af * am).
 
@@ -92,9 +71,6 @@ class ProfileCatalog:
         self._profiles = dict(BUILTIN_PROFILES)
         if profiles:
             self._profiles.update(profiles)
-
-    def register(self, kind: str, profile: MigrationProfile) -> None:
-        self._profiles[kind.lower()] = profile
 
     def get(self, kind: str) -> MigrationProfile:
         try:

@@ -6,7 +6,6 @@ from .problem import (
     InfeasibleError,
     PackedProblem,
     SolutionCache,
-    neighbors,
     random_stable_solution,
 )
 from .strategies import (
@@ -25,7 +24,7 @@ from .strategies import (
 __all__ = [
     "SCENARIOS", "benchmark_state", "load_benchmark_nodes", "load_benchmark_tasks",
     "CandidateSolution", "InfeasibleError", "PackedProblem", "SolutionCache",
-    "neighbors", "random_stable_solution",
+    "random_stable_solution",
     "STRATEGIES", "BalancerResult", "SearchSpaceCapExceeded", "StrategyConfig",
     "full_scan", "genetic", "greedy", "seeded_genetic", "simulated_annealing",
     "tabu_search",

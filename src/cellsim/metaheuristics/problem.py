@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -195,21 +195,6 @@ class SolutionCache:
             self._entries.popitem(last=False)
             self.evictions += 1
         return built
-
-
-def neighbors(solution: CandidateSolution) -> Iterator[CandidateSolution]:
-    """All assignments differing in exactly one task's node:
-    |tasks| * (|nodes| - 1) of them, in deterministic (task, node) order."""
-    problem = solution.problem
-    base = solution.assign
-    for t in range(problem.task_count):
-        current = int(base[t])
-        for n in range(problem.node_count):
-            if n == current:
-                continue
-            assign = base.copy()
-            assign[t] = n
-            yield CandidateSolution(problem, assign)
 
 
 def random_stable_solution(problem: PackedProblem, rng,

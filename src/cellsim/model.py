@@ -3,9 +3,9 @@
 Nodes offer fixed resource capacities, tasks demand resource vectors, and an
 assignment maps every task to a node.  A node is *stable* when no resource is
 over-committed; moving a task between nodes costs its migration size in MB.
-All types are frozen values: ``apply_moves`` builds a new state instead of
-changing the old one.  The fixture scenarios are ``SystemState`` values; a
-running simulation keeps its cell in the mutable ``workload.state.CellState``.
+All types are frozen values.  The fixture scenarios are ``SystemState``
+values; a running simulation keeps its cell in the mutable
+``workload.state.CellState``.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class ResourceTypeCatalog:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
-
-
-DEFAULT_CATALOG = ResourceTypeCatalog(("cpu", "memory"))
 
 
 @dataclass(frozen=True)
@@ -122,14 +119,6 @@ class Assignment:
     def items(self):
         return self.mapping.items()
 
-    def moved(self, moves: Iterable[tuple[str, str]]) -> "Assignment":
-        new = dict(self.mapping)
-        for task_id, node_id in moves:
-            if task_id not in new:
-                raise UnknownIdError(f"task {task_id!r} not in assignment")
-            new[task_id] = node_id
-        return Assignment(new)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Assignment) and self.mapping == other.mapping
 
@@ -171,10 +160,6 @@ class SystemState:
         return {n.id: n for n in self.nodes}
 
     @cached_property
-    def task_by_id(self) -> dict[str, TaskSpec]:
-        return {t.id: t for t in self.tasks}
-
-    @cached_property
     def tasks_by_node(self) -> dict[str, tuple[TaskSpec, ...]]:
         grouped: dict[str, list[TaskSpec]] = {n.id: [] for n in self.nodes}
         for task in self.tasks:
@@ -189,44 +174,25 @@ class SystemState:
         except KeyError:
             raise UnknownIdError(f"unknown node {node_id!r}") from None
 
-    def task(self, task_id: str) -> TaskSpec:
-        try:
-            return self.task_by_id[task_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown task {task_id!r}") from None
 
-
-def _demand(task: TaskSpec, usage: str) -> Vector:
-    if usage == "required":
-        return task.required
-    if usage == "used":
-        return task.used
-    raise ValueError(f"usage selector must be 'required' or 'used', got {usage!r}")
-
-
-def available_resources(state: SystemState, node_id: str, usage: str = "required") -> Vector:
-    """Capacity minus the summed demand of resident tasks; may go negative.
-
-    The ``usage`` selector picks which task vector counts against the node:
-    the centralized balancer works from declared requirements, the agents
-    track monitored usage.
-    """
+def available_resources(state: SystemState, node_id: str) -> Vector:
+    """Capacity minus the summed requirements of resident tasks; may go
+    negative.  The centralized balancer works from declared requirements."""
     node = state.node(node_id)
     levels = list(node.total)
     for task in state.tasks_by_node.get(node_id, ()):
-        demand = _demand(task, usage)
-        for i, value in enumerate(demand):
+        for i, value in enumerate(task.required):
             levels[i] -= value
     return tuple(levels)
 
 
-def is_node_stable(state: SystemState, node_id: str, usage: str = "required") -> bool:
+def is_node_stable(state: SystemState, node_id: str) -> bool:
     """Exact comparison on purpose: trace values are finite decimals."""
-    return all(v >= 0 for v in available_resources(state, node_id, usage))
+    return all(v >= 0 for v in available_resources(state, node_id))
 
 
-def is_system_stable(state: SystemState, usage: str = "required") -> bool:
-    return all(is_node_stable(state, node.id, usage) for node in state.nodes)
+def is_system_stable(state: SystemState) -> bool:
+    return all(is_node_stable(state, node.id) for node in state.nodes)
 
 
 def migration_cost(task: TaskSpec, from_assignment: Assignment, to_assignment: Assignment) -> float:
@@ -244,24 +210,3 @@ def transformation_cost(
     tasks: Sequence[TaskSpec],
 ) -> float:
     return sum(migration_cost(t, from_assignment, to_assignment) for t in tasks)
-
-
-def is_neighbor(a: Assignment, b: Assignment) -> bool:
-    """True when exactly one task changed node between the two assignments."""
-    if set(a.mapping) != set(b.mapping):
-        raise UnknownIdError("assignments cover different task sets")
-    changed = sum(1 for task_id, node_id in a.items() if b[task_id] != node_id)
-    return changed == 1
-
-
-def apply_moves(state: SystemState, moves: Sequence[tuple[str, str]]) -> SystemState:
-    """Return a new state with the listed (task, target-node) moves applied."""
-    for task_id, node_id in moves:
-        state.task(task_id)
-        state.node(node_id)
-    return SystemState(
-        catalog=state.catalog,
-        nodes=state.nodes,
-        tasks=state.tasks,
-        assignment=state.assignment.moved(moves),
-    )

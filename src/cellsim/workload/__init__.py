@@ -7,10 +7,9 @@ from .constraints import (
     TaskConstraint,
     check_constraint,
     matches_attributes,
-    matches_node,
 )
 from .events import EventBatch, EventKind, WorkloadEvent, sort_events
-from .parsers import ColumnLayout, ParserConfig, map_task_action, open_trace_directory, parse_trace_file
+from .parsers import map_task_action, open_trace_directory
 from .state import CellState
 from .synth import SynthConfig, synth_generate
 from .window import BufferedEventSource, WindowCollector
@@ -18,10 +17,9 @@ from .window import BufferedEventSource, WindowCollector
 __all__ = [
     "AnomalyKind", "AnomalyReport", "AnomalySink", "filter_anomalies",
     "ConstraintOperator", "TaskConstraint", "check_constraint",
-    "matches_attributes", "matches_node",
+    "matches_attributes",
     "EventBatch", "EventKind", "WorkloadEvent", "sort_events",
-    "ColumnLayout", "ParserConfig", "map_task_action",
-    "open_trace_directory", "parse_trace_file",
+    "map_task_action", "open_trace_directory",
     "CellState",
     "SynthConfig", "synth_generate",
     "BufferedEventSource", "WindowCollector",

@@ -41,9 +41,6 @@ class TaskConstraint:
                     f"needs an integer value, got {self.value!r}"
                 )
 
-    def check(self, attributes: Mapping[str, str]) -> bool:
-        return check_constraint(self, attributes)
-
 
 def _check_equal(constraint: TaskConstraint, attributes: Mapping[str, str]) -> bool:
     # An empty constraint value is satisfied whether the attribute is absent,
@@ -80,8 +77,3 @@ def check_constraint(constraint: TaskConstraint, attributes: Mapping[str, str]) 
 def matches_attributes(constraints, attributes: Mapping[str, str]) -> bool:
     """Conjunction of all constraints against one attribute map."""
     return all(check_constraint(c, attributes) for c in constraints)
-
-
-def matches_node(task, node) -> bool:
-    """True when every constraint of the task holds on the node's attributes."""
-    return matches_attributes(task.constraints, node.attributes)

@@ -1,9 +1,8 @@
 """CSV trace parsers producing workload event streams.
 
-Traces arrive as six directories of (optionally gzipped) ``part-*.csv``
-files.  The exact column layout is configuration, not code: a declarative
-column map ships with a default matching the public cluster-trace v2 format,
-so schema drift never requires code changes.  Malformed lines are counted and
+Traces arrive as directories of (optionally gzipped) ``part-*.csv`` files
+in the public cluster-trace v2 column layout (``COLUMNS``); ``job_events``
+carries no per-task state and is not read.  Malformed lines are counted and
 skipped; a parser must never crash the simulation.
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 import csv
 import gzip
 import io
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -20,17 +18,8 @@ from . import events as ev
 from .anomalies import AnomalyKind, AnomalySink
 from .constraints import ConstraintOperator, TaskConstraint
 
-TRACE_KINDS = (
-    "machine_events",
-    "machine_attributes",
-    "job_events",
-    "task_events",
-    "task_usage",
-    "task_constraints",
-)
-
 #: Ten-minute shift: trace timestamps below this describe pre-existing cell
-#: state, so the default offset re-bases them to simulation time zero.
+#: state, so a shifted run re-bases them to simulation time zero.
 GCD_TIME_SHIFT_US = 600 * 1_000_000
 
 #: Priority at or above this marks a production task (trace convention: the
@@ -61,52 +50,31 @@ CONSTRAINT_OPERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class ColumnLayout:
-    """Column indices per trace file kind (cluster-trace v2 defaults)."""
-
-    machine_events: dict = field(default_factory=lambda: {
+#: Column index of each field, per trace file kind (cluster-trace v2).
+COLUMNS = {
+    "machine_events": {
         "timestamp": 0, "machine_id": 1, "event_type": 2,
         "platform_id": 3, "cpus": 4, "memory": 5,
-    })
-    machine_attributes: dict = field(default_factory=lambda: {
+    },
+    "machine_attributes": {
         "timestamp": 0, "machine_id": 1, "attribute_name": 2,
         "attribute_value": 3, "deleted": 4,
-    })
-    task_events: dict = field(default_factory=lambda: {
+    },
+    "task_events": {
         "timestamp": 0, "job_id": 2, "task_index": 3, "machine_id": 4,
         "event_type": 5, "scheduling_class": 7, "priority": 8,
         "cpu_request": 9, "memory_request": 10,
-    })
-    task_usage: dict = field(default_factory=lambda: {
+    },
+    "task_usage": {
         "start_time": 0, "end_time": 1, "job_id": 2, "task_index": 3,
         "machine_id": 4, "cpu_rate": 5, "canonical_memory": 6,
         "assigned_memory": 7,
-    })
-    task_constraints: dict = field(default_factory=lambda: {
+    },
+    "task_constraints": {
         "timestamp": 0, "job_id": 1, "task_index": 2,
         "comparison_operator": 3, "attribute_name": 4, "attribute_value": 5,
-    })
-    job_events: dict = field(default_factory=lambda: {
-        "timestamp": 0, "job_id": 2, "event_type": 3, "user": 4,
-        "scheduling_class": 5,
-    })
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ColumnLayout":
-        base = cls()
-        merged = {}
-        for kind in TRACE_KINDS:
-            layout = dict(getattr(base, kind))
-            layout.update(raw.get(kind, {}))
-            merged[kind] = layout
-        return cls(**merged)
-
-
-@dataclass
-class ParserConfig:
-    layout: ColumnLayout = field(default_factory=ColumnLayout)
-    time_offset_us: int = GCD_TIME_SHIFT_US
+    },
+}
 
 
 class Row:
@@ -156,7 +124,7 @@ def iter_csv_rows(paths: Iterable[Path], columns: dict, sink: AnomalySink) -> It
             sink.report(AnomalyKind.CORRUPT_RECORD, f"cannot open {path}: {exc}")
             continue
         with handle:
-            for line_no, values in enumerate(csv.reader(handle), start=1):
+            for values in csv.reader(handle):
                 if not values:
                     continue
                 yield Row(values, columns)
@@ -206,20 +174,17 @@ class EventParser:
 
     kind: str = ""
 
-    def __init__(self, paths: Iterable[Path], config: ParserConfig | None = None,
+    def __init__(self, paths: Iterable[Path], time_offset_us: int,
                  sink: AnomalySink | None = None):
-        self.config = config or ParserConfig()
+        self.time_offset_us = time_offset_us
         self.sink = sink if sink is not None else AnomalySink()
         self.paths = list(paths)
 
     def _shift(self, timestamp: int) -> int:
-        return max(0, timestamp - self.config.time_offset_us)
-
-    def _columns(self) -> dict:
-        return getattr(self.config.layout, self.kind)
+        return max(0, timestamp - self.time_offset_us)
 
     def __iter__(self) -> Iterator[ev.WorkloadEvent]:
-        for row in iter_csv_rows(self.paths, self._columns(), self.sink):
+        for row in iter_csv_rows(self.paths, COLUMNS[self.kind], self.sink):
             try:
                 event = self.parse_row(row)
             except (ValueError, KeyError, IndexError) as exc:
@@ -322,7 +287,7 @@ class TaskConstraintsParser(EventParser):
         # set: merge consecutive rows sharing (timestamp, task) into one event.
         current: Optional[tuple[int, str]] = None
         collected: list[TaskConstraint] = []
-        for row in iter_csv_rows(self.paths, self._columns(), self.sink):
+        for row in iter_csv_rows(self.paths, COLUMNS[self.kind], self.sink):
             try:
                 timestamp, task_id, constraint = self._parse_constraint(row)
             except (ValueError, KeyError, IndexError) as exc:
@@ -351,27 +316,13 @@ PARSER_CLASSES = {
 }
 
 
-def parse_trace_file(kind: str, paths: Iterable[Path], config: ParserConfig | None = None,
-                     sink: AnomalySink | None = None) -> Iterator[ev.WorkloadEvent]:
-    """Stream events from trace files of one kind (job_events carries no
-    per-task state, so it yields nothing and is parsed only for linkage)."""
-    if kind == "job_events":
-        return iter(())
-    try:
-        parser_cls = PARSER_CLASSES[kind]
-    except KeyError:
-        raise ValueError(f"unknown trace kind {kind!r}") from None
-    return iter(parser_cls(paths, config, sink))
-
-
-def open_trace_directory(trace_dir: Path, config: ParserConfig | None = None,
+def open_trace_directory(trace_dir: Path, time_offset_us: int,
                          sink: AnomalySink | None = None) -> list[EventParser]:
     """All parsers with files present under the standard directory names."""
-    config = config or ParserConfig()
     sink = sink if sink is not None else AnomalySink()
     parsers = []
     for kind, parser_cls in PARSER_CLASSES.items():
         paths = trace_files(trace_dir, kind)
         if paths:
-            parsers.append(parser_cls(paths, config, sink))
+            parsers.append(parser_cls(paths, time_offset_us, sink))
     return parsers

@@ -9,6 +9,7 @@ byte-identical streams.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass, asdict
@@ -89,20 +90,6 @@ class SynthConfig:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-@dataclass
-class _PlannedTask:
-    task_id: str
-    arrival_us: int
-    end_us: Optional[int]
-    required: tuple[float, float]
-    usage: tuple[float, float]
-    production: bool
-    is_batch: bool
-    constraints: tuple[TaskConstraint, ...]
-    recorded_node: Optional[str]
-    migration_cost_mb: float
-
-
 def _node_attributes(config: SynthConfig, index: int) -> tuple[tuple[str, str], ...]:
     if config.attribute_groups <= 0:
         return ()
@@ -120,37 +107,35 @@ def synth_generate(config: SynthConfig,
 
     events: list[ev.WorkloadEvent] = []
     node_ids = [f"n{index:05d}" for index in range(config.node_count)]
+    node_groups: list[Optional[str]] = []
     for index, node_id in enumerate(node_ids):
+        attributes = _node_attributes(config, index)
+        node_groups.append(dict(attributes).get("group"))
         events.append(ev.AddNodeEvent(
             timestamp=0, node_id=node_id, total=config.node_capacity,
-            attributes=_node_attributes(config, index),
+            attributes=attributes,
         ))
 
-    # First-fit headroom tracker for recorded placements.
-    headroom = {nid: list(config.node_capacity) for nid in node_ids}
+    # First-fit headroom for recorded placements.  A task's share returns to
+    # its node when the task ends, before any arrival at that time or later
+    # (removals sort ahead of additions with the same timestamp).
+    headroom = [list(config.node_capacity) for _ in node_ids]
+    running: list[tuple[int, int, tuple]] = []  # heap of (end_us, node index, required)
 
-    def record_placement(task: _PlannedTask) -> Optional[str]:
-        if not config.record_placements:
-            return None
-        for nid in node_ids:
-            if task.constraints:
-                group = dict(_node_attributes(config, node_ids.index(nid))).get("group")
-                wanted = next((c.value for c in task.constraints if c.attribute_name == "group"), None)
-                if wanted is not None and group != wanted:
-                    continue
-            room = headroom[nid]
-            if all(room[i] >= task.required[i] for i in range(len(room))):
-                for i in range(len(room)):
-                    room[i] -= task.required[i]
-                return nid
+    def record_placement(arrival_us: int, required: tuple, group: Optional[str]) -> Optional[int]:
+        while running and running[0][0] <= arrival_us:
+            _, index, freed = heapq.heappop(running)
+            room = headroom[index]
+            for i, value in enumerate(freed):
+                room[i] += value
+        for index, room in enumerate(headroom):
+            if group is not None and node_groups[index] != group:
+                continue
+            if all(free >= value for free, value in zip(room, required)):
+                for i, value in enumerate(required):
+                    room[i] -= value
+                return index
         return None
-
-    def release_placement(node_id: Optional[str], required) -> None:
-        if node_id is None:
-            return
-        room = headroom[node_id]
-        for i in range(len(room)):
-            room[i] += required[i]
 
     # Poisson arrivals over the horizon (optionally front-loaded).
     arrivals: list[int] = []
@@ -165,8 +150,10 @@ def synth_generate(config: SynthConfig,
                 break
             arrivals.append(int(t))
 
-    planned: list[_PlannedTask] = []
+    interval = int(config.usage_interval_minutes * MINUTE_US)
+    ramp = max(1, config.usage_ramp_updates)
     for seq, arrival in enumerate(arrivals):
+        task_id = f"t{seq:07d}"
         is_batch = rng.random() < config.batch_fraction
         if is_batch:
             duration = rng.uniform(*config.batch_duration_min) * MINUTE_US
@@ -177,54 +164,47 @@ def synth_generate(config: SynthConfig,
             required = tuple(rng.uniform(*config.service_required) * cap
                              for cap in config.node_capacity)
         end = arrival + int(duration)
+        end_us = end if end < horizon_us else None
         usage = tuple(req * rng.uniform(*config.usage_ratio) for req in required)
+        group: Optional[str] = None
         constraints: tuple[TaskConstraint, ...] = ()
         if config.constraint_rate > 0 and rng.random() < config.constraint_rate:
-            group = rng.randrange(max(1, config.attribute_groups))
-            constraints = (TaskConstraint(ConstraintOperator.EQUAL, "group", str(group)),)
+            group = str(rng.randrange(max(1, config.attribute_groups)))
+            constraints = (TaskConstraint(ConstraintOperator.EQUAL, "group", group),)
         mem = required[1] if len(required) > 1 else required[0]
         cost = lmdt_estimate(profile, mem * config.memory_scale_mb)
-        planned.append(_PlannedTask(
-            task_id=f"t{seq:07d}",
-            arrival_us=arrival,
-            end_us=end if end < horizon_us else None,
-            required=required,
-            usage=usage,
-            production=rng.random() < config.production_fraction,
-            is_batch=is_batch,
-            constraints=constraints,
-            recorded_node=None,
-            migration_cost_mb=cost,
-        ))
+        production = rng.random() < config.production_fraction
 
-    for task in planned:
-        task.recorded_node = record_placement(task)
+        recorded_node = None
+        if config.record_placements:
+            index = record_placement(arrival, required, group)
+            if index is not None:
+                recorded_node = node_ids[index]
+                if end_us is not None:
+                    heapq.heappush(running, (end_us, index, required))
         events.append(ev.AddTaskEvent(
-            timestamp=task.arrival_us,
-            task_id=task.task_id,
-            required=task.required,
-            priority=9 if task.production else 2,
-            production=task.production,
-            constraints=task.constraints,
-            recorded_node=task.recorded_node,
+            timestamp=arrival,
+            task_id=task_id,
+            required=required,
+            priority=9 if production else 2,
+            production=production,
+            constraints=constraints,
+            recorded_node=recorded_node,
         ))
-        interval = int(config.usage_interval_minutes * MINUTE_US)
-        report = task.arrival_us + interval // 2
-        stop = task.end_us if task.end_us is not None else horizon_us
-        ramp = max(1, config.usage_ramp_updates)
+        report = arrival + interval // 2
+        stop = end_us if end_us is not None else horizon_us
         step = 0
         while report < stop:
             step += 1
             scale = min(1.0, step / ramp)
             events.append(ev.UpdateTaskUsedEvent(
                 timestamp=report,
-                task_id=task.task_id,
-                used=tuple(u * scale for u in task.usage),
-                migration_cost_mb=task.migration_cost_mb,
+                task_id=task_id,
+                used=tuple(u * scale for u in usage),
+                migration_cost_mb=cost,
             ))
             report += interval
-        if task.end_us is not None:
-            events.append(ev.RemoveTaskEvent(timestamp=task.end_us, task_id=task.task_id))
-            release_placement(task.recorded_node, task.required)
+        if end_us is not None:
+            events.append(ev.RemoveTaskEvent(timestamp=end_us, task_id=task_id))
 
     yield from ev.sort_events(events)

@@ -1,11 +1,10 @@
 """Windowed collection of events from multiple parsers.
 
-Each parser keeps a bounded read-ahead buffer (thirty simulated minutes or
-one million events, whichever is hit first).  ``collect_window`` merges all
-buffered events falling inside a window into one sorted batch; the call is
-synchronous, so a parser that has not buffered far enough simply reads on
-until it has (or hits end of stream).  An event stamped before its window
-is late: it is dropped and reported as an anomaly.
+Each parser keeps a read-ahead buffer.  ``collect_window`` reads each parser
+on until its buffer holds an event at or past the window's end (or one
+million events, which are taken before reading on), then merges the buffered
+events falling inside the window into one sorted batch.  An event
+stamped before its window is late: it is dropped and reported as an anomaly.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Iterable, Iterator, Optional
 from . import events as ev
 from .anomalies import AnomalyKind, AnomalySink
 
-BUFFER_AHEAD_US = 30 * 60 * 1_000_000
 BUFFER_MAX_EVENTS = 1_000_000
 
 
@@ -23,11 +21,10 @@ class BufferedEventSource:
     """Read-ahead wrapper around one event iterator."""
 
     def __init__(self, source: Iterable[ev.WorkloadEvent],
-                 ahead_us: int = BUFFER_AHEAD_US, max_events: int = BUFFER_MAX_EVENTS):
+                 max_events: int = BUFFER_MAX_EVENTS):
         self._iter: Iterator[ev.WorkloadEvent] = iter(source)
         self._buffer: list[ev.WorkloadEvent] = []
         self._exhausted = False
-        self.ahead_us = ahead_us
         self.max_events = max_events
 
     @property
@@ -65,11 +62,11 @@ class WindowCollector:
 
     def __init__(self, sources: Iterable[Iterable[ev.WorkloadEvent]],
                  sink: Optional[AnomalySink] = None,
-                 ahead_us: int = BUFFER_AHEAD_US, max_events: int = BUFFER_MAX_EVENTS):
+                 max_events: int = BUFFER_MAX_EVENTS):
         self.sink = sink if sink is not None else AnomalySink()
         self.sources = [
             src if isinstance(src, BufferedEventSource)
-            else BufferedEventSource(src, ahead_us, max_events)
+            else BufferedEventSource(src, max_events)
             for src in sources
         ]
 

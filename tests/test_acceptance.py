@@ -82,7 +82,7 @@ class TestCriterion1WorkedExamples:
             TaskSpec(id="t5", required=(6.0, 3.0), used=(0.0, 0.0), migration_cost_mb=240.0),
         )
         before = Assignment({"t1": "A", "t2": "A", "t3": "A", "t4": "B", "t5": "B"})
-        after = before.moved([("t2", "B"), ("t5", "A")])
+        after = Assignment({**before.mapping, "t2": "B", "t5": "A"})
         assert transformation_cost(before, after, tasks) == 345.0
 
         # unmoved tasks incur exactly zero

@@ -10,12 +10,11 @@ import random
 
 import pytest
 
-from cellsim.model import NodeSpec, TaskSpec
 from cellsim.workload import (
     ConstraintOperator as Op,
     TaskConstraint,
     check_constraint,
-    matches_node,
+    matches_attributes,
 )
 
 NONE = {}
@@ -88,27 +87,20 @@ def test_numeric_constraint_value_must_parse():
         TaskConstraint(Op.GREATER_THAN, "a", "")
 
 
-def _make_task(constraints):
-    return TaskSpec(id="t", required=(0.1, 0.1), used=(0.0, 0.0),
-                    migration_cost_mb=1.0, constraints=tuple(constraints))
-
-
 def test_matches_node_empty_conjunction():
-    node = NodeSpec("n", (1.0, 1.0), {"whatever": "x"})
-    assert matches_node(_make_task([]), node)
+    assert matches_attributes((), {"whatever": "x"})
 
 
 def test_matches_node_requires_all():
-    node = NodeSpec("n", (1.0, 1.0), {"external-ip": "true"})
-    ok = _make_task([c(Op.EQUAL, "external-ip", "true")])
-    missing = _make_task([c(Op.EQUAL, "external-ip", "true"), c(Op.EQUAL, "kernel", "3")])
-    assert matches_node(ok, node)
-    assert not matches_node(missing, node)
+    attrs = {"external-ip": "true"}
+    ok = (c(Op.EQUAL, "external-ip", "true"),)
+    missing = (c(Op.EQUAL, "external-ip", "true"), c(Op.EQUAL, "kernel", "3"))
+    assert matches_attributes(ok, attrs)
+    assert not matches_attributes(missing, attrs)
 
 
 def test_matches_node_absent_attribute_fails_equal():
-    node = NodeSpec("n", (1.0, 1.0))
-    assert not matches_node(_make_task([c(Op.EQUAL, "external-ip", "true")]), node)
+    assert not matches_attributes((c(Op.EQUAL, "external-ip", "true"),), NONE)
 
 
 def test_matches_node_agrees_with_per_constraint_fold():
@@ -116,12 +108,10 @@ def test_matches_node_agrees_with_per_constraint_fold():
     operators = list(Op)
     for _ in range(200):
         attrs = {f"a{i}": str(rng.randrange(0, 20)) for i in range(rng.randrange(0, 4))}
-        node = NodeSpec("n", (1.0, 1.0), attrs)
         constraints = []
         for _ in range(rng.randrange(0, 4)):
             op = rng.choice(operators)
             value = str(rng.randrange(0, 20))
             constraints.append(TaskConstraint(op, f"a{rng.randrange(0, 4)}", value))
-        task = _make_task(constraints)
         expected = all(check_constraint(cc, attrs) for cc in constraints)
-        assert matches_node(task, node) is expected
+        assert matches_attributes(constraints, attrs) is expected

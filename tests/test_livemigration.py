@@ -8,7 +8,6 @@ from cellsim.livemigration import (
     MigrationProfile,
     ProfileCatalog,
     TraceCostModel,
-    application_memory,
     lmdt_estimate,
     profile_for,
 )
@@ -23,25 +22,6 @@ TABLE_CONSTANTS = {
     "vm-allocator-ii": (213.0, 0.00676),
     "vm-allocator-iii": (213.0, 0.00714),
 }
-
-
-class TestApplicationMemory:
-    def test_difference(self):
-        assert application_memory(500.0, 90.0) == 410.0
-
-    def test_idle_zero(self):
-        assert application_memory(90.0, 90.0) == 0.0
-
-    def test_arithmetic_cross_check(self):
-        am = application_memory(1024.0, 175.0)
-        assert am == 849.0
-        assert am + 175.0 == 1024.0  # re-add oracle
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            application_memory(80.0, 90.0)
-        with pytest.raises(ValueError):
-            application_memory(-1.0, 0.0)
 
 
 class TestEstimate:
@@ -99,9 +79,8 @@ class TestCatalog:
             profile_for("not-a-profile")
 
     def test_register_and_case_insensitive(self):
-        catalog = ProfileCatalog()
-        catalog.register("MyApp", MigrationProfile(50.0, 0.001, 5.0))
-        assert catalog.get("myapp").cmdt_mb == 50.0
+        catalog = ProfileCatalog({"myapp": MigrationProfile(50.0, 0.001, 5.0)})
+        assert catalog.get("MyApp").cmdt_mb == 50.0
         assert catalog.get("Apache").af == 0.00682
 
     def test_load_from_file(self, tmp_path):

@@ -18,7 +18,6 @@ from cellsim.metaheuristics import (
     full_scan,
     genetic,
     greedy,
-    neighbors,
     random_stable_solution,
     seeded_genetic,
     simulated_annealing,
@@ -30,7 +29,6 @@ from cellsim.model import (
     ResourceTypeCatalog,
     SystemState,
     TaskSpec,
-    is_neighbor,
     is_system_stable,
     transformation_cost,
 )
@@ -115,36 +113,6 @@ class TestRandomStableSolution:
                             assignment=Assignment({"t": "a"}))
         with pytest.raises(InfeasibleError):
             random_stable_solution(PackedProblem.from_state(state), random.Random(0), max_iters=50)
-
-
-class TestNeighbors:
-    def test_cardinality(self):
-        state = small_state(3)
-        problem = PackedProblem.from_state(state)
-        base = CandidateSolution(problem, problem.origin.copy())
-        count = sum(1 for _ in neighbors(base))
-        assert count == problem.task_count * (problem.node_count - 1)
-
-    def test_each_is_model_neighbor(self):
-        state = benchmark_state("test1")
-        problem = PackedProblem.from_state(state)
-        assign = random_stable_solution(problem, random.Random(1))
-        base = CandidateSolution(problem, assign)
-        base_assignment = problem.assignment_of(assign)
-        for candidate in itertools.islice(neighbors(base), 50):
-            assert is_neighbor(base_assignment, candidate.to_assignment())
-
-    def test_single_task_two_nodes(self):
-        catalog = ResourceTypeCatalog(("cpu",))
-        state = SystemState(
-            catalog=catalog,
-            nodes=(NodeSpec("a", (1.0,)), NodeSpec("b", (1.0,))),
-            tasks=(TaskSpec(id="t", required=(0.1,), used=(0.0,), migration_cost_mb=1.0),),
-            assignment=Assignment({"t": "a"}),
-        )
-        problem = PackedProblem.from_state(state)
-        base = CandidateSolution(problem, problem.origin.copy())
-        assert sum(1 for _ in neighbors(base)) == 1
 
 
 class TestSolutionCache:

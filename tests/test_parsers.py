@@ -8,20 +8,19 @@ import pytest
 from cellsim.workload import AnomalyKind, AnomalySink, ConstraintOperator as Op
 from cellsim.workload import events as ev
 from cellsim.workload.parsers import (
-    ColumnLayout,
+    COLUMNS,
+    GCD_TIME_SHIFT_US,
     MachineAttributesParser,
     MachineEventsParser,
-    ParserConfig,
     Row,
     TaskConstraintsParser,
     TaskEventsParser,
     TaskUsageParser,
     map_task_action,
     open_trace_directory,
-    parse_trace_file,
 )
 
-NO_SHIFT = ParserConfig(time_offset_us=0)
+NO_SHIFT = 0
 
 
 def write_csv(path: Path, rows) -> Path:
@@ -68,13 +67,13 @@ class TestMachineEvents:
             [0, "m1", 0, "p", 1, 1],
             [700_000_000, "m2", 0, "p", 1, 1],
         ])
-        events = list(MachineEventsParser([path], ParserConfig(time_offset_us=600_000_000)))
+        events = list(MachineEventsParser([path], GCD_TIME_SHIFT_US))
         assert [e.timestamp for e in events] == [0, 100_000_000]
 
 
 class TestTaskEvents:
     def _row(self, values):
-        layout = ColumnLayout().task_events
+        layout = COLUMNS["task_events"]
         padded = [""] * 11
         for name, value in values.items():
             padded[layout[name]] = str(value)
@@ -184,22 +183,10 @@ class TestDirectoryLayout:
                   [[0, "", 1, 0, "", 0, "", 2, 2, 0.1, 0.1, "", ""]])
         write_csv(tmp_path / "task_events" / "part-00001-of-00002.csv",
                   [[10, "", 2, 0, "", 0, "", 2, 2, 0.1, 0.1, "", ""]])
+        # job_events carries no per-task state and is not read
+        write_csv(tmp_path / "job_events" / "part-00000-of-00001.csv",
+                  [[0, "", 1, 0, "user", 2]])
         parsers = open_trace_directory(tmp_path, NO_SHIFT)
         assert len(parsers) == 2
         counts = {p.kind: len(list(p)) for p in parsers}
         assert counts == {"machine_events": 1, "task_events": 2}
-
-    def test_parse_trace_file_dispatch(self, tmp_path):
-        path = write_csv(tmp_path / "m.csv", [[0, "m1", 0, "p", 1, 1]])
-        events = list(parse_trace_file("machine_events", [path], NO_SHIFT))
-        assert len(events) == 1
-        assert list(parse_trace_file("job_events", [path], NO_SHIFT)) == []
-        with pytest.raises(ValueError):
-            parse_trace_file("nonsense", [path], NO_SHIFT)
-
-    def test_custom_column_layout(self, tmp_path):
-        layout = ColumnLayout.from_dict({"machine_events": {"timestamp": 1, "machine_id": 0}})
-        config = ParserConfig(layout=layout, time_offset_us=0)
-        path = write_csv(tmp_path / "m.csv", [["m1", 0, 0, "p", 1, 1]])
-        events = list(MachineEventsParser([path], config))
-        assert events[0].node_id == "m1"

@@ -349,6 +349,29 @@ class TestSynthGenerator:
         ratio = sum(1 for e in early if e.task_id in removed) / len(early)
         assert ratio == pytest.approx(0.8, abs=0.05)
 
+    @pytest.mark.parametrize("constraint_rate", [0.0, 0.3])
+    def test_recorded_placements_respect_capacity(self, constraint_rate):
+        """First-fit placements hold a task's requirement until the task
+        ends, so replaying them never loads a node past its capacity."""
+        config = SynthConfig(seed=1, node_count=10, task_arrival_rate=40.0,
+                             duration_minutes=60.0, constraint_rate=constraint_rate)
+        load = {}
+        placed = {}
+        for event in synth_generate(config):
+            if isinstance(event, ev.AddTaskEvent) and event.recorded_node is not None:
+                placed[event.task_id] = (event.recorded_node, event.required)
+                node = load.setdefault(event.recorded_node, [0.0, 0.0])
+                for i, value in enumerate(event.required):
+                    node[i] += value
+                    # a sum of released and re-taken shares may round past
+                    # the capacity in the last bits, never by a task's worth
+                    assert node[i] <= config.node_capacity[i] + 1e-9, event
+            elif isinstance(event, ev.RemoveTaskEvent) and event.task_id in placed:
+                node_id, required = placed.pop(event.task_id)
+                for i, value in enumerate(required):
+                    load[node_id][i] -= value
+        assert len(load) == config.node_count
+
     def test_timestamps_non_decreasing(self):
         config = SynthConfig(seed=77, node_count=5, task_arrival_rate=50.0, duration_minutes=15.0)
         stamps = [e.timestamp for e in synth_generate(config)]

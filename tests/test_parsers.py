@@ -12,6 +12,7 @@ from cellsim.workload.parsers import (
     GCD_TIME_SHIFT_US,
     MachineAttributesParser,
     MachineEventsParser,
+    PARSER_CLASSES,
     Row,
     TaskConstraintsParser,
     TaskEventsParser,
@@ -190,3 +191,11 @@ class TestDirectoryLayout:
         assert len(parsers) == 2
         counts = {p.kind: len(list(p)) for p in parsers}
         assert counts == {"machine_events": 1, "task_events": 2}
+
+    def test_parse_trace_file_dispatch(self, tmp_path):
+        path = write_csv(tmp_path / "m.csv", [[0, "m1", 0, "p", 1, 1]])
+        events = list(PARSER_CLASSES["machine_events"]([path], NO_SHIFT))
+        assert len(events) == 1
+        assert "job_events" not in PARSER_CLASSES
+        with pytest.raises(KeyError):
+            PARSER_CLASSES["nonsense"]

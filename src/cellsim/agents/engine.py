@@ -52,7 +52,8 @@ INITIAL_SCAN_LIMIT = 200
 REALLOC_SCAN_LIMIT = 2000
 RECOMMENDATION_TTL_US = 3 * MINUTE_US
 CACHE_ENTRY_TTL_US = 5 * MINUTE_US
-ACCEPTANCE_WAIT_US = 30 * 1_000_000
+#: Rounds a negotiation waits for a reply (a quote takes two; 3 rounds = 30 s at 6 a tick).
+ACCEPTANCE_WAIT_ROUNDS = 3
 #: Queued placements a broker serves per round.
 PLACEMENTS_PER_ROUND = 50_000
 #: Transfer duration for one live migration, in rounds.  At one round a
@@ -311,7 +312,7 @@ class NodeAgent:
             return
         negotiation.recommendations = list(message.recommendations)
         negotiation.state = "accepts"
-        negotiation.deadline_us = self.engine.now_us + ACCEPTANCE_WAIT_US
+        negotiation.deadline_us = self.engine.now_us + ACCEPTANCE_WAIT_ROUNDS * self.engine.round_us
         live = [r for r in negotiation.recommendations if not r.force_migration]
         if not live:
             self._select_target(negotiation)
@@ -374,7 +375,7 @@ class NodeAgent:
             return
         negotiation.attempted.add(choice.node_id)
         negotiation.state = "confirm"
-        negotiation.deadline_us = now + ACCEPTANCE_WAIT_US
+        negotiation.deadline_us = now + ACCEPTANCE_WAIT_ROUNDS * engine.round_us
         corr = engine.next_correlation()
         engine.pending_rec_age[corr] = now - choice.created_at
         engine.metrics.migrations_attempted += 1
@@ -470,7 +471,7 @@ class NodeAgent:
         corr = engine.next_correlation()
         negotiation = Negotiation(
             task_id=task_id, state="quote", quote_corr=corr,
-            deadline_us=engine.now_us + ACCEPTANCE_WAIT_US)
+            deadline_us=engine.now_us + ACCEPTANCE_WAIT_ROUNDS * engine.round_us)
         self.negotiations[task_id] = negotiation
         broker = engine.broker_for(self.rng)
         engine.send(Message(

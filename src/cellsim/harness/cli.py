@@ -17,7 +17,6 @@ import csv
 import sys
 from pathlib import Path
 
-from ..livemigration import profile_for
 from ..metaheuristics import SCENARIOS, STRATEGIES, StrategyConfig, benchmark_state
 from ..metaheuristics.problem import InfeasibleError
 from ..metaheuristics.strategies import SearchSpaceCapExceeded
@@ -61,7 +60,6 @@ def _add_run_parser(subparsers) -> None:
     p.add_argument("--migration-profile", default="apache")
     p.add_argument("--profile-file", type=Path, default=None,
                    help="JSON file with extra migration profiles")
-    p.add_argument("--node-memory-mb", type=float, default=64.0 * 1024)
     p.add_argument("--no-time-shift", action="store_true",
                    help="disable the ten-minute trace time re-base")
     p.add_argument("--usage-dump-every", type=int, default=100)
@@ -94,7 +92,6 @@ def _run_config(args) -> RunConfig:
         strategy_budget=args.strategy_budget,
         migration_profile=args.migration_profile,
         profile_file=args.profile_file,
-        node_memory_mb=args.node_memory_mb,
         gcd_time_shift=not args.no_time_shift,
         usage_dump_every=args.usage_dump_every,
         snapshot_every=args.snapshot_every,
@@ -176,12 +173,8 @@ def cmd_synth(args) -> int:
     try:
         config = SynthConfig.from_file(args.config)
         config.validate()
-        profile_for(config.migration_profile)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except KeyError as exc:
-        print(f"config error: {exc.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
     counts = write_synthetic_trace(config, args.out)
     for group, count in sorted(counts.items()):

@@ -47,7 +47,6 @@ class RunConfig:
     migration_profile: str = "apache"
     #: Optional JSON file with extra migration profiles (name -> cmdt/af/mf).
     profile_file: Optional[Path] = None
-    node_memory_mb: float = 64.0 * 1024
     gcd_time_shift: bool = True
     message_trace: bool = False
     audit: bool = False

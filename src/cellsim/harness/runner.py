@@ -23,7 +23,7 @@ import numpy as np
 from .. import model
 from ..agents.engine import AgentEngine, Engine, TickMetrics
 from ..agents.scoring import asr_metrics, classify_vec
-from ..livemigration import ProfileCatalog, TraceCostModel
+from ..livemigration import ProfileCatalog
 from ..metaheuristics.problem import PackedProblem
 from ..metaheuristics.strategies import STRATEGIES
 from ..workload.anomalies import AnomalySink, filter_anomalies
@@ -82,7 +82,8 @@ class ReplayEngine(CellEngine):
 
 
 class MetaheuristicEngine(CellEngine):
-    """Runs one centralized strategy whenever the cell needs re-balancing."""
+    """Runs one centralized strategy whenever the cell needs re-balancing;
+    each call's outcome and stats go to the run log."""
 
     def __init__(self, cell: CellState, config: RunConfig):
         super().__init__(cell)
@@ -104,6 +105,11 @@ class MetaheuristicEngine(CellEngine):
                 f"capacity {problem.capacity.sum(axis=0).tolist()}")
         cfg = self.config.strategy_config(seed=self.config.seed * 1_000_003 + self.tick_index)
         result = STRATEGIES[self.config.strategy](problem, cfg)
+        if self.log is not None:  # without elapsed_s, so the run log stays byte-identical
+            stats = " ".join(f"{k}={v}" for k, v in sorted(result.stats.items()) if k != "elapsed_s")
+            self.log(f"strategy tick {self.tick_index - 1} {self.config.strategy}: "
+                     f"stable={result.stable} moves={result.best.moved_count if result.stable else 0} "
+                     f"stc_mb={result.stc_mb} {stats}")
         if not result.stable:
             return metrics
         assign = result.best.assign
@@ -125,19 +131,16 @@ class SimulationRunner:
         config.validate()
         self.config = config
         self.catalog = model.ResourceTypeCatalog(("cpu", "memory"))
-        self.profiles = (ProfileCatalog.from_file(config.profile_file)
-                         if config.profile_file else ProfileCatalog())
+        profiles = (ProfileCatalog.from_file(config.profile_file)
+                    if config.profile_file else ProfileCatalog())
         try:
-            profile = self.profiles.get(config.migration_profile)
-            if config.synth is not None:
-                self.profiles.get(config.synth.migration_profile)
+            profile = profiles.get(config.migration_profile)
         except KeyError as exc:
-            raise ConfigError(f"{exc.args[0]}; known: {', '.join(self.profiles.kinds())}") from None
-        self.cost_model = TraceCostModel(profile, config.node_memory_mb)
+            raise ConfigError(f"{exc.args[0]}; known: {', '.join(profiles.kinds())}") from None
         self.sink = AnomalySink()
         self.tick = 0
         self.accumulated_stc = 0.0
-        self.cell: CellState = CellState(self.catalog, self.cost_model, self.sink)
+        self.cell: CellState = CellState(self.catalog, profile)
         self.engine = self._build_engine()
         self.collector = self._build_collector()
         if config.resume_from is not None:
@@ -165,7 +168,7 @@ class SimulationRunner:
                 raise TraceError(f"no trace files found under {trace_dir}")
             sources = parsers
         else:
-            sources = [synth_generate(config.synth, self.profiles)]
+            sources = [synth_generate(config.synth)]
         if config.scale_factor > 1:
             sources = [scale_cell(src, config.scale_factor) for src in sources]
         return WindowCollector(sources, self.sink)
@@ -189,7 +192,6 @@ class SimulationRunner:
             raise ConfigError("snapshot was produced by a different mode or seed")
         self.tick = data["tick"]
         self.cell = data["cell"]
-        self.cell.sink = self.sink
         self.engine = data["engine"]  # shares the unpickled cell reference
         self.accumulated_stc = data["accumulated_stc"]
         # fast-forward the deterministic sources past the consumed windows;
@@ -283,8 +285,7 @@ class SimulationRunner:
             self.engine.apply_events(removals)
         self.engine.apply_events(batch)
         # one path to the error log for every anomaly: the parsers' and the
-        # collector's (reported while reading the window), the filter's and
-        # the cell fold's
+        # collector's (reported while reading the window) and the filter's
         for report in self.sink.drain():
             outputs.error(report.as_line())
         metrics = self.engine.run_tick()

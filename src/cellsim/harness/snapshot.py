@@ -21,8 +21,9 @@ MAGIC = b"CSIMSNAP"
 #: and load sums, ``pending`` is a dict, the cell holds the anomaly sink)
 #: and node agents no longer carry their own copy of those sums.  Version 5:
 #: node agents and broker cache entries read totals and attributes from the
-#: cell, and the engine keeps no negotiation-source index.
-VERSION = 5
+#: cell, and the engine keeps no negotiation-source index.  Version 6: the
+#: cell holds a migration profile, no cost model or sink.
+VERSION = 6
 
 
 class SnapshotError(RuntimeError):

@@ -2,7 +2,8 @@
 CSV layout, so the regular file parsers can replay it.
 
 Timestamps are written with the conventional ten-minute lead applied, which
-a run with the trace time shift (the default) strips back off.
+a run with the trace time shift (the default) strips back off.  Usage is
+written exactly, so a task read back costs what the generated one costs.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ def write_synthetic_trace(config: SynthConfig, out_dir: Path) -> dict:
                                     "synthetic-user", 2, "", "", "", "", ""])
             elif isinstance(event, ev.UpdateTaskUsedEvent):
                 put("task_usage", [ts, ts + 300_000_000, event.task_id, 0, "",
-                                   f"{event.used[0]:.6f}", "0.0",
-                                   f"{event.used[1]:.6f}"])
+                                   repr(event.used[0]), "0.0", repr(event.used[1])])
     finally:
         for handle in handles.values():
             handle.close()

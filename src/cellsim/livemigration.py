@@ -2,8 +2,11 @@
 
 Moving a running VM copies a roughly constant chunk of kernel/canonical memory
 plus an application-dependent term that grows exponentially with the amount of
-actively rewritten application memory.  The estimate feeds the per-task
-migration cost of the resource model.
+actively rewritten application memory, up to the ``CALIBRATION_VM_MB`` VM the
+profiles were calibrated on.  Beyond it the estimate grows linearly: a
+pre-copy migration with bounded rounds sends at most a fixed multiple of the
+VM's memory (Clark et al., "Live Migration of Virtual Machines", NSDI 2005).
+``CellState`` prices every task with ``memory_mb`` and ``lmdt_estimate``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from pathlib import Path
 
 #: Infrastructure constant: MB shipped per migration round by the hypervisor.
 DEFAULT_MF_MB = 9.6
+#: VM memory size, MB, every built-in profile was calibrated on.
+CALIBRATION_VM_MB = 1024.0
+#: Memory of one node, MB: the unit of the memory shares in traces.
+NODE_MEMORY_MB = 64.0 * 1024
 
 
 @dataclass(frozen=True)
@@ -37,17 +44,28 @@ class MigrationProfile:
             raise ValueError("af must be >= 0")
         if not self.mf_mb > 0:
             raise ValueError("mf_mb must be > 0")
+        if self.af * CALIBRATION_VM_MB > 700:
+            raise ValueError("af overflows the estimate at the calibrated VM size")
 
 
 def lmdt_estimate(profile: MigrationProfile, am_mb: float) -> float:
-    """Estimated MB transferred: cmdt + mf * e^(af * am).
+    """Estimated MB transferred: cmdt + mf * e^(af * am) up to
+    ``CALIBRATION_VM_MB``, then the value there times ``am / CALIBRATION_VM_MB``.
 
     Strictly increasing in ``am_mb`` whenever ``af`` is positive; the idle
-    profile (af = 0) degenerates to the constant cmdt + mf.
+    profile (af = 0) is the constant cmdt + mf up to the calibrated size.
     """
     if am_mb < 0:
         raise ValueError("application memory must be >= 0")
+    if am_mb > CALIBRATION_VM_MB:
+        return lmdt_estimate(profile, CALIBRATION_VM_MB) * am_mb / CALIBRATION_VM_MB
     return profile.cmdt_mb + profile.mf_mb * math.exp(profile.af * am_mb)
+
+
+def memory_mb(used_share: float, canonical_share: float = 0.0) -> float:
+    """MB of application memory: a used share of a node less its canonical share."""
+    total = max(0.0, used_share) * NODE_MEMORY_MB
+    return total - min(max(0.0, canonical_share) * NODE_MEMORY_MB, total)
 
 
 # Calibrated per-application profiles for a 1024 MB VM configuration.  The
@@ -94,25 +112,3 @@ class ProfileCatalog:
             for name, entry in raw.items()
         }
         return cls(profiles)
-
-
-def profile_for(kind: str, catalog: ProfileCatalog | None = None) -> MigrationProfile:
-    return (catalog or ProfileCatalog()).get(kind)
-
-
-@dataclass(frozen=True)
-class TraceCostModel:
-    """Maps normalized trace memory readings to a migration-cost estimate.
-
-    Trace memory values are normalized per machine class, so they are scaled
-    by an assumed node memory size before entering the estimator.  The chosen
-    profile and scale are recorded in the run config for reproducibility.
-    """
-
-    profile: MigrationProfile
-    node_memory_mb: float = 64.0 * 1024
-
-    def cost_mb(self, used_memory_norm: float, canonical_memory_norm: float = 0.0) -> float:
-        total = max(0.0, used_memory_norm) * self.node_memory_mb
-        canonical = min(max(0.0, canonical_memory_norm) * self.node_memory_mb, total)
-        return lmdt_estimate(self.profile, total - canonical)

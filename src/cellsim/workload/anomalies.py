@@ -4,9 +4,7 @@ Real traces contain corrupt records, tasks whose constraints no machine can
 ever satisfy, events that arrive after their window, and windows where
 reported global usage exceeds global capacity.  The first three are dropped
 and counted; over-usage windows are only flagged so metrics can exclude
-them, since the underlying events are real.  A usage reading too large for
-the migration-cost estimator is applied, but keeps the task's previous
-cost and is counted (``CellState`` reports it).
+them, since the underlying events are real.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ class AnomalyKind(enum.Enum):
     OVER_USAGE_WINDOW = "OverUsageWindow"
     CORRUPT_RECORD = "CorruptRecord"
     LATE_EVENT = "LateEvent"
-    COST_OVERFLOW = "CostOverflow"
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,8 @@ class UpdateTaskRequiredEvent(WorkloadEvent):
 class UpdateTaskUsedEvent(WorkloadEvent):
     task_id: str
     used: Vector
-    #: Optional direct override; otherwise the runtime derives the cost from
-    #: the used-memory reading via the configured transfer-cost model.
-    migration_cost_mb: Optional[float] = None
+    #: Canonical (kernel) memory, a node share like ``used``; the cell fold
+    #: leaves it out of the task's migration cost.
     canonical_memory: float = 0.0
 
     kind = EventKind.UPDATE_TASK_USED

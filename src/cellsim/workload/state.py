@@ -7,7 +7,8 @@ production-required vectors.  Placement moves (``place``/``unplace``) and
 task events keep those sums current, so this is the one place a node's load
 is defined: the agents read it, ``node_table`` stacks it for ``ticks.csv``
 and the usage dumps, and the centralized balancer packs the cell into arrays
-(``PackedProblem.from_cell``) every tick.
+(``PackedProblem.from_cell``) every tick.  It is also the one place a task's
+migration cost is derived, from its used memory, whatever the event source.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .. import model
-from ..livemigration import TraceCostModel, lmdt_estimate
-from .anomalies import AnomalyKind, AnomalySink
+from ..livemigration import BUILTIN_PROFILES, MigrationProfile, lmdt_estimate, memory_mb
 from .constraints import TaskConstraint
 from . import events as ev
 
@@ -83,16 +83,15 @@ class CellState:
 
     Placement is engine-owned: this class only stores it; who decides it
     (trace replay or a balancer) is up to the driver.  Tasks without a node
-    sit in ``pending``, an insertion-ordered dict used as a set.  A usage
-    row whose migration cost overflows the estimator is reported to
-    ``sink`` and keeps the task's previous cost.
+    sit in ``pending``, an insertion-ordered dict used as a set.  A task
+    costs what ``profile`` estimates for its used memory, which is zero
+    until its first usage event.
     """
 
-    def __init__(self, catalog: model.ResourceTypeCatalog, cost_model: TraceCostModel | None = None,
-                 sink: AnomalySink | None = None):
+    def __init__(self, catalog: model.ResourceTypeCatalog,
+                 profile: MigrationProfile = BUILTIN_PROFILES["apache"]):
         self.catalog = catalog
-        self.cost_model = cost_model
-        self.sink = sink if sink is not None else AnomalySink()
+        self.profile = profile
         self.nodes: dict[str, NodeRuntime] = {}
         self.tasks: dict[str, TaskRuntime] = {}
         self.placement: dict[str, str] = {}
@@ -138,24 +137,9 @@ class CellState:
 
     # -- event fold --------------------------------------------------------------
 
-    def _default_cost(self) -> float:
-        if self.cost_model is not None:
-            return lmdt_estimate(self.cost_model.profile, 0.0)
-        return 100.0
-
-    def _derive_cost(self, event: ev.UpdateTaskUsedEvent) -> Optional[float]:
-        if event.migration_cost_mb is not None:
-            return event.migration_cost_mb
-        if self.cost_model is None or self._memory_index is None:
-            return None
-        used_mem = event.used[self._memory_index] if len(event.used) > self._memory_index else 0.0
-        try:
-            return self.cost_model.cost_mb(used_mem, event.canonical_memory)
-        except OverflowError:
-            self.sink.report(AnomalyKind.COST_OVERFLOW,
-                             f"task {event.task_id}: used memory {used_mem} overflows the "
-                             "migration cost estimate; previous cost kept")
-            return None
+    def _migration_cost(self, used: model.Vector, canonical_memory: float = 0.0) -> float:
+        used_memory = used[self._memory_index] if self._memory_index is not None else 0.0
+        return lmdt_estimate(self.profile, memory_mb(used_memory, canonical_memory))
 
     def apply(self, event: ev.WorkloadEvent) -> None:
         self.counters.events_applied += 1
@@ -187,11 +171,12 @@ class CellState:
                 for name in event.attribute_names:
                     node.attributes.pop(name, None)
         elif kind is ev.EventKind.ADD_TASK:
+            used = model.zero_vector(self.catalog.dimension)
             task = TaskRuntime(
                 task_id=event.task_id,
                 required=model.as_vector(event.required),
-                used=model.zero_vector(self.catalog.dimension),
-                migration_cost_mb=self._default_cost(),
+                used=used,
+                migration_cost_mb=self._migration_cost(used),
                 priority=event.priority,
                 production=event.production,
                 constraints=tuple(event.constraints),
@@ -237,9 +222,7 @@ class CellState:
                     self.nodes[node_id].used += np.asarray(used) - np.asarray(task.used)
                 task.used = used
                 task.unstarted = False
-                cost = self._derive_cost(event)
-                if cost is not None:
-                    task.migration_cost_mb = cost
+                task.migration_cost_mb = self._migration_cost(used, event.canonical_memory)
         elif kind is ev.EventKind.UPDATE_TASK_CONSTRAINTS:
             task = self.tasks.get(event.task_id)
             if task is not None:

@@ -4,7 +4,7 @@ Generates an event stream with the empirical shape of large-cluster traces:
 a high churn of short batch jobs (~80% of tasks, 12-20 minutes) plus a
 smaller population of long-running services that hold the majority of the
 resources.  Everything is driven by one seed, so identical configs produce
-byte-identical streams.
+byte-identical streams.  The cell fold prices tasks from their usage.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterator, Optional
 
-from ..livemigration import ProfileCatalog, lmdt_estimate
 from . import events as ev
 from .constraints import ConstraintOperator, TaskConstraint
 
@@ -53,9 +52,6 @@ class SynthConfig:
     #: When >0, this many distinct attribute values are spread over nodes so
     #: every constrained task matches a controllable node subset.
     attribute_groups: int = 4
-    migration_profile: str = "apache"
-    #: Scale from required memory to estimator MB input.
-    memory_scale_mb: float = 2048.0
     #: Record a first-fit placement in AddTask events for replay mode.
     record_placements: bool = True
 
@@ -97,12 +93,10 @@ def _node_attributes(config: SynthConfig, index: int) -> tuple[tuple[str, str], 
     return (("group", str(group)), ("slot", str(index)))
 
 
-def synth_generate(config: SynthConfig,
-                   profiles: ProfileCatalog | None = None) -> Iterator[ev.WorkloadEvent]:
+def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
     """Yield a reproducible, timestamp-sorted workload event stream."""
     config.validate()
     rng = random.Random(config.seed)
-    profile = (profiles or ProfileCatalog()).get(config.migration_profile)
     horizon_us = int(config.duration_minutes * MINUTE_US)
 
     events: list[ev.WorkloadEvent] = []
@@ -171,8 +165,6 @@ def synth_generate(config: SynthConfig,
         if config.constraint_rate > 0 and rng.random() < config.constraint_rate:
             group = str(rng.randrange(max(1, config.attribute_groups)))
             constraints = (TaskConstraint(ConstraintOperator.EQUAL, "group", group),)
-        mem = required[1] if len(required) > 1 else required[0]
-        cost = lmdt_estimate(profile, mem * config.memory_scale_mb)
         production = rng.random() < config.production_fraction
 
         recorded_node = None
@@ -201,7 +193,6 @@ def synth_generate(config: SynthConfig,
                 timestamp=report,
                 task_id=task_id,
                 used=tuple(u * scale for u in usage),
-                migration_cost_mb=cost,
             ))
             report += interval
         if end_us is not None:

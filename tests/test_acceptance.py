@@ -22,7 +22,7 @@ from cellsim.agents import (
     REALLOC_PARAMS,
 )
 from cellsim.harness import RunConfig, SimulationRunner
-from cellsim.livemigration import DEFAULT_MF_MB, lmdt_estimate, profile_for
+from cellsim.livemigration import DEFAULT_MF_MB, ProfileCatalog, lmdt_estimate
 from cellsim.metaheuristics import (
     PackedProblem,
     StrategyConfig,
@@ -52,6 +52,7 @@ from test_constraints import GOLDEN_ROWS
 from cellsim.workload.constraints import check_constraint
 
 CAT2 = ResourceTypeCatalog(("cpu", "memory"))
+profile_for = ProfileCatalog().get
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -319,6 +320,7 @@ def _random_protocol_scenario(seed: int) -> AgentEngine:
     ])
     n_tasks = rng.randint(n_nodes, 3 * n_nodes)
     events = []
+    costs = {}
     for t in range(n_tasks):
         constraints = ()
         if rng.random() < 0.15:
@@ -331,9 +333,11 @@ def _random_protocol_scenario(seed: int) -> AgentEngine:
                                       constraints=constraints))
         events.append(ev.UpdateTaskUsedEvent(
             0, f"t{t:05d}",
-            (required[0] * rng.uniform(0.5, 1.2), required[1] * rng.uniform(0.5, 1.2)),
-            migration_cost_mb=rng.uniform(50, 500)))
+            (required[0] * rng.uniform(0.5, 1.2), required[1] * rng.uniform(0.5, 1.2))))
+        costs[f"t{t:05d}"] = rng.uniform(50, 500)
     engine.apply_events(events)
+    for task_id, cost in costs.items():
+        cell.tasks[task_id].migration_cost_mb = cost
     # place most tasks directly, some onto deliberately overloaded nodes
     hot = [f"n{i:04d}" for i in rng.sample(range(n_nodes), max(1, n_nodes // 10))]
     for t in range(n_tasks):
@@ -401,8 +405,8 @@ def _liveness_scenario(seed: int, nodes: int = 200, burst: int = 10) -> AgentEng
         required = (size * 1.05, size * 1.05)
         used = (size, size * rng.uniform(0.85, 1.1))
         engine.apply_events([ev.AddTaskEvent(0, task_id, required)])
-        engine.apply_events([ev.UpdateTaskUsedEvent(0, task_id, used,
-                                                    migration_cost_mb=rng.uniform(50, 300))])
+        engine.apply_events([ev.UpdateTaskUsedEvent(0, task_id, used)])
+        cell.tasks[task_id].migration_cost_mb = rng.uniform(50, 300)
         for broker in engine.brokers.values():
             try:
                 broker.pending.remove(task_id)

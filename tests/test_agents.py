@@ -43,8 +43,8 @@ def add_task(engine, task_id, required, used=None, production=False,
         timestamp=0, task_id=task_id, required=required,
         production=production, constraints=tuple(constraints))])
     if used is not None:
-        engine.apply_events([ev.UpdateTaskUsedEvent(
-            timestamp=0, task_id=task_id, used=used, migration_cost_mb=cost)])
+        engine.apply_events([ev.UpdateTaskUsedEvent(timestamp=0, task_id=task_id, used=used)])
+        engine.cell.tasks[task_id].migration_cost_mb = cost
     if node is not None:
         # pull it out of the broker placement queue: scenario places directly
         for broker in engine.brokers.values():
@@ -246,8 +246,9 @@ def run_ticks(engine, ticks):
 
 
 class TestEndToEnd:
-    def _overload_scenario(self, seed=5):
-        engine = build_engine([(1.0, 1.0)] * 10, seed=seed)
+    def _overload_scenario(self, seed=5, rounds_per_tick=6):
+        engine = build_engine([(1.0, 1.0)] * 10, seed=seed,
+                              config=AgentConfig(rounds_per_tick=rounds_per_tick, audit=True))
         # overload n000 with six tasks, everything else idle
         for index in range(6):
             add_task(engine, f"t{index}", required=(0.25, 0.2),
@@ -262,6 +263,15 @@ class TestEndToEnd:
         assert engine.cell.conservation_holds()
         assert engine.reservation_invariant_holds()
         assert sum(m.migrations_completed for m in metrics) > 0
+
+    def test_overloaded_node_sheds_at_two_rounds_a_tick(self):
+        # a quote answers two rounds after its request: at two 30 s rounds a
+        # tick the negotiation must still be waiting for it
+        engine = self._overload_scenario(rounds_per_tick=2)
+        metrics = run_ticks(engine, 5)
+        assert sum(m.migrations_completed for m in metrics) > 0
+        assert len(engine.cell.nodes["n000"].residents) < 6
+        assert engine.overloaded_count() == 0
 
     def test_non_forced_targets_stay_stable(self):
         engine = self._overload_scenario()
@@ -429,6 +439,7 @@ def test_random_churn_keeps_agent_invariants(seed, rounds, monkeypatch):
         for _ in range(rng.randrange(1, 8)):
             tasks, nodes = sorted(engine.cell.tasks), sorted(engine.cell.nodes)
             roll = rng.random()
+            cost = None  # drawn for a usage event, set once it is applied
             if roll < 0.3 or not tasks:
                 required = (rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3))
                 batch.append(ev.AddTaskEvent(timestamp=0, task_id=f"t{next_task}",
@@ -439,7 +450,8 @@ def test_random_churn_keeps_agent_invariants(seed, rounds, monkeypatch):
             elif roll < 0.7:
                 used = (rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6))
                 batch.append(ev.UpdateTaskUsedEvent(timestamp=0, task_id=rng.choice(tasks),
-                                                    used=used, migration_cost_mb=rng.uniform(1, 100)))
+                                                    used=used))
+                cost = rng.uniform(1, 100)
             elif roll < 0.8:
                 total = (rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5))
                 batch.append(ev.UpdateNodeTotalEvent(timestamp=0, node_id=rng.choice(nodes),
@@ -454,7 +466,8 @@ def test_random_churn_keeps_agent_invariants(seed, rounds, monkeypatch):
                 batch.append(ev.AddNodeEvent(timestamp=0, node_id=node_id, total=total))
             # apply one at a time: the choices above read the cell as it stands
             engine.apply_events(batch[-1:])
+            if cost is not None:
+                engine.cell.tasks[batch[-1].task_id].migration_cost_mb = cost
         engine.run_tick()
         check_agent_invariants(engine)
-    # at two rounds a tick no negotiation gets as far as its confirmation
-    assert confirmations or rounds == 2
+    assert confirmations

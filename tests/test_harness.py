@@ -1,6 +1,7 @@
 """Harness behavior: tick loop, modes, scaling, snapshots, CLI plumbing."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -25,7 +26,8 @@ from cellsim.harness.cli import main as cli_main
 from cellsim.harness.scaling import IdCollisionError
 from cellsim.harness.snapshot import MAGIC, VERSION
 from cellsim.harness.tracewriter import write_synthetic_trace
-from cellsim.metaheuristics import PackedProblem
+from cellsim.livemigration import MigrationProfile, lmdt_estimate, memory_mb
+from cellsim.metaheuristics import STRATEGIES, PackedProblem
 from cellsim.model import (
     Assignment,
     NodeSpec,
@@ -250,6 +252,27 @@ class TestMetaheuristicMode:
         rows = read_ticks(config)
         assert all(r["overloaded"] == "0" for r in rows[1:])
 
+    def test_every_strategy_call_is_logged(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(problem, cfg):
+            result = STRATEGIES["tabu"](problem, cfg)
+            calls.append((result.stable, result.stats["candidates_examined"]))
+            return result
+
+        monkeypatch.setitem(STRATEGIES, "counted", counted)
+        config = run_config(tmp_path, mode="metaheuristic", ticks=6,
+                            strategy="counted", strategy_budget=500)
+        assert SimulationRunner(config).run() == 0
+        log = Path(config.output_dir) / "logs" / "run.log"
+        lines = [line for line in log.read_text().splitlines() if line.startswith("strategy ")]
+        assert calls and len(lines) == len(calls)
+        for line, (stable, examined) in zip(lines, calls):
+            assert f" counted: stable={stable} " in line
+            assert f" candidates_examined={examined}" in line
+            assert " runs=" in line and " cache_hits=" in line
+            assert "elapsed_s" not in line
+
     def test_from_cell_matches_state_oracle(self, tmp_path):
         config = run_config(tmp_path, mode="metaheuristic", ticks=4,
                             strategy="greedy", strategy_budget=4000)
@@ -451,8 +474,9 @@ class TestErrorLog:
         assert runner.sink.count(AnomalyKind.CORRUPT_RECORD) == 1
         assert runner.sink.reports == []  # drained every tick, not kept
 
-    def test_overflowing_usage_row_is_reported_not_fatal(self, tmp_path):
-        # memory 100.0 scales to 100 x 64 GiB: e^(af * am) overflows a float
+    def test_huge_usage_row_is_priced_not_reported(self, tmp_path):
+        # memory 100.0 scales to 100 x 64 GiB, where e^(af * am) alone
+        # would overflow a float; the estimate is linear there
         trace_dir = tmp_path / "trace"
         write_synthetic_trace(synth_config(), trace_dir)
         usage = trace_dir / "task_usage" / "part-00000-of-00001.csv"
@@ -461,11 +485,12 @@ class TestErrorLog:
         config = run_config(tmp_path, mode="replay", synth=None, trace_dir=trace_dir)
         runner = SimulationRunner(config)
         assert runner.run() == 0
+        # the only lines are the over-usage the row itself causes
         error_log = Path(config.output_dir) / "logs" / "run-error.log"
-        overflow = [line for line in error_log.read_text().splitlines()
-                    if line.startswith(AnomalyKind.COST_OVERFLOW.value + "\t")]
-        assert len(overflow) == 1
-        assert runner.sink.count(AnomalyKind.COST_OVERFLOW) == 1
+        lines = error_log.read_text().splitlines()
+        assert lines and all(line.startswith(AnomalyKind.OVER_USAGE_WINDOW.value + "\t")
+                             for line in lines)
+        assert all(np.isfinite(task.migration_cost_mb) for task in runner.cell.tasks.values())
 
 
 class TestCli:
@@ -495,8 +520,13 @@ class TestCli:
 
     @pytest.mark.parametrize("where", ["flag", "synth"])
     def test_unknown_migration_profile_is_config_error(self, tmp_path, capsys, where):
+        # the run names the profile; a synthetic config naming one is
+        # rejected as having an unknown key
         config_path = tmp_path / "synth.json"
-        synth_config(migration_profile="nope" if where == "synth" else "apache").to_file(config_path)
+        synth_config().to_file(config_path)
+        if where == "synth":
+            raw = json.loads(config_path.read_text())
+            config_path.write_text(json.dumps({**raw, "migration_profile": "apache"}))
         args = ["run", "--mode", "masb", "--seed", "1", "--synth-config", str(config_path),
                 "--out", str(tmp_path / "out"), "--ticks", "2"]
         if where == "flag":
@@ -507,18 +537,28 @@ class TestCli:
                              "--out", str(tmp_path / "trace")]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == (2 if where == "synth" else 1)
-        assert all(line.startswith("config error: unknown migration profile 'nope'")
-                   for line in lines)
+        expected = ("config error: unknown synth config keys: ['migration_profile']"
+                    if where == "synth" else "config error: unknown migration profile 'nope'")
+        assert all(line.startswith(expected) for line in lines)
 
     def test_profile_file_reaches_synthetic_config(self, tmp_path):
+        # a synthetic run's tasks are priced with the run's profile
         profile_path = tmp_path / "profiles.json"
-        profile_path.write_text('{"custom": {"cmdt_mb": 50.0, "af": 0.001}}')
+        profile_path.write_text('{"custom": {"cmdt_mb": 50.0, "af": 0.0}}')
         config_path = tmp_path / "synth.json"
-        synth_config(migration_profile="custom").to_file(config_path)
+        synth_config().to_file(config_path)
+        config = run_config(tmp_path, synth=SynthConfig.from_file(config_path),
+                            profile_file=profile_path, migration_profile="custom", ticks=2)
+        runner = SimulationRunner(config)
+        assert runner.run() == 0
+        custom = MigrationProfile(50.0, 0.0)
+        assert runner.cell.tasks
+        for task in runner.cell.tasks.values():
+            assert task.migration_cost_mb == lmdt_estimate(custom, memory_mb(task.used[1]))
         code = cli_main(["run", "--mode", "masb", "--seed", "1",
                          "--synth-config", str(config_path), "--profile-file", str(profile_path),
                          "--migration-profile", "custom",
-                         "--out", str(tmp_path / "out"), "--ticks", "2"])
+                         "--out", str(tmp_path / "cli"), "--ticks", "2"])
         assert code == 0
 
     def test_bench_writes_csv(self, tmp_path):

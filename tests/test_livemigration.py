@@ -2,15 +2,20 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cellsim.livemigration import (
+    BUILTIN_PROFILES,
+    CALIBRATION_VM_MB,
     DEFAULT_MF_MB,
+    NODE_MEMORY_MB,
     MigrationProfile,
     ProfileCatalog,
-    TraceCostModel,
     lmdt_estimate,
-    profile_for,
+    memory_mb,
 )
+
+profile_for = ProfileCatalog().get
 
 # Calibrated constants: (cmdt_mb, af) per application kind.
 TABLE_CONSTANTS = {
@@ -104,13 +109,48 @@ class TestCatalog:
 
 
 class TestTraceCostModel:
+    """A memory share of a node becomes MB, then the estimate."""
+
     def test_scales_normalized_memory(self):
-        model = TraceCostModel(profile_for("apache"), node_memory_mb=1000.0)
-        assert model.cost_mb(0.5, 0.1) == pytest.approx(lmdt_estimate(profile_for("apache"), 400.0))
+        assert memory_mb(0.5, 0.1) == pytest.approx(0.4 * 64 * 1024)
+        assert lmdt_estimate(profile_for("apache"), memory_mb(0.01)) == pytest.approx(
+            175.0 + 9.6 * math.exp(0.00682 * 0.01 * 64 * 1024))
 
     def test_canonical_clamped_to_total(self):
-        model = TraceCostModel(profile_for("apache"), node_memory_mb=1000.0)
-        assert model.cost_mb(0.1, 0.5) == pytest.approx(lmdt_estimate(profile_for("apache"), 0.0))
+        assert memory_mb(0.1, 0.5) == 0.0
+        assert memory_mb(-0.1, 0.0) == 0.0
 
     def test_default_node_memory_is_64g(self):
-        assert TraceCostModel(profile_for("idle")).node_memory_mb == 64.0 * 1024
+        assert NODE_MEMORY_MB == 64.0 * 1024
+
+
+class TestBoundedEstimate:
+    def test_calibration_size_is_1024_mb(self):
+        assert CALIBRATION_VM_MB == 1024
+
+    def test_linear_above_calibration(self):
+        p = profile_for("apache")
+        at_calibration = 175.0 + 9.6 * math.exp(0.00682 * 1024.0)
+        assert lmdt_estimate(p, 1024.0) == at_calibration
+        assert lmdt_estimate(p, 4096.0) == pytest.approx(4 * at_calibration)
+        # a whole 64 GiB node, where the exponential would overflow
+        assert lmdt_estimate(p, NODE_MEMORY_MB) == pytest.approx(64 * at_calibration)
+
+    def test_profile_overflowing_at_calibration_rejected(self):
+        with pytest.raises(ValueError):
+            MigrationProfile(100.0, 1.0)
+
+
+@given(kind=st.sampled_from(sorted(BUILTIN_PROFILES)),
+       am=st.floats(0.0, 1e7), other=st.floats(0.0, 1e7))
+def test_estimate_is_finite_monotone_and_at_most_linear(kind, am, other):
+    p = BUILTIN_PROFILES[kind]
+    cost = lmdt_estimate(p, am)
+    assert math.isfinite(cost)
+    lo, hi = sorted((am, other))
+    assert lmdt_estimate(p, lo) <= lmdt_estimate(p, hi)
+    if am <= CALIBRATION_VM_MB:
+        # exactly the calibrated scalar formula
+        assert cost == p.cmdt_mb + p.mf_mb * math.exp(p.af * am)
+    if am >= CALIBRATION_VM_MB:
+        assert lmdt_estimate(p, 2 * am) <= 2 * cost

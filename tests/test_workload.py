@@ -1,10 +1,14 @@
 """Event model, windowed collection, anomaly filtering, replay determinism."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cell_oracle import assert_loads_match
-from cellsim.livemigration import TraceCostModel, profile_for
+from cellsim.harness.tracewriter import write_synthetic_trace
+from cellsim.livemigration import BUILTIN_PROFILES, lmdt_estimate, memory_mb
 from cellsim.model import ResourceTypeCatalog
 from cellsim.workload import (
     AnomalyKind,
@@ -20,6 +24,7 @@ from cellsim.workload import (
     synth_generate,
 )
 from cellsim.workload import events as ev
+from cellsim.workload.parsers import GCD_TIME_SHIFT_US, open_trace_directory
 
 CAT2 = ResourceTypeCatalog(("cpu", "memory"))
 MIN_US = 60 * 1_000_000
@@ -126,7 +131,7 @@ class TestCellStateFold:
         for event in [
             add_node(0, "n1", total=(1.0, 1.0)),
             add_task(1, "t1", required=(0.2, 0.3)),
-            ev.UpdateTaskUsedEvent(2, "t1", (0.1, 0.1), migration_cost_mb=55.0),
+            ev.UpdateTaskUsedEvent(2, "t1", (0.1, 0.1)),
         ]:
             cell.apply(event)
         assert list(cell.pending) == ["t1"]
@@ -134,7 +139,7 @@ class TestCellStateFold:
         assert list(cell.pending) == []
         task = cell.tasks["t1"]
         assert task.used == (0.1, 0.1)
-        assert task.migration_cost_mb == 55.0
+        assert task.migration_cost_mb == lmdt_estimate(BUILTIN_PROFILES["apache"], memory_mb(0.1))
         assert not task.unstarted
         cell.apply(ev.RemoveTaskEvent(3, "t1"))
         assert cell.tasks == {} and cell.placement == {}
@@ -208,7 +213,7 @@ def fold_step(cell, step):
     elif kind == "remove_task":
         cell.apply(ev.RemoveTaskEvent(0, target))
     elif kind == "used":
-        cell.apply(ev.UpdateTaskUsedEvent(0, target, vector, migration_cost_mb=1.0))
+        cell.apply(ev.UpdateTaskUsedEvent(0, target, vector))
     elif kind == "required":
         cell.apply(ev.UpdateTaskRequiredEvent(0, target, vector))
     elif kind == "place":
@@ -230,9 +235,10 @@ def test_node_loads_match_recount(steps):
         assert cell.conservation_holds()
 
 
-class TestCostOverflow:
-    def test_overflowing_usage_keeps_cost_and_is_reported(self):
-        cell = CellState(CAT2, TraceCostModel(profile_for("apache")))
+class TestMigrationCost:
+    def test_huge_usage_gets_a_finite_cost(self):
+        # 100 nodes' worth of memory: e^(af * am) alone would overflow a float
+        cell = CellState(CAT2)
         cell.apply(add_node(0, "n1"))
         cell.apply(add_task(0, "t1"))
         cell.place("t1", "n1")
@@ -242,10 +248,34 @@ class TestCostOverflow:
         task = cell.tasks["t1"]
         assert task.used == (0.1, 100.0)
         assert cell.nodes["n1"].used.tolist() == [0.1, 100.0]
-        assert task.migration_cost_mb == cost
-        assert cell.sink.count(AnomalyKind.COST_OVERFLOW) == 1
-        (report,) = cell.sink.reports
-        assert "t1" in report.detail
+        assert math.isfinite(task.migration_cost_mb)
+        assert task.migration_cost_mb == pytest.approx(500 * cost)
+
+    def test_profile_prices_every_task(self):
+        cell = CellState(CAT2, BUILTIN_PROFILES["idle"])
+        cell.apply(add_task(0, "t1"))
+        assert cell.tasks["t1"].migration_cost_mb == 99.6
+        cell.apply(ev.UpdateTaskUsedEvent(1, "t1", (0.1, 0.01)))
+        assert cell.tasks["t1"].migration_cost_mb == 99.6
+
+    def test_synthetic_and_written_trace_price_tasks_alike(self, tmp_path):
+        config = SynthConfig(seed=3, node_count=10, task_arrival_rate=30.0,
+                             duration_minutes=15.0, usage_interval_minutes=2.0,
+                             usage_ramp_updates=3, constraint_rate=0.2)
+        direct = CellState(CAT2)
+        for event in synth_generate(config):
+            direct.apply(event)
+        write_synthetic_trace(config, tmp_path / "trace")
+        parsed = CellState(CAT2)
+        parsers = open_trace_directory(tmp_path / "trace", GCD_TIME_SHIFT_US)
+        for event in sort_events(itertools.chain(*parsers)):
+            parsed.apply(event)
+        started = {task_id: task.migration_cost_mb for task_id, task in direct.tasks.items()
+                   if not task.unstarted}
+        assert len(started) > 20
+        # the trace names a task "<job>-<index>", and the writer puts the id in the job
+        assert {task_id: parsed.tasks[f"{task_id}-0"].migration_cost_mb
+                for task_id in started} == pytest.approx(started, rel=1e-6)
 
 
 class TestAnomalyFilter:

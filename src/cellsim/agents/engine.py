@@ -10,8 +10,8 @@ task with restrictive constraints cannot starve.
 
 Execution is deterministic: a seeded single-threaded scheduler splits each
 tick into rounds, delivering messages sent in one round at the start of the
-next, and processing agents in sorted-id order.  Wall-clock never enters the
-simulation.
+next, and processing agents in sorted-id order.  A transfer takes one round.
+Wall-clock never enters the simulation.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from .messages import (
     NodeStats,
     TaskSnapshot,
 )
-from .scoring import (
-    INITIAL_PARAMS,
-    REALLOC_PARAMS,
-    allocation_score_vec,
-    rus_fits,
-)
+from .scoring import rus_fits, score
 from .selection import RemovalCandidate, select_candidate_services
 
 MINUTE_US = 60 * 1_000_000
@@ -56,11 +51,6 @@ CACHE_ENTRY_TTL_US = 5 * MINUTE_US
 ACCEPTANCE_WAIT_ROUNDS = 3
 #: Queued placements a broker serves per round.
 PLACEMENTS_PER_ROUND = 50_000
-#: Transfer duration for one live migration, in rounds.  At one round a
-#: transfer completes at the start of the round that delivers its
-#: confirmation, so ``task_left`` has closed the source's negotiation before
-#: the source hears of it, and the source keeps no record of departures.
-TRANSFER_ROUNDS = 1
 #: A usage jump above this share of the node's total counts as a RUS spike.
 RUS_SPIKE_THRESHOLD = 0.10
 #: The run log gets the 1st, (N+1)th, ... decision record of each kind.
@@ -75,7 +65,7 @@ class AgentConfig:
     tick_length_us: int = MINUTE_US
     rounds_per_tick: int = 6
     broker_count: int = 1
-    #: Scorer names: initial in {sias, sias_gain}, realloc in {sras, sras_gain}.
+    #: Names in ``scoring.SCORERS``: initial sias(_gain), realloc sras(_gain).
     initial_scorer: str = "sias_gain"
     realloc_scorer: str = "sras"
     audit: bool = False
@@ -298,8 +288,7 @@ class NodeAgent:
         self.reserve(snapshot, source=source, forced=message.forced, rec_age_us=rec_age)
         if source is not None:
             # an initial placement commits when its broker gets the confirmation
-            engine.schedule_completion(self.id, snapshot.task_id,
-                                       engine.now_us + TRANSFER_ROUNDS * engine.round_us)
+            engine.transfers.append((self.id, snapshot.task_id))
         engine.send(Message(
             kind=MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE,
             sender=self.id, recipient=message.sender,
@@ -337,9 +326,9 @@ class NodeAgent:
             self._select_target(negotiation)
 
     def _rescore(self, stats: NodeStats, snapshot: TaskSnapshot) -> float:
-        before = np.asarray(stats.projected_used)
-        return self.engine.score_single(self.engine.config.realloc_scorer, np.asarray(stats.total),
-                                        before, before + np.asarray(snapshot.used))
+        before = np.asarray(stats.projected_used)[None, :]
+        return float(score(self.engine.config.realloc_scorer, np.asarray(stats.total)[None, :],
+                           before, before + np.asarray(snapshot.used))[0])
 
     def _select_target(self, negotiation: Negotiation) -> None:
         engine = self.engine
@@ -496,6 +485,7 @@ class BrokerAgent:
         self.np_rng = np.random.Generator(np.random.PCG64(_stable_seed(engine.seed, "ba-np", broker_id)))
         self._index_dirty = True
         self._index: Optional[tuple] = None
+        self._matches: dict[tuple, np.ndarray] = {}  # constraints -> index entries matching
 
     # -- cache ------------------------------------------------------------------
 
@@ -508,6 +498,7 @@ class BrokerAgent:
         self._index_dirty = True
 
     def evict_stale(self, now: int) -> None:
+        self._matches.clear()  # events between ticks may change node attributes
         for node_id, entry in list(self.cache.items()):
             if now - entry.last_update > CACHE_ENTRY_TTL_US or node_id not in self.engine.cell.nodes:
                 del self.cache[node_id]
@@ -517,115 +508,72 @@ class BrokerAgent:
         entries = sorted(self.cache.items())
         ids = [node_id for node_id, _ in entries]
         nodes = [self.engine.cell.nodes[node_id] for node_id in ids]
-        if nodes:
-            totals = np.array([node.total for node in nodes])
-            avail = np.array([entry.available for _, entry in entries])
-        else:
-            dim = self.engine.dimension
-            totals = np.zeros((0, dim))
-            avail = np.zeros((0, dim))
+        dim = self.engine.dimension
+        totals = np.array([node.total for node in nodes]).reshape(-1, dim)
+        avail = np.array([entry.available for _, entry in entries]).reshape(-1, dim)
         attrs = [node.attributes for node in nodes]
         id_pos = {node_id: i for i, node_id in enumerate(ids)}
         self._index = (ids, totals, np.maximum(totals - avail, 0.0), attrs, id_pos)
+        self._matches.clear()
         self._index_dirty = False
 
     # -- quoting -----------------------------------------------------------------
 
     def compute_recommendations(self, snapshot: TaskSnapshot, initial: bool,
                                 exclude: Optional[str]) -> Optional[list]:
+        """Up to ``RECOMMENDATION_COUNT`` candidates for the task, in three
+        bands: nodes drawn by score from the scanned pool, zero-score pool
+        nodes with room, then forced nodes with the total capacity (pool
+        nodes without the room, then unscanned ones).  None if no cached
+        node other than ``exclude`` matches the task's constraints."""
         engine = self.engine
-        config = engine.config
         if self._index_dirty:
             self._rebuild_index()
         ids, totals, used, attrs, id_pos = self._index
-        count = len(ids)
-        if count == 0:
+        if not ids:
             return None
-        scan_limit = INITIAL_SCAN_LIMIT if initial else REALLOC_SCAN_LIMIT
-        order = self.np_rng.permutation(count)  # fresh shuffle per request
-        exclude_pos = id_pos.get(exclude, -1) if exclude is not None else -1
-        required = np.asarray(snapshot.required)
-
+        eligible = self.np_rng.permutation(len(ids))  # fresh shuffle per request
+        if exclude in id_pos:
+            eligible = eligible[eligible != id_pos[exclude]]
         if snapshot.constraints:
-            matching: list[int] = []
-            any_match = False
-            for index in order:
-                if index == exclude_pos:
-                    continue
-                if not matches_attributes(snapshot.constraints, attrs[index]):
-                    continue
-                any_match = True
-                matching.append(int(index))
-                if len(matching) >= scan_limit:
-                    break
-            if not any_match:
-                return None
-        else:
-            window = order[order != exclude_pos][:scan_limit] if exclude_pos >= 0 else order[:scan_limit]
-            matching = [int(i) for i in window]
-            if not matching:
-                return None
+            match = self._matches.get(snapshot.constraints)
+            if match is None:
+                match = self._matches[snapshot.constraints] = np.array(
+                    [matches_attributes(snapshot.constraints, a) for a in attrs], dtype=bool)
+            eligible = eligible[match[eligible]]
+        pool = eligible[:INITIAL_SCAN_LIMIT if initial else REALLOC_SCAN_LIMIT]
+        if not len(pool):
+            return None
 
-        def capable_indices(needed: int, skip: set) -> list[int]:
-            """Matching nodes whose total capacity fits the task, in shuffled
-            order; computed lazily because padding is the uncommon path."""
-            cap_ok = np.all(required <= totals, axis=1)
-            out = []
-            for index in order:
-                if len(out) >= needed:
-                    break
-                index = int(index)
-                if index == exclude_pos or index in skip or not cap_ok[index]:
-                    continue
-                if snapshot.constraints and not matches_attributes(snapshot.constraints, attrs[index]):
-                    continue
-                out.append(index)
-            return out
-
-        recommendations: list[CandidateNodeRecommendation] = []
-        chosen: set[int] = set()
-
-        def recommend(index: int, fitness: float, forced: bool) -> None:
-            chosen.add(index)
-            recommendations.append(CandidateNodeRecommendation(
-                node_id=ids[index],
-                node_available_resources=tuple(totals[index] - used[index]),
-                fitness_value=fitness,
-                force_migration=forced,
-                created_at=engine.now_us,
-            ))
-
+        required = np.asarray(snapshot.required)
         task_vec = required if initial else np.asarray(snapshot.used)
-        pool = np.array(matching)
-        after = used[pool] + task_vec
-        scores = engine.score_vec(
-            config.initial_scorer if initial else config.realloc_scorer,
-            totals[pool], used[pool], after)
+        pool_totals, pool_used = totals[pool], used[pool]
+        scorer = engine.config.initial_scorer if initial else engine.config.realloc_scorer
+        scores = score(scorer, pool_totals, pool_used, pool_used + task_vec)
         positive = scores > 0.0
-        scored_pool, pos_scores = pool[positive], scores[positive]
-        take = min(RECOMMENDATION_COUNT, len(scored_pool))
-        if take > 0:
-            picked = self.np_rng.choice(len(scored_pool), size=take, replace=False,
-                                        p=pos_scores / pos_scores.sum())
-            for i in sorted(picked, key=lambda i: (-pos_scores[i], ids[scored_pool[i]])):
-                recommend(int(scored_pool[i]), float(pos_scores[i]), forced=False)
-        if len(recommendations) < RECOMMENDATION_COUNT:
+        scored, fitness = pool[positive], scores[positive]
+        picks: list[tuple] = []  # (index, fitness, forced)
+        if len(scored):
+            drawn = self.np_rng.choice(len(scored), size=min(RECOMMENDATION_COUNT, len(scored)),
+                                       replace=False, p=fitness / fitness.sum())
+            picks = [(scored[i], float(fitness[i]), False)
+                     for i in sorted(drawn, key=lambda i: (-fitness[i], ids[scored[i]]))]
+        if len(picks) < RECOMMENDATION_COUNT:
             # zero-score nodes with room still beat any forced entry: a flat
             # score never justifies skipping availability checks
-            room = np.all(totals[pool] - used[pool] >= task_vec, axis=1)
-            for index in pool[~positive & room]:
-                if len(recommendations) >= RECOMMENDATION_COUNT:
-                    break
-                recommend(int(index), ZERO_SCORE_FITNESS, forced=False)
-        if len(recommendations) < RECOMMENDATION_COUNT:
-            # Last resort: matching nodes with sufficient total capacity whose
-            # current availability is insufficient.
-            needed = RECOMMENDATION_COUNT - len(recommendations)
-            for index in capable_indices(needed, chosen):
-                if len(recommendations) >= RECOMMENDATION_COUNT:
-                    break
-                recommend(index, FORCED_FITNESS, forced=True)
-        return recommendations
+            room = np.all(pool_totals - pool_used >= task_vec, axis=1)
+            picks += [(i, ZERO_SCORE_FITNESS, False)
+                      for i in pool[~positive & room][:RECOMMENDATION_COUNT]]
+            if len(picks) < RECOMMENDATION_COUNT:
+                # last resort: the pool nodes left, then the unscanned
+                # eligible ones, that have the total capacity for the task
+                rest = np.concatenate((pool[~positive & ~room], eligible[len(pool):]))
+                capable = rest[np.all(required <= totals[rest], axis=1)]
+                picks += [(i, FORCED_FITNESS, True) for i in capable[:RECOMMENDATION_COUNT]]
+        return [CandidateNodeRecommendation(
+                    node_id=ids[i], node_available_resources=tuple(totals[i] - used[i]),
+                    fitness_value=fit, force_migration=forced, created_at=engine.now_us)
+                for i, fit, forced in picks[:RECOMMENDATION_COUNT]]
 
     # -- protocol ------------------------------------------------------------------
 
@@ -675,8 +623,6 @@ class BrokerAgent:
             recommendations = self.compute_recommendations(snapshot, initial=True, exclude=None)
             if recommendations is None:
                 self.engine.report_unschedulable(task_id)
-                self.engine.retry_placement(task_id, self.rng)
-                continue
             if not recommendations:
                 self.engine.retry_placement(task_id, self.rng)
                 continue
@@ -740,7 +686,11 @@ class AgentEngine(Engine):
         self._inbox: dict[str, deque] = {}
         self._outbox: list[Message] = []
         self._correlation = 0
-        self._completions: list[tuple[int, str, str]] = []  # (due, node, task)
+        #: (target, task) of the transfers started this round.  A transfer
+        #: completes at the next round's start (the last round's at the tick's
+        #: end), so ``task_left`` closes the source's negotiation before the
+        #: source hears of it, and no transfer is open between ticks.
+        self.transfers: list[tuple[str, str]] = []
         self.metrics = TickMetrics()
         self.pending_rec_age: dict[int, int] = {}
         self.audit_log: list[AuditRecord] = []
@@ -793,24 +743,6 @@ class AgentEngine(Engine):
             migration_cost_mb=task.migration_cost_mb,
         )
 
-    def score_vec(self, scorer: str, totals, before, after) -> np.ndarray:
-        if scorer == "sias":
-            return allocation_score_vec(INITIAL_PARAMS, totals, after)
-        if scorer == "sras":
-            return allocation_score_vec(REALLOC_PARAMS, totals, after)
-        if scorer == "sias_gain":
-            gain = (allocation_score_vec(INITIAL_PARAMS, totals, after)
-                    - allocation_score_vec(INITIAL_PARAMS, totals, before))
-            return np.maximum(gain, 0.0)
-        if scorer == "sras_gain":
-            gain = (allocation_score_vec(REALLOC_PARAMS, totals, after)
-                    - allocation_score_vec(REALLOC_PARAMS, totals, before))
-            return np.maximum(gain, 0.0)
-        raise ValueError(f"unknown scorer {scorer!r}")
-
-    def score_single(self, scorer: str, total, before, after) -> float:
-        return float(self.score_vec(scorer, total[None, :], before[None, :], after[None, :])[0])
-
     def report_unschedulable(self, task_id: str) -> None:
         if task_id not in self.unschedulable:
             self.unschedulable.add(task_id)
@@ -840,24 +772,12 @@ class AgentEngine(Engine):
         if self.config.audit:
             self._audit(task_id, None, agent, reservation, initial=True)
 
-    def schedule_completion(self, node_id: str, task_id: str, due_us: int) -> None:
-        self._completions.append((due_us, node_id, task_id))
-
-    def _complete_due_migrations(self) -> None:
-        due = [c for c in self._completions if c[0] <= self.now_us]
-        if not due:
-            return
-        self._completions = [c for c in self._completions if c[0] > self.now_us]
-        for _, node_id, task_id in sorted(due, key=lambda c: (c[0], c[1], c[2])):
-            target = self.agents.get(node_id)
-            if target is None:
-                continue
-            reservation = target.in_migrations.get(task_id)
-            if reservation is None:
-                continue
-            target.release_reservation(task_id)
-            if task_id not in self.cell.tasks:
-                continue
+    def _complete_transfers(self) -> None:
+        transfers, self.transfers = sorted(self.transfers), []
+        for node_id, task_id in transfers:
+            # nodes, tasks and reservations only leave between ticks
+            target = self.agents[node_id]
+            reservation = target.release_reservation(task_id)
             source = self.agents.get(reservation.source)
             if source is not None and task_id in source.node.residents:
                 source.task_left(task_id)
@@ -914,11 +834,9 @@ class AgentEngine(Engine):
             owner = self.agents.get(cell.placement.get(task_id))
             if owner is not None:
                 owner.task_left(task_id)
-            target = self.reservation_target.get(task_id)
+            target = self.agents.get(self.reservation_target.get(task_id))
             if target is not None:
-                if target in self.agents:
-                    self.agents[target].release_reservation(task_id)
-                self._completions = [c for c in self._completions if c[2] != task_id]
+                target.release_reservation(task_id)
             cell.apply(event)
         elif kind is ev.EventKind.UPDATE_TASK_USED:
             task = cell.tasks.get(event.task_id)
@@ -947,7 +865,6 @@ class AgentEngine(Engine):
                 reservation = agent.release_reservation(task_id)
                 if reservation and reservation.source in self.agents:
                     self.agents[reservation.source].task_left(task_id)
-            self._completions = [c for c in self._completions if c[1] != event.node_id]
         cell.apply(event)
         for broker in self.brokers.values():
             if broker.cache.pop(event.node_id, None) is not None:
@@ -969,7 +886,7 @@ class AgentEngine(Engine):
         for round_index in range(self.config.rounds_per_tick):
             self._run_round(round_index)
             self.now_us += self.round_us
-        self._complete_due_migrations()
+        self._complete_transfers()
         return self.metrics
 
     def _gossip(self) -> None:
@@ -987,7 +904,7 @@ class AgentEngine(Engine):
             broker._index_dirty = True
 
     def _run_round(self, round_index: int) -> None:
-        self._complete_due_migrations()
+        self._complete_transfers()
         # deliver everything sent last round
         for message in self._outbox:
             self._inbox.setdefault(message.recipient, deque()).append(message)

@@ -11,8 +11,9 @@ clamped to zero when negative, zero on any resource at or above 90% of
 capacity (the super-tight band and overloads), and flattened to the
 bias-point value when every resource sits on the far side of the bias from
 the function's target region, which keeps the peak where it belongs.  The
-gain variants (``sias_gain``, ``sras_gain`` in the agent engine) score the
-improvement a move brings instead of the absolute level.
+gain variants (``sias_gain``, ``sras_gain``) score the improvement a move
+brings instead of the absolute level; ``SCORERS`` names all four and
+``score`` is the one dispatch the agent engine calls.
 """
 
 from __future__ import annotations
@@ -71,9 +72,32 @@ def allocation_score_vec(params: ScoringParams, totals: np.ndarray,
         far = np.all(~positive_cap | (deltas < 0.0), axis=1)
     exponent = np.where(far, 0.0, exponent)
 
-    scores = np.power(params.f_steep, exponent) - params.f_floor
-    scores = np.where(zero_cap_demand | cutoff, 0.0, scores)
+    # cut-off rows score zero, and on an overloaded node their power overflows
+    keep = ~(zero_cap_demand | cutoff)
+    scores = np.zeros(len(exponent))
+    scores[keep] = np.power(params.f_steep, exponent[keep]) - params.f_floor
     return np.maximum(scores, 0.0)
+
+
+#: Scorer name -> (params, gain).  A gain scorer rates a move by how much it
+#: raises the score (never below zero), not by the level it leaves.
+SCORERS = {
+    "sias": (INITIAL_PARAMS, False),
+    "sras": (REALLOC_PARAMS, False),
+    "sias_gain": (INITIAL_PARAMS, True),
+    "sras_gain": (REALLOC_PARAMS, True),
+}
+
+
+def score(scorer: str, totals: np.ndarray, before: np.ndarray,
+          after: np.ndarray) -> np.ndarray:
+    """Score each row's move from ``before`` to ``after`` with the named
+    scorer from ``SCORERS``."""
+    params, gain = SCORERS[scorer]
+    scores = allocation_score_vec(params, totals, after)
+    if gain:
+        scores = np.maximum(scores - allocation_score_vec(params, totals, before), 0.0)
+    return scores
 
 
 class AllocationClass(enum.Enum):

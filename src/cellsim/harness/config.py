@@ -7,7 +7,8 @@ from pathlib import Path
 from typing import Optional
 
 from ..agents.engine import AgentConfig
-from ..metaheuristics.strategies import StrategyConfig
+from ..agents.scoring import SCORERS
+from ..metaheuristics.strategies import STRATEGIES, StrategyConfig
 from ..workload.synth import SynthConfig
 
 MINUTE_US = 60 * 1_000_000
@@ -67,6 +68,11 @@ class RunConfig:
             raise ConfigError("scale factor must be 1, 2, 4 or 8")
         if self.tick_length_us <= 0 or self.rounds_per_tick <= 0:
             raise ConfigError("tick length and rounds per tick must be positive")
+        for scorer in (self.initial_scorer, self.realloc_scorer):
+            if scorer not in SCORERS:
+                raise ConfigError(f"unknown scorer {scorer!r}; known: {', '.join(SCORERS)}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}; known: {', '.join(STRATEGIES)}")
         if self.synth is not None:
             try:
                 self.synth.validate()

@@ -14,16 +14,10 @@ import struct
 from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
-#: Version 2: the broker cache became a plain dict and the engine's writers
-#: left its config, so version-1 pickles no longer load.  Version 3: the
-#: payload carries the anomaly counts, which a resumed run restores.
-#: Version 4: the pickled cell changed shape (each node holds its residents
-#: and load sums, ``pending`` is a dict, the cell holds the anomaly sink)
-#: and node agents no longer carry their own copy of those sums.  Version 5:
-#: node agents and broker cache entries read totals and attributes from the
-#: cell, and the engine keeps no negotiation-source index.  Version 6: the
-#: cell holds a migration profile, no cost model or sink.
-VERSION = 6
+#: Raised whenever the pickled payload changes shape (the history is in the
+#: version control log).  Version 7: the engine keeps a one-round transfer
+#: list, not a due-time queue, and brokers keep their constraint matches.
+VERSION = 7
 
 
 class SnapshotError(RuntimeError):

@@ -11,6 +11,10 @@ solution appears, the result says so.
 Every candidate evaluation is metered against ``max_candidates``, which
 makes cross-strategy comparisons budget-fair and keeps tests deterministic;
 wall-clock budgets exist for benchmarking only.
+
+Greedy and tabu search are one local-search loop: greedy is tabu search
+that keeps no tabu list and allows no non-improving move.  Annealing and
+the genetic mutation draw the same random one-task move.
 """
 
 from __future__ import annotations
@@ -196,54 +200,57 @@ def _neighbor_scan(run: _Run, current: CandidateSolution,
     return run.candidate(assign)
 
 
-def greedy(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
-    """Hill-climb to a local cost optimum, restarting while budget remains."""
+def _local_search(instance: Instance, cfg: StrategyConfig, tabu: bool) -> BalancerResult:
+    """Walk to the best stable neighbor, restarting while budget remains.
+
+    Without ``tabu`` the walk stops at its first non-improving (dull) step;
+    with it, it never revisits an assignment and stops after more than
+    ``tabu_dull_move_limit`` dull steps in a row."""
     run = _Run(instance, cfg)
     shortcut = _origin_shortcut(run)
     if shortcut is not None:
         return shortcut
+    dull_limit = cfg.tabu_dull_move_limit if tabu else 0
     while run.budget_left():
         run.runs += 1
         current = run.random_stable()
         if current is None:
             break
-        while run.budget_left():
-            step = _neighbor_scan(run, current)
-            if step is None or step.rank_key() >= current.rank_key():
-                break
-            current = step
-            run.offer(current)
-    return run.result()
-
-
-def tabu_search(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
-    """Greedy walk that never revisits an assignment and tolerates a bounded
-    number of non-improving (dull) moves before restarting."""
-    run = _Run(instance, cfg)
-    shortcut = _origin_shortcut(run)
-    if shortcut is not None:
-        return shortcut
-    while run.budget_left():
-        run.runs += 1
-        current = run.random_stable()
-        if current is None:
-            break
-        visited = {run.problem.key(current.assign)}
+        visited = {run.problem.key(current.assign)} if tabu else None
         dull = 0
-        while run.budget_left() and dull <= cfg.tabu_dull_move_limit:
+        while run.budget_left() and dull <= dull_limit:
             step = _neighbor_scan(run, current, visited=visited)
             if step is None:
                 break
-            visited.add(run.problem.key(step.assign))
-            if step.rank_key() < current.rank_key():
-                dull = 0
-            else:
-                dull += 1
-                if dull > cfg.tabu_dull_move_limit:
-                    break
+            if visited is not None:
+                visited.add(run.problem.key(step.assign))
+            dull = 0 if step.rank_key() < current.rank_key() else dull + 1
+            if dull > dull_limit:
+                break
             current = step
             run.offer(current)
     return run.result()
+
+
+def greedy(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
+    """Hill-climb to a local cost optimum, restarting while budget remains."""
+    return _local_search(instance, cfg, tabu=False)
+
+
+def tabu_search(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
+    """Greedy walk that never revisits an assignment and allows a few dull moves."""
+    return _local_search(instance, cfg, tabu=True)
+
+
+def _mutate(run: _Run, assign: np.ndarray) -> np.ndarray:
+    """A copy of ``assign`` with one random task on another random node."""
+    out = assign.copy()
+    t = run.rng.randrange(run.problem.task_count)
+    n = run.rng.randrange(run.problem.node_count - 1)
+    if n >= int(out[t]):
+        n += 1
+    out[t] = n
+    return out
 
 
 def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
@@ -269,15 +276,8 @@ def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResu
         return cost
 
     def initial_temperature(start: CandidateSolution) -> float:
-        deltas = []
-        for _ in range(min(64, problem.task_count * (problem.node_count - 1))):
-            t = run.rng.randrange(problem.task_count)
-            n = run.rng.randrange(problem.node_count - 1)
-            if n >= int(start.assign[t]):
-                n += 1
-            assign = start.assign.copy()
-            assign[t] = n
-            deltas.append(abs(energy(run.candidate(assign)) - energy(start)))
+        deltas = [abs(energy(run.candidate(_mutate(run, start.assign))) - energy(start))
+                  for _ in range(min(64, problem.task_count * (problem.node_count - 1)))]
         deltas = [d for d in deltas if d > 0]
         if not deltas:
             return 1.0
@@ -294,13 +294,7 @@ def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResu
         floor = temperature * t_floor_factor
         steps_at_t = 0
         while run.budget_left() and temperature > floor:
-            t = run.rng.randrange(problem.task_count)
-            n = run.rng.randrange(problem.node_count - 1)
-            if n >= int(current.assign[t]):
-                n += 1
-            assign = current.assign.copy()
-            assign[t] = n
-            neighbor = run.candidate(assign)
+            neighbor = run.candidate(_mutate(run, current.assign))
             delta = energy(neighbor) - current_energy
             if delta <= 0 or run.rng.random() < math.exp(-delta / temperature):
                 current = neighbor
@@ -316,16 +310,6 @@ def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResu
 def _crossover(run: _Run, a: CandidateSolution, b: CandidateSolution) -> np.ndarray:
     mask = np.array([run.rng.random() < 0.5 for _ in range(run.problem.task_count)])
     return np.where(mask, a.assign, b.assign).astype(np.int64)
-
-
-def _mutate(run: _Run, assign: np.ndarray) -> np.ndarray:
-    out = assign.copy()
-    t = run.rng.randrange(run.problem.task_count)
-    n = run.rng.randrange(run.problem.node_count - 1)
-    if n >= int(out[t]):
-        n += 1
-    out[t] = n
-    return out
 
 
 def _ga_loop(run: _Run, population: list[CandidateSolution],

@@ -18,8 +18,12 @@ from cellsim.agents import (
     TaskSnapshot,
     select_candidate_services,
 )
+from cellsim.agents.engine import RECOMMENDATION_COUNT
+from cellsim.agents.messages import ZERO_SCORE_FITNESS
+from cellsim.agents.scoring import SCORERS
 from cellsim.model import ResourceTypeCatalog
 from cellsim.workload import CellState, ConstraintOperator as Op, TaskConstraint
+from cellsim.workload.constraints import matches_attributes
 from cellsim.workload import events as ev
 from scoring_oracle import allocation_score
 
@@ -188,12 +192,93 @@ class TestBrokerQuotes:
 
         assert run() == run()
 
+    def test_attribute_change_between_ticks_reaches_quotes(self):
+        engine = build_engine([(1.0, 1.0)] * 2, attrs={0: (("gpu", "yes"),)})
+        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False,
+                                (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
+        broker = engine.brokers["broker-000"]
+
+        def quote():
+            recs = broker.compute_recommendations(snapshot, initial=True, exclude=None)
+            return [r.node_id for r in recs]
+
+        assert quote() == ["n000"]
+        engine.apply_events([ev.RemoveNodeAttributesEvent(0, "n000", ("gpu",)),
+                             ev.AddNodeAttributesEvent(0, "n001", (("gpu", "yes"),))])
+        broker.evict_stale(engine.now_us)  # what every tick starts with
+        assert quote() == ["n001"]
+
     def test_exclude_source(self):
         engine = build_engine([(1.0, 1.0)] * 2)
         snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False, (), 10.0)
         broker = engine.brokers["broker-000"]
         recs = broker.compute_recommendations(snapshot, initial=False, exclude="n000")
         assert [r.node_id for r in recs] == ["n001"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quote_bands(data):
+    """On a random cache below the scan limits (so every eligible node is
+    scanned), a quote lists scored nodes by falling fitness, then zero-score
+    nodes with room, then forced nodes with the total capacity but not the
+    room; it never lists the requester or a node the constraints exclude,
+    and it stops short of the count only when no eligible node is left out."""
+    count = data.draw(st.integers(1, 40))
+    share = st.floats(0.0, 1.3, allow_nan=False)
+    totals = [data.draw(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
+              for _ in range(count)]
+    racks = {i: (("rack", rack),) for i in range(count)
+             if (rack := data.draw(st.sampled_from(["a", "b", "c", None]))) is not None}
+    scorers = sorted(SCORERS)
+    config = AgentConfig(initial_scorer=data.draw(st.sampled_from(scorers)),
+                         realloc_scorer=data.draw(st.sampled_from(scorers)))
+    engine = build_engine(totals, seed=data.draw(st.integers(0, 2**16)), config=config,
+                          attrs=racks)
+    for i, total in enumerate(totals):
+        load = tuple(t * data.draw(share) for t in total)
+        add_task(engine, f"load{i}", required=load, used=load, node=f"n{i:03d}")
+    required = data.draw(st.tuples(st.floats(0.01, 1.5), st.floats(0.01, 1.5)))
+    used = tuple(r * data.draw(st.floats(0.0, 1.0)) for r in required)
+    constraints = tuple(TaskConstraint(op, "rack", rack) for op, rack in data.draw(st.lists(
+        st.tuples(st.sampled_from([Op.EQUAL, Op.NOT_EQUAL]), st.sampled_from("abc")),
+        max_size=2)))
+    initial = data.draw(st.booleans())
+    requester = data.draw(st.one_of(st.none(), st.integers(0, count - 1).map("n{:03d}".format)))
+    snapshot = TaskSnapshot("t", required, used, False, False, constraints, 10.0)
+    recs = engine.brokers["broker-000"].compute_recommendations(
+        snapshot, initial=initial, exclude=requester)
+
+    nodes = engine.cell.nodes
+    eligible = {node_id for node_id in nodes if node_id != requester
+                and matches_attributes(constraints, nodes[node_id].attributes)}
+    if not eligible:
+        assert recs is None
+        return
+    task_vec = np.asarray(required if initial else used)
+    ids = [r.node_id for r in recs]
+    assert len(ids) == len(set(ids)) <= RECOMMENDATION_COUNT
+    assert set(ids) <= eligible
+    bands = []
+    for rec in recs:
+        room = np.all(np.asarray(rec.node_available_resources) >= task_vec)
+        if rec.force_migration:
+            assert rec.fitness_value == FORCED_FITNESS
+            assert np.all(np.asarray(required) <= nodes[rec.node_id].total) and not room
+            bands.append(2)
+        elif rec.fitness_value == ZERO_SCORE_FITNESS:
+            assert room
+            bands.append(1)
+        else:
+            assert rec.fitness_value > 0.0
+            bands.append(0)
+    assert bands == sorted(bands)
+    scored = [r.fitness_value for r in recs if not r.force_migration
+              and r.fitness_value != ZERO_SCORE_FITNESS]
+    assert scored == sorted(scored, reverse=True)
+    if len(recs) < RECOMMENDATION_COUNT:
+        capable = {n for n in eligible if np.all(np.asarray(required) <= nodes[n].total)}
+        assert capable <= set(ids)
 
 
 class TestAdmission:

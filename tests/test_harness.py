@@ -100,6 +100,15 @@ class TestConfig:
             RunConfig(mode="magic", seed=1, output_dir=tmp_path,
                       synth=synth_config()).validate()
 
+    @pytest.mark.parametrize("field,name", [
+        ("initial_scorer", "sias_typo"), ("realloc_scorer", "sras_typo"),
+        ("strategy", "anneal")])
+    def test_unknown_scorer_or_strategy_refused_at_construction(self, tmp_path, field, name):
+        # without the check the run fails at its first quote or balancing tick
+        mode = "metaheuristic" if field == "strategy" else "masb"
+        with pytest.raises(ConfigError, match=name):
+            SimulationRunner(run_config(tmp_path, mode=mode, **{field: name}))
+
 
 class TestScaleCell:
     def test_factor_one_identity(self):

@@ -6,11 +6,11 @@ The scalar functions come from ``scoring_oracle``; the vectorized forms in
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from cellsim.agents import AgentConfig, AgentEngine
 from cellsim.agents.scoring import (
     INITIAL_PARAMS,
     REALLOC_PARAMS,
@@ -20,9 +20,8 @@ from cellsim.agents.scoring import (
     asr_metrics,
     classify_vec,
     rus_fits,
+    score,
 )
-from cellsim.model import ResourceTypeCatalog
-from cellsim.workload import CellState
 from scoring_oracle import classify_allocation, score_gain, sias, sras
 
 MAX11 = (1.0, 1.0)
@@ -113,6 +112,16 @@ class TestSurfaceShape:
             for i in range(len(used)):
                 assert vec[i] == pytest.approx(scalar(MAX11, tuple(used[i])), abs=1e-12)
 
+    def test_heavily_overloaded_row_scores_zero_without_warning(self):
+        # 500^(11.4 * 11.4) overflows: a cut-off row's power must not be taken
+        totals = np.ones((2, 2))
+        used = np.array([[12.0, 12.0], [0.8, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = allocation_score_vec(REALLOC_PARAMS, totals, used)
+        assert scores[0] == 0.0
+        assert scores[1] == pytest.approx(sras(MAX11, (0.8, 0.5)), abs=1e-12)
+
     def test_capacity_scaling(self):
         # utilizations are relative to capacity, not absolute
         assert sias((0.5, 0.5), (0.15, 0.15)) == pytest.approx(0.2, abs=1e-12)
@@ -139,16 +148,24 @@ class TestGain:
 
     @pytest.mark.parametrize("name,scalar", [("sias_gain", sias), ("sras_gain", sras)])
     def test_engine_gain_matches_oracle(self, name, scalar):
-        engine = AgentEngine(CellState(ResourceTypeCatalog(("cpu", "memory"))),
-                             AgentConfig(), seed=0)
         rng = random.Random(23)
         before = np.array([[rng.uniform(0, 1), rng.uniform(0, 1)] for _ in range(300)])
         after = before + np.array([[rng.uniform(0, 0.3), rng.uniform(0, 0.3)]
                                    for _ in range(300)])
-        vec = engine.score_vec(name, np.ones_like(before), before, after)
+        vec = score(name, np.ones_like(before), before, after)
         for i in range(len(before)):
             expected = score_gain(scalar, MAX11, tuple(before[i]), tuple(after[i]))
             assert vec[i] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("name,scalar", [("sias", sias), ("sras", sras)])
+    def test_level_scorer_matches_oracle(self, name, scalar):
+        rng = random.Random(29)
+        before = np.array([[rng.uniform(0, 1), rng.uniform(0, 1)] for _ in range(300)])
+        after = before + np.array([[rng.uniform(0, 0.3), rng.uniform(0, 0.3)]
+                                   for _ in range(300)])
+        vec = score(name, np.ones_like(before), before, after)
+        for i in range(len(before)):
+            assert vec[i] == pytest.approx(scalar(MAX11, tuple(after[i])), abs=1e-12)
 
 
 class TestClassification:

@@ -485,7 +485,7 @@ class BrokerAgent:
         self.np_rng = np.random.Generator(np.random.PCG64(_stable_seed(engine.seed, "ba-np", broker_id)))
         self._index_dirty = True
         self._index: Optional[tuple] = None
-        self._matches: dict[tuple, np.ndarray] = {}  # constraints -> index entries matching
+        self._matches: dict[tuple, np.ndarray] = {}  # constraints -> matching index entries
 
     # -- cache ------------------------------------------------------------------
 
@@ -525,26 +525,43 @@ class BrokerAgent:
         bands: nodes drawn by score from the scanned pool, zero-score pool
         nodes with room, then forced nodes with the total capacity (pool
         nodes without the room, then unscanned ones).  None if no cached
-        node other than ``exclude`` matches the task's constraints."""
+        node other than ``exclude`` matches the task's constraints.
+
+        The pool is a uniform sample without replacement of the scan limit's
+        size from the eligible nodes (every cached node, or the constraint
+        set's cached matches, less ``exclude``), drawn as positions so no
+        per-quote array spans the cache.  The scored band is a weighted
+        sample without replacement: the nodes with the smallest
+        exponential-over-fitness keys.  Only the forced band reaches the
+        unscanned eligible nodes; they are shuffled when it does."""
         engine = self.engine
         if self._index_dirty:
             self._rebuild_index()
         ids, totals, used, attrs, id_pos = self._index
-        if not ids:
-            return None
-        eligible = self.np_rng.permutation(len(ids))  # fresh shuffle per request
-        if exclude in id_pos:
-            eligible = eligible[eligible != id_pos[exclude]]
+        eligible = None  # None: every index entry
         if snapshot.constraints:
-            match = self._matches.get(snapshot.constraints)
-            if match is None:
-                match = self._matches[snapshot.constraints] = np.array(
-                    [matches_attributes(snapshot.constraints, a) for a in attrs], dtype=bool)
-            eligible = eligible[match[eligible]]
-        pool = eligible[:INITIAL_SCAN_LIMIT if initial else REALLOC_SCAN_LIMIT]
-        if not len(pool):
+            eligible = self._matches.get(snapshot.constraints)
+            if eligible is None:
+                eligible = self._matches[snapshot.constraints] = np.flatnonzero(
+                    [matches_attributes(snapshot.constraints, a) for a in attrs])
+        count = len(ids) if eligible is None else len(eligible)
+        gap = id_pos.get(exclude)  # the requester's position among the eligible
+        if gap is not None and eligible is not None:
+            at = int(np.searchsorted(eligible, gap))
+            gap = at if at < count and eligible[at] == gap else None
+        if gap is not None:
+            count -= 1
+        if count <= 0:
             return None
 
+        def entries(positions: np.ndarray) -> np.ndarray:
+            if gap is not None:
+                positions = positions + (positions >= gap)
+            return positions if eligible is None else eligible[positions]
+
+        limit = INITIAL_SCAN_LIMIT if initial else REALLOC_SCAN_LIMIT
+        drawn = self.np_rng.choice(count, size=min(limit, count), replace=False)
+        pool = entries(drawn)
         required = np.asarray(snapshot.required)
         task_vec = required if initial else np.asarray(snapshot.used)
         pool_totals, pool_used = totals[pool], used[pool]
@@ -552,28 +569,38 @@ class BrokerAgent:
         scores = score(scorer, pool_totals, pool_used, pool_used + task_vec)
         positive = scores > 0.0
         scored, fitness = pool[positive], scores[positive]
-        picks: list[tuple] = []  # (index, fitness, forced)
-        if len(scored):
-            drawn = self.np_rng.choice(len(scored), size=min(RECOMMENDATION_COUNT, len(scored)),
-                                       replace=False, p=fitness / fitness.sum())
-            picks = [(scored[i], float(fitness[i]), False)
-                     for i in sorted(drawn, key=lambda i: (-fitness[i], ids[scored[i]]))]
+        if len(scored) > RECOMMENDATION_COUNT:
+            keys = self.np_rng.standard_exponential(len(scored)) / fitness
+            top = np.argpartition(keys, RECOMMENDATION_COUNT - 1)[:RECOMMENDATION_COUNT]
+            scored, fitness = scored[top], fitness[top]
+        order = np.lexsort((scored, -fitness))  # falling fitness, then id (index order)
+        picks = [(i, fit, False)  # (index, fitness, forced)
+                 for i, fit in zip(scored[order].tolist(), fitness[order].tolist())]
         if len(picks) < RECOMMENDATION_COUNT:
             # zero-score nodes with room still beat any forced entry: a flat
             # score never justifies skipping availability checks
             room = np.all(pool_totals - pool_used >= task_vec, axis=1)
             picks += [(i, ZERO_SCORE_FITNESS, False)
-                      for i in pool[~positive & room][:RECOMMENDATION_COUNT]]
+                      for i in pool[~positive & room][:RECOMMENDATION_COUNT].tolist()]
             if len(picks) < RECOMMENDATION_COUNT:
                 # last resort: the pool nodes left, then the unscanned
                 # eligible ones, that have the total capacity for the task
-                rest = np.concatenate((pool[~positive & ~room], eligible[len(pool):]))
+                rest = pool[~positive & ~room]
+                if len(drawn) < count:
+                    unscanned = np.ones(count, dtype=bool)
+                    unscanned[drawn] = False
+                    unscanned = np.flatnonzero(unscanned)
+                    self.np_rng.shuffle(unscanned)
+                    rest = np.concatenate((rest, entries(unscanned)))
                 capable = rest[np.all(required <= totals[rest], axis=1)]
-                picks += [(i, FORCED_FITNESS, True) for i in capable[:RECOMMENDATION_COUNT]]
+                picks += [(i, FORCED_FITNESS, True) for i in capable[:RECOMMENDATION_COUNT].tolist()]
+        picks = picks[:RECOMMENDATION_COUNT]
+        chosen = [i for i, _, _ in picks]
+        available = (totals[chosen] - used[chosen]).tolist()
         return [CandidateNodeRecommendation(
-                    node_id=ids[i], node_available_resources=tuple(totals[i] - used[i]),
+                    node_id=ids[i], node_available_resources=tuple(room_left),
                     fitness_value=fit, force_migration=forced, created_at=engine.now_us)
-                for i, fit, forced in picks[:RECOMMENDATION_COUNT]]
+                for (i, fit, forced), room_left in zip(picks, available)]
 
     # -- protocol ------------------------------------------------------------------
 
@@ -631,6 +658,8 @@ class BrokerAgent:
 
     def _try_placement(self, flow: PlacementFlow) -> None:
         engine = self.engine
+        if flow.task_id not in engine.cell.tasks:
+            return  # the task ended while a request for it was in flight
         while flow.next_index < len(flow.recommendations):
             rec = flow.recommendations[flow.next_index]
             if rec.expired(engine.now_us, RECOMMENDATION_TTL_US):

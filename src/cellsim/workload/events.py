@@ -33,7 +33,7 @@ class EventKind(enum.Enum):
 # before additions, so an AddTask can target a node added in the same batch
 # and freed capacity is visible before new demand.  Usage/constraint updates
 # follow the AddTask that introduces the task.
-_VARIANT_PRIORITY = {
+VARIANT_PRIORITY = {
     EventKind.REMOVE_NODE: 0,
     EventKind.ADD_NODE: 1,
     EventKind.UPDATE_NODE_TOTAL: 2,
@@ -54,9 +54,6 @@ class WorkloadEvent:
     @property
     def kind(self) -> EventKind:
         raise NotImplementedError
-
-    def sort_key(self, sequence: int = 0) -> tuple[int, int, int]:
-        return (self.timestamp, _VARIANT_PRIORITY[self.kind], sequence)
 
 
 @dataclass(frozen=True)
@@ -173,5 +170,6 @@ class EventBatch:
 
 
 def sort_events(events) -> list[WorkloadEvent]:
-    """Timestamp sort with the deterministic variant/source tie-break."""
-    return [e for _, e in sorted(((ev.sort_key(i), ev) for i, ev in enumerate(events)), key=lambda p: p[0])]
+    """Sort by timestamp, then by ``VARIANT_PRIORITY``; the sort is stable,
+    so events that tie on both keep their input (source) order."""
+    return sorted(events, key=lambda e: (e.timestamp, VARIANT_PRIORITY[e.kind]))

@@ -94,21 +94,32 @@ def _node_attributes(config: SynthConfig, index: int) -> tuple[tuple[str, str], 
 
 
 def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
-    """Yield a reproducible, timestamp-sorted workload event stream."""
+    """Yield a reproducible, timestamp-sorted workload event stream.
+
+    The stream is generated lazily.  All arrivals are drawn first; then each
+    task is built in arrival order and its events go onto a heap keyed
+    ``(timestamp, VARIANT_PRIORITY, sequence)``, the order ``sort_events``
+    gives the whole list.  Arrivals never decrease and a task's events are
+    never stamped before its arrival, so before each arrival every event
+    stamped earlier is final and is yielded.  Reading the first minutes of a
+    long horizon builds only the tasks arriving in them, and memory follows
+    the scheduled events, not the horizon.
+    """
     config.validate()
     rng = random.Random(config.seed)
     horizon_us = int(config.duration_minutes * MINUTE_US)
 
-    events: list[ev.WorkloadEvent] = []
     node_ids = [f"n{index:05d}" for index in range(config.node_count)]
     node_groups: list[Optional[str]] = []
+    # AddNode events at t=0 precede every task event: none has a lower
+    # variant priority, and none is stamped earlier.
     for index, node_id in enumerate(node_ids):
         attributes = _node_attributes(config, index)
         node_groups.append(dict(attributes).get("group"))
-        events.append(ev.AddNodeEvent(
+        yield ev.AddNodeEvent(
             timestamp=0, node_id=node_id, total=config.node_capacity,
             attributes=attributes,
-        ))
+        )
 
     # First-fit headroom for recorded placements.  A task's share returns to
     # its node when the task ends, before any arrival at that time or later
@@ -144,9 +155,17 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
                 break
             arrivals.append(int(t))
 
+    add_rank = ev.VARIANT_PRIORITY[ev.EventKind.ADD_TASK]
+    used_rank = ev.VARIANT_PRIORITY[ev.EventKind.UPDATE_TASK_USED]
+    remove_rank = ev.VARIANT_PRIORITY[ev.EventKind.REMOVE_TASK]
+    scheduled: list[tuple] = []  # heap of (timestamp, variant priority, sequence, event)
+    push, pop = heapq.heappush, heapq.heappop
+    sequence = 0
     interval = int(config.usage_interval_minutes * MINUTE_US)
     ramp = max(1, config.usage_ramp_updates)
     for seq, arrival in enumerate(arrivals):
+        while scheduled and scheduled[0][0] < arrival:
+            yield pop(scheduled)[3]
         task_id = f"t{seq:07d}"
         is_batch = rng.random() < config.batch_fraction
         if is_batch:
@@ -174,7 +193,7 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
                 recorded_node = node_ids[index]
                 if end_us is not None:
                     heapq.heappush(running, (end_us, index, required))
-        events.append(ev.AddTaskEvent(
+        push(scheduled, (arrival, add_rank, sequence, ev.AddTaskEvent(
             timestamp=arrival,
             task_id=task_id,
             required=required,
@@ -182,20 +201,25 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
             production=production,
             constraints=constraints,
             recorded_node=recorded_node,
-        ))
+        )))
+        sequence += 1
         report = arrival + interval // 2
         stop = end_us if end_us is not None else horizon_us
         step = 0
         while report < stop:
             step += 1
             scale = min(1.0, step / ramp)
-            events.append(ev.UpdateTaskUsedEvent(
+            push(scheduled, (report, used_rank, sequence, ev.UpdateTaskUsedEvent(
                 timestamp=report,
                 task_id=task_id,
                 used=tuple(u * scale for u in usage),
-            ))
+            )))
+            sequence += 1
             report += interval
         if end_us is not None:
-            events.append(ev.RemoveTaskEvent(timestamp=end_us, task_id=task_id))
+            push(scheduled, (end_us, remove_rank, sequence,
+                             ev.RemoveTaskEvent(timestamp=end_us, task_id=task_id)))
+            sequence += 1
 
-    yield from ev.sort_events(events)
+    while scheduled:
+        yield pop(scheduled)[3]

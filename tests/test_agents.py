@@ -18,9 +18,10 @@ from cellsim.agents import (
     TaskSnapshot,
     select_candidate_services,
 )
-from cellsim.agents.engine import RECOMMENDATION_COUNT
+from cellsim.agents import engine as engine_module
+from cellsim.agents.engine import INITIAL_SCAN_LIMIT, RECOMMENDATION_COUNT
 from cellsim.agents.messages import ZERO_SCORE_FITNESS
-from cellsim.agents.scoring import SCORERS
+from cellsim.agents.scoring import SCORERS, score
 from cellsim.model import ResourceTypeCatalog
 from cellsim.workload import CellState, ConstraintOperator as Op, TaskConstraint
 from cellsim.workload.constraints import matches_attributes
@@ -281,6 +282,73 @@ def test_quote_bands(data):
         assert capable <= set(ids)
 
 
+def big_cell(big_every=0):
+    """500 nodes in four attribute groups, each with its own cpu total, so a
+    row of scanned totals names its node; every ``big_every``-th node has
+    twice the capacity."""
+    totals = [(2.0 + i * 1e-3, 2.0) if big_every and i % big_every == 0 else (1.0 + i * 1e-3, 1.0)
+              for i in range(500)]
+    attrs = {i: (("group", str(i % 4)),) for i in range(500)}
+    return build_engine(totals, seed=11, attrs=attrs)
+
+
+def scanned_pools(monkeypatch):
+    """Record, for every quote, the node ids of the pool it scored."""
+    pools = []
+
+    def spy(scorer, totals, before, after):
+        cpu_base = np.where(totals[:, 1] > 1.5, 2.0, 1.0)
+        pools.append([f"n{i:03d}" for i in np.rint((totals[:, 0] - cpu_base) * 1e3).astype(int)])
+        return score(scorer, totals, before, after)
+
+    monkeypatch.setattr(engine_module, "score", spy)
+    return pools
+
+
+@pytest.mark.parametrize("constraints,requester", [
+    ((), "n007"),
+    ((TaskConstraint(Op.NOT_EQUAL, "group", "1"),), "n008"),  # the requester matches
+    ((TaskConstraint(Op.NOT_EQUAL, "group", "1"),), "n009"),  # the requester does not
+])
+def test_pool_above_scan_limit_samples_eligible_nodes(constraints, requester, monkeypatch):
+    """Above the scan limit a quote scores a sample of the eligible nodes:
+    the scan limit's count of distinct nodes, never the requester or a node
+    the constraints exclude, and over a series of quotes every one of them."""
+    engine = big_cell()
+    pools = scanned_pools(monkeypatch)
+    nodes = engine.cell.nodes
+    eligible = {node_id for node_id in nodes if node_id != requester
+                and matches_attributes(constraints, nodes[node_id].attributes)}
+    assert len(eligible) > INITIAL_SCAN_LIMIT
+    snapshot = TaskSnapshot("t", (0.1, 0.1), (0.0, 0.0), False, True, constraints, 10.0)
+    broker = engine.brokers["broker-000"]
+    for _ in range(40):
+        broker.compute_recommendations(snapshot, initial=True, exclude=requester)
+    assert len(pools) == 40
+    for pool in pools:
+        assert len(pool) == len(set(pool)) == INITIAL_SCAN_LIMIT
+        assert set(pool) <= eligible
+    assert set().union(*pools) == eligible
+
+
+def test_forced_band_reaches_unscanned_nodes(monkeypatch):
+    """On a full cell where few nodes have the capacity for the task, the
+    forced band lists every capable node: first those the pool scanned,
+    then ones it did not."""
+    engine = big_cell(big_every=50)
+    for i, node in enumerate(sorted(engine.cell.nodes)):
+        load = tuple(0.95 * t for t in engine.cell.nodes[node].total)
+        add_task(engine, f"load{i}", required=load, used=load, node=node)
+    pools = scanned_pools(monkeypatch)
+    snapshot = TaskSnapshot("t", (1.5, 1.5), (0.0, 0.0), False, True, (), 10.0)
+    recs = engine.brokers["broker-000"].compute_recommendations(snapshot, initial=True, exclude=None)
+    capable = {f"n{i:03d}" for i in range(0, 500, 50)}
+    assert all(r.force_migration for r in recs)
+    assert {r.node_id for r in recs} == capable
+    in_pool = [r.node_id in set(pools[0]) for r in recs]
+    assert in_pool == sorted(in_pool, reverse=True) and not all(in_pool)
+
+
 class TestAdmission:
     def test_empty_node_accepts_small_task(self):
         engine = build_engine([(1.0, 1.0)])
@@ -465,6 +533,33 @@ def test_node_added_again_keeps_its_reservations():
     run_ticks(engine, 3)
     assert engine.cell.placement == {"t": "n000"}
     assert engine.cell.conservation_holds()
+
+
+def test_placement_refused_after_its_task_ended_is_dropped():
+    # with two rounds a tick, a placement request sent in round 0 is refused
+    # in round 1 and the refusal reaches the broker next tick, after the
+    # window that ended the task; the broker must drop the flow, not send
+    # the task to its next candidate
+    engine = build_engine([(1.0, 1.0)] * 2, seed=1,
+                          config=AgentConfig(rounds_per_tick=2, audit=True))
+    # three production tasks whose full requirements fit one to a node, so
+    # at least one request is refused on the RUS bound
+    engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id=f"p{i}", required=(0.6, 0.6),
+                                         production=True) for i in range(3)])
+    engine.run_tick()
+    broker = engine.brokers["broker-000"]
+    refused = [m.task.task_id for m in engine._outbox
+               if m.kind is MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE]
+    assert refused
+    engine.apply_events([ev.RemoveTaskEvent(timestamp=0, task_id=f"p{i}") for i in range(3)])
+    sent = []
+    engine.message_trace = sent.append
+    engine.run_tick()
+    assert not broker.in_flight and not broker.retry_queue
+    assert not [line for line in sent
+                if MessageKind.TASK_MIGRATION_PROCESS_REQUEST.value + "\t" in line]
+    check_agent_invariants(engine)
+    assert engine.cell.tasks == {}
 
 
 def test_status_report_from_a_removed_node_is_ignored():

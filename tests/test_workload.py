@@ -25,6 +25,7 @@ from cellsim.workload import (
 )
 from cellsim.workload import events as ev
 from cellsim.workload.parsers import GCD_TIME_SHIFT_US, open_trace_directory
+from synth_oracle import eager_synth_events
 
 CAT2 = ResourceTypeCatalog(("cpu", "memory"))
 MIN_US = 60 * 1_000_000
@@ -401,6 +402,45 @@ class TestSynthGenerator:
                 for i, value in enumerate(required):
                     load[node_id][i] -= value
         assert len(load) == config.node_count
+
+    @pytest.mark.parametrize("config", [
+        # recorded first-fit placements with constraints
+        SynthConfig(seed=1, node_count=10, task_arrival_rate=40.0, duration_minutes=60.0,
+                    constraint_rate=0.3),
+        # an arrival window and a usage ramp above 1
+        SynthConfig(seed=2, node_count=20, task_arrival_rate=100.0, duration_minutes=30.0,
+                    arrival_window_minutes=5.0, usage_ramp_updates=4),
+        SynthConfig(seed=3, node_count=5, task_arrival_rate=0.0, duration_minutes=10.0),
+        # the burst cell's shape at a tenth of its rate
+        SynthConfig(seed=4, node_count=200, task_arrival_rate=1000.0, duration_minutes=60.0,
+                    arrival_window_minutes=10.0, batch_fraction=0.8, usage_ratio=(0.6, 1.0),
+                    service_required=(0.1, 0.3), batch_required=(0.005, 0.04),
+                    record_placements=False),
+    ], ids=["placements", "window-ramp", "rate-zero", "burst"])
+    def test_lazy_stream_equals_eager_oracle(self, config):
+        assert list(synth_generate(config)) == eager_synth_events(config)
+
+    def test_first_minute_builds_only_its_tasks(self, monkeypatch):
+        """Reading the first minute of a 10k-arrivals-a-minute stream builds
+        no task arriving after the first arrival at or after 60 s."""
+        config = SynthConfig(seed=8, node_count=10, task_arrival_rate=10_000.0,
+                             duration_minutes=60.0, arrival_window_minutes=10.0,
+                             record_placements=False)
+        first_late = next(e.timestamp for e in synth_generate(config)
+                          if isinstance(e, ev.AddTaskEvent) and e.timestamp >= MIN_US)
+        built = []
+        real = ev.AddTaskEvent
+
+        def recording(**fields):
+            built.append(fields["timestamp"])
+            return real(**fields)
+
+        monkeypatch.setattr(ev, "AddTaskEvent", recording)
+        for event in synth_generate(config):
+            if event.timestamp >= MIN_US:
+                break
+        assert len(built) > 9000
+        assert max(built) <= first_late
 
     def test_timestamps_non_decreasing(self):
         config = SynthConfig(seed=77, node_count=5, task_arrival_rate=50.0, duration_minutes=15.0)

@@ -10,8 +10,11 @@ task with restrictive constraints cannot starve.
 
 Execution is deterministic: a seeded single-threaded scheduler splits each
 tick into rounds, delivering messages sent in one round at the start of the
-next, and processing agents in sorted-id order.  A transfer takes one round.
-Wall-clock never enters the simulation.
+next, and processing agents in sorted-id order.  A round's messages are
+delivered by recipient id; each recipient takes its status reports first,
+then the rest, each group in send order.  A transfer takes one round.
+Wall-clock never enters the simulation.  Node and task vectors are the
+cell's float64 arrays, used without conversion.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class AgentConfig:
 class BrokerCacheEntry:
     """A node's last reported availability (the cell holds the rest)."""
 
-    available: tuple
+    available: np.ndarray
     last_update: int
 
 
@@ -180,12 +183,9 @@ class NodeAgent:
     def node(self) -> NodeRuntime:
         return self.engine.cell.nodes[self.id]
 
-    @property
-    def total(self) -> np.ndarray:
-        return np.asarray(self.node.total, dtype=np.float64)
-
     def overloaded(self) -> bool:
-        return bool(np.any(self.node.used > self.total))
+        node = self.node
+        return bool(np.any(node.used > node.total))
 
     def task_left(self, task_id: str) -> None:
         """A task on this node finished or migrated away: stop moving it."""
@@ -196,20 +196,20 @@ class NodeAgent:
         self.in_migrations[snapshot.task_id] = InMigration(
             snapshot=snapshot, source=source, forced=forced, rec_age_us=rec_age_us,
             constraints_ok=matches_attributes(snapshot.constraints, self.node.attributes),
-            capacity_ok=bool(np.all(np.asarray(snapshot.required) <= self.total)))
+            capacity_ok=bool(np.all(snapshot.required <= self.node.total)))
         self.engine.reservation_target[snapshot.task_id] = self.id
-        self.incoming_used += np.asarray(snapshot.used)
+        self.incoming_used += snapshot.used
         if snapshot.production:
-            self.incoming_prod_req += np.asarray(snapshot.required)
+            self.incoming_prod_req += snapshot.required
 
     def release_reservation(self, task_id: str) -> Optional[InMigration]:
         reservation = self.in_migrations.pop(task_id, None)
         if reservation is not None:
             if self.engine.reservation_target.get(task_id) == self.id:
                 self.engine.reservation_target.pop(task_id, None)
-            self.incoming_used -= np.asarray(reservation.snapshot.used)
+            self.incoming_used -= reservation.snapshot.used
             if reservation.snapshot.production:
-                self.incoming_prod_req -= np.asarray(reservation.snapshot.required)
+                self.incoming_prod_req -= reservation.snapshot.required
         return reservation
 
     # -- admission checks ---------------------------------------------------------
@@ -218,29 +218,25 @@ class NodeAgent:
         return self.node.used + self.incoming_used + extra
 
     def admission_ok(self, snapshot: TaskSnapshot, forced: bool) -> bool:
-        if not matches_attributes(snapshot.constraints, self.node.attributes):
+        node = self.node
+        if not matches_attributes(snapshot.constraints, node.attributes):
             return False
-        total = self.total
-        if np.any(np.asarray(snapshot.required) > total):
+        if np.any(snapshot.required > node.total):
             return False  # total capacity must suffice even when forced
         if forced:
             return True
-        projected = self.projected_used(np.asarray(snapshot.used))
-        if np.any(projected > total):
+        if np.any(self.projected_used(snapshot.used) > node.total):
             return False
-        prod = self.node.prod_required + self.incoming_prod_req
+        prod = node.prod_required + self.incoming_prod_req
         if snapshot.production:
-            prod = prod + np.asarray(snapshot.required)
-        return rus_fits(total, prod)
+            prod = prod + snapshot.required
+        return rus_fits(node.total, prod)
 
     def stats(self) -> NodeStats:
-        used = self.node.used
-        return NodeStats(
-            node_id=self.id,
-            total=tuple(self.total),
-            used=tuple(used),
-            projected_used=tuple(used + self.incoming_used),
-        )
+        # the fold updates the node's load sum in place: report a copy
+        node = self.node
+        return NodeStats(node_id=self.id, total=node.total, used=node.used.copy(),
+                         projected_used=node.used + self.incoming_used)
 
     # -- protocol ------------------------------------------------------------------
 
@@ -273,7 +269,6 @@ class NodeAgent:
     def _handle_process_request(self, message: Message) -> None:
         snapshot = message.task
         engine = self.engine
-        rec_age = engine.pending_rec_age.pop(message.correlation_id, 0)
         task = engine.cell.tasks.get(snapshot.task_id)
         duplicate = (snapshot.task_id in self.in_migrations
                      or snapshot.task_id in self.node.residents)
@@ -285,7 +280,7 @@ class NodeAgent:
             return
         # Final check passed: resources are reserved and the transfer starts.
         source = None if message.initial else message.sender
-        self.reserve(snapshot, source=source, forced=message.forced, rec_age_us=rec_age)
+        self.reserve(snapshot, source=source, forced=message.forced, rec_age_us=message.rec_age_us)
         if source is not None:
             # an initial placement commits when its broker gets the confirmation
             engine.transfers.append((self.id, snapshot.task_id))
@@ -325,11 +320,6 @@ class NodeAgent:
         if len(negotiation.accepted) + len(negotiation.rejected) >= expected:
             self._select_target(negotiation)
 
-    def _rescore(self, stats: NodeStats, snapshot: TaskSnapshot) -> float:
-        before = np.asarray(stats.projected_used)[None, :]
-        return float(score(self.engine.config.realloc_scorer, np.asarray(stats.total)[None, :],
-                           before, before + np.asarray(snapshot.used))[0])
-
     def _select_target(self, negotiation: Negotiation) -> None:
         engine = self.engine
         task = engine.cell.tasks.get(negotiation.task_id)
@@ -345,8 +335,10 @@ class NodeAgent:
 
         choice: Optional[CandidateNodeRecommendation] = None
         if regular:
-            weights = [self._rescore(negotiation.accepted[r.node_id], snapshot)
-                       for r in regular]
+            stats = [negotiation.accepted[r.node_id] for r in regular]
+            before = np.stack([s.projected_used for s in stats])
+            weights = score(engine.config.realloc_scorer, np.stack([s.total for s in stats]),
+                            before, before + snapshot.used).tolist()
             positive = [(r, w) for r, w in zip(regular, weights) if w > 0]
             if positive:
                 recs, ws = zip(*positive)
@@ -365,14 +357,12 @@ class NodeAgent:
         negotiation.attempted.add(choice.node_id)
         negotiation.state = "confirm"
         negotiation.deadline_us = now + ACCEPTANCE_WAIT_ROUNDS * engine.round_us
-        corr = engine.next_correlation()
-        engine.pending_rec_age[corr] = now - choice.created_at
         engine.metrics.migrations_attempted += 1
         engine.sample_target_selection(self, negotiation, snapshot, live, choice)
         engine.send(Message(
             kind=MessageKind.TASK_MIGRATION_PROCESS_REQUEST, sender=self.id,
-            recipient=choice.node_id, correlation_id=corr, task=snapshot,
-            forced=choice.force_migration))
+            recipient=choice.node_id, correlation_id=engine.next_correlation(), task=snapshot,
+            forced=choice.force_migration, rec_age_us=now - choice.created_at))
 
     def _handle_process_error(self, message: Message) -> None:
         task_id = message.task.task_id
@@ -411,12 +401,12 @@ class NodeAgent:
 
     def _compulsory_tasks(self) -> list[str]:
         out = []
-        total = self.total
-        for task_id in self.node.residents:
+        node = self.node
+        for task_id in node.residents:
             task = self.engine.cell.tasks[task_id]
-            if task.constraints and not matches_attributes(task.constraints, self.node.attributes):
+            if task.constraints and not matches_attributes(task.constraints, node.attributes):
                 out.append(task_id)
-            elif np.any(np.asarray(task.required) > total):
+            elif np.any(task.required > node.total):
                 out.append(task_id)
         return sorted(out)
 
@@ -433,14 +423,14 @@ class NodeAgent:
             task = engine.cell.tasks[task_id]
             removable.append(RemovalCandidate(
                 task_id=task_id,
-                used=np.asarray(task.used, dtype=np.float64),
+                used=task.used,
                 migration_cost_mb=task.migration_cost_mb,
                 production=task.production,
             ))
         if not removable:
             return
         result = select_candidate_services(
-            total=self.total,
+            total=self.node.total,
             used=self.node.used,
             removable=removable,
             compulsory_ids=compulsory,
@@ -493,8 +483,7 @@ class BrokerAgent:
         if stats.node_id not in self.engine.cell.nodes:
             return  # a report delivered after its node left the cell
         self.cache[stats.node_id] = BrokerCacheEntry(
-            available=tuple(t - u for t, u in zip(stats.total, stats.used)),
-            last_update=now)
+            available=stats.total - stats.used, last_update=now)
         self._index_dirty = True
 
     def evict_stale(self, now: int) -> None:
@@ -528,8 +517,9 @@ class BrokerAgent:
         node other than ``exclude`` matches the task's constraints.
 
         The pool is a uniform sample without replacement of the scan limit's
-        size from the eligible nodes (every cached node, or the constraint
-        set's cached matches, less ``exclude``), drawn as positions so no
+        size from the eligible nodes (the constraint set's cached matches,
+        which for no constraints are every cached node, less ``exclude``),
+        drawn as positions so no
         per-quote array spans the cache.  The scored band is a weighted
         sample without replacement: the nodes with the smallest
         exponential-over-fitness keys.  Only the forced band reaches the
@@ -538,15 +528,13 @@ class BrokerAgent:
         if self._index_dirty:
             self._rebuild_index()
         ids, totals, used, attrs, id_pos = self._index
-        eligible = None  # None: every index entry
-        if snapshot.constraints:
-            eligible = self._matches.get(snapshot.constraints)
-            if eligible is None:
-                eligible = self._matches[snapshot.constraints] = np.flatnonzero(
-                    [matches_attributes(snapshot.constraints, a) for a in attrs])
-        count = len(ids) if eligible is None else len(eligible)
+        eligible = self._matches.get(snapshot.constraints)
+        if eligible is None:
+            eligible = self._matches[snapshot.constraints] = np.flatnonzero(
+                [matches_attributes(snapshot.constraints, a) for a in attrs])
+        count = len(eligible)
         gap = id_pos.get(exclude)  # the requester's position among the eligible
-        if gap is not None and eligible is not None:
+        if gap is not None:
             at = int(np.searchsorted(eligible, gap))
             gap = at if at < count and eligible[at] == gap else None
         if gap is not None:
@@ -557,13 +545,13 @@ class BrokerAgent:
         def entries(positions: np.ndarray) -> np.ndarray:
             if gap is not None:
                 positions = positions + (positions >= gap)
-            return positions if eligible is None else eligible[positions]
+            return eligible[positions]
 
         limit = INITIAL_SCAN_LIMIT if initial else REALLOC_SCAN_LIMIT
         drawn = self.np_rng.choice(count, size=min(limit, count), replace=False)
         pool = entries(drawn)
-        required = np.asarray(snapshot.required)
-        task_vec = required if initial else np.asarray(snapshot.used)
+        required = snapshot.required
+        task_vec = required if initial else snapshot.used
         pool_totals, pool_used = totals[pool], used[pool]
         scorer = engine.config.initial_scorer if initial else engine.config.realloc_scorer
         scores = score(scorer, pool_totals, pool_used, pool_used + task_vec)
@@ -667,12 +655,11 @@ class BrokerAgent:
                 continue
             corr = engine.next_correlation()
             self.in_flight[corr] = flow
-            engine.pending_rec_age[corr] = engine.now_us - rec.created_at
             engine.send(Message(
                 kind=MessageKind.TASK_MIGRATION_PROCESS_REQUEST, sender=self.id,
                 recipient=rec.node_id, correlation_id=corr,
-                task=engine.snapshot_task(flow.task_id),
-                forced=rec.force_migration, initial=True))
+                task=engine.snapshot_task(flow.task_id), forced=rec.force_migration,
+                initial=True, rec_age_us=engine.now_us - rec.created_at))
             return
         # every candidate failed: back to the pending queue for fresh quotes
         engine.retry_placement(flow.task_id, self.rng)
@@ -712,7 +699,6 @@ class AgentEngine(Engine):
             broker_id = f"broker-{index:03d}"
             self.brokers[broker_id] = BrokerAgent(broker_id, self)
         self._broker_ids = sorted(self.brokers)
-        self._inbox: dict[str, deque] = {}
         self._outbox: list[Message] = []
         self._correlation = 0
         #: (target, task) of the transfers started this round.  A transfer
@@ -721,7 +707,6 @@ class AgentEngine(Engine):
         #: source hears of it, and no transfer is open between ticks.
         self.transfers: list[tuple[str, str]] = []
         self.metrics = TickMetrics()
-        self.pending_rec_age: dict[int, int] = {}
         self.audit_log: list[AuditRecord] = []
         self.unschedulable: set[str] = set()
         self._sample_counters = dict.fromkeys(SAMPLE_RATES, 0)
@@ -764,8 +749,8 @@ class AgentEngine(Engine):
         task = self.cell.tasks[task_id]
         return TaskSnapshot(
             task_id=task_id,
-            required=tuple(task.required),
-            used=tuple(task.used) if not task.unstarted else tuple([0.0] * self.dimension),
+            required=task.required,
+            used=task.used,  # zero until the task's first usage event
             production=task.production,
             unstarted=task.unstarted,
             constraints=task.constraints,
@@ -829,7 +814,7 @@ class AgentEngine(Engine):
             constraints_ok=reservation.constraints_ok if reservation is not None else True,
             capacity_ok=reservation.capacity_ok if reservation is not None else True,
             stable_after=not target.overloaded(),
-            rus_after=rus_fits(target.total, target.node.prod_required),
+            rus_after=rus_fits(target.node.total, target.node.prod_required),
             rec_age_us=reservation.rec_age_us if reservation is not None else 0,
             ttl_us=RECOMMENDATION_TTL_US,
             cost_mb=0.0 if initial else self.cell.tasks[task_id].migration_cost_mb,
@@ -874,8 +859,8 @@ class AgentEngine(Engine):
             agent = self.agents.get(cell.placement.get(event.task_id))
             if before is not None and agent is not None:
                 # a usage jump above the threshold share of the node is a RUS spike
-                delta = np.asarray(task.used) - np.asarray(before)
-                total = agent.total
+                delta = task.used - before
+                total = agent.node.total
                 jump = np.divide(delta, total, out=np.zeros_like(delta), where=total > 0)
                 if np.any(jump > RUS_SPIKE_THRESHOLD):
                     self.metrics.rus_spikes += 1
@@ -934,24 +919,14 @@ class AgentEngine(Engine):
 
     def _run_round(self, round_index: int) -> None:
         self._complete_transfers()
-        # deliver everything sent last round
-        for message in self._outbox:
-            self._inbox.setdefault(message.recipient, deque()).append(message)
-        self._outbox = []
-        for recipient in sorted(self._inbox):
-            queue = self._inbox[recipient]
-            agent = self.brokers.get(recipient) or self.agents.get(recipient)
-            if agent is None:
-                continue
-            # monitoring data is absorbed before any request is answered;
-            # per-sender relative order is preserved (stable partition)
-            status = [m for m in queue if m.kind is MessageKind.STATUS_REPORT]
-            rest = [m for m in queue if m.kind is not MessageKind.STATUS_REPORT]
-            for message in status:
+        # deliver everything sent last round: by recipient, monitoring data
+        # before any request is answered, each in send order (a stable sort)
+        outbox, self._outbox = self._outbox, []
+        outbox.sort(key=lambda m: (m.recipient, m.kind is not MessageKind.STATUS_REPORT))
+        for message in outbox:
+            agent = self.brokers.get(message.recipient) or self.agents.get(message.recipient)
+            if agent is not None:
                 agent.handle(message)
-            for message in rest:
-                agent.handle(message)
-        self._inbox = {}
         for broker_id in self._broker_ids:
             self.brokers[broker_id].on_round(round_index)
         for node_id in self.agent_order():
@@ -986,7 +961,7 @@ class AgentEngine(Engine):
         if not self._sampled("selection"):
             return
         lines = [f"SAMPLE: selected overloading tasks for node [{agent.id}]",
-                 f"Node total resources = [{', '.join(f'{v:.10f}' for v in agent.total)}]",
+                 f"Node total resources = [{', '.join(f'{v:.10f}' for v in agent.node.total)}]",
                  f"Node used resources (all tasks) = [{', '.join(f'{v:.10f}' for v in agent.node.used)}]"]
         selected = set(result.task_ids)
         for candidate in removable:

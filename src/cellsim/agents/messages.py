@@ -3,6 +3,9 @@
 All communication is point-to-point request/response; every response carries
 its request's correlation id.  Status reports are the monitoring channel
 from node agents to brokers and sit outside the negotiation protocol.
+Resource vectors travel as float64 arrays: a task's are the cell's own
+read-only arrays, a node's are copies taken when the message is built, so
+a message keeps its values whatever the cell does next.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 
 class MessageKind(enum.Enum):
@@ -61,8 +66,8 @@ class TaskSnapshot:
     """Enough task state for a remote agent to evaluate a migration."""
 
     task_id: str
-    required: tuple
-    used: tuple
+    required: np.ndarray
+    used: np.ndarray
     production: bool
     unstarted: bool
     constraints: tuple
@@ -74,9 +79,9 @@ class NodeStats:
     """Fresh node-side numbers carried on acceptance responses."""
 
     node_id: str
-    total: tuple
-    used: tuple
-    projected_used: tuple
+    total: np.ndarray
+    used: np.ndarray
+    projected_used: np.ndarray
 
 
 @dataclass(slots=True)
@@ -91,6 +96,8 @@ class Message:
     forced: bool = False
     #: For quote requests: True when quoting an initial placement.
     initial: bool = False
+    #: For process requests: the age of the recommendation acted on.
+    rec_age_us: int = 0
 
     def trace_line(self, now_us: int) -> str:
         return (f"{now_us}\t{self.kind.value}\t{self.sender}\t{self.recipient}"

@@ -15,9 +15,9 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 7: the engine keeps a one-round transfer
-#: list, not a due-time queue, and brokers keep their constraint matches.
-VERSION = 7
+#: version control log).  Version 8: the cell's vectors are read-only
+#: float64 arrays, and a process request carries its recommendation's age.
+VERSION = 8
 
 
 class SnapshotError(RuntimeError):

@@ -25,10 +25,6 @@ def as_vector(values: Iterable[float]) -> Vector:
     return tuple(float(v) for v in values)
 
 
-def zero_vector(dimension: int) -> Vector:
-    return (0.0,) * dimension
-
-
 @dataclass(frozen=True)
 class ResourceTypeCatalog:
     """Ordered catalog of the resource types tracked in one simulation."""

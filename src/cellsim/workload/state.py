@@ -3,7 +3,11 @@
 The engines (replay, metaheuristic, agent-based) all consume this runtime:
 it tracks nodes, tasks, attributes, the recorded/live placements and, per
 node, the resident tasks and the float64 sums of their used, required and
-production-required vectors.  Placement moves (``place``/``unplace``) and
+production-required vectors.  The fold turns each event's vectors into
+read-only float64 arrays once (``frozen_vector``); every later layer uses
+those arrays as they are, and an event replaces a vector, never writes
+into it, so a reader may keep one.  Only the per-node sums change in
+place.  Placement moves (``place``/``unplace``) and
 task events keep those sums current, so this is the one place a node's load
 is defined: the agents read it, ``node_table`` stacks it for ``ticks.csv``
 and the usage dumps, and the centralized balancer packs the cell into arrays
@@ -24,11 +28,17 @@ from .constraints import TaskConstraint
 from . import events as ev
 
 
-@dataclass
+def frozen_vector(values) -> np.ndarray:
+    vector = np.array(values, dtype=np.float64)
+    vector.flags.writeable = False
+    return vector
+
+
+@dataclass(eq=False)
 class TaskRuntime:
     task_id: str
-    required: model.Vector
-    used: model.Vector
+    required: np.ndarray
+    used: np.ndarray
     migration_cost_mb: float
     priority: int = 0
     production: bool = False
@@ -37,18 +47,18 @@ class TaskRuntime:
     recorded_node: Optional[str] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class NodeRuntime:
     """A node and the tasks placed on it.  The load sums follow from the
-    residents' vectors, so they take no part in equality."""
+    residents' vectors."""
 
     node_id: str
-    total: model.Vector
+    total: np.ndarray
     attributes: dict[str, str] = field(default_factory=dict)
     residents: set[str] = field(default_factory=set)
-    used: np.ndarray = field(init=False, compare=False)
-    required: np.ndarray = field(init=False, compare=False)
-    prod_required: np.ndarray = field(init=False, compare=False)
+    used: np.ndarray = field(init=False)
+    required: np.ndarray = field(init=False)
+    prod_required: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         dim = len(self.total)
@@ -56,17 +66,17 @@ class NodeRuntime:
 
     def attach(self, task: TaskRuntime) -> None:
         self.residents.add(task.task_id)
-        self.used += np.asarray(task.used)
-        self.required += np.asarray(task.required)
+        self.used += task.used
+        self.required += task.required
         if task.production:
-            self.prod_required += np.asarray(task.required)
+            self.prod_required += task.required
 
     def detach(self, task: TaskRuntime) -> None:
         self.residents.discard(task.task_id)
-        self.used -= np.asarray(task.used)
-        self.required -= np.asarray(task.required)
+        self.used -= task.used
+        self.required -= task.required
         if task.production:
-            self.prod_required -= np.asarray(task.required)
+            self.prod_required -= task.required
 
 
 @dataclass
@@ -137,15 +147,15 @@ class CellState:
 
     # -- event fold --------------------------------------------------------------
 
-    def _migration_cost(self, used: model.Vector, canonical_memory: float = 0.0) -> float:
-        used_memory = used[self._memory_index] if self._memory_index is not None else 0.0
+    def _migration_cost(self, used: np.ndarray, canonical_memory: float = 0.0) -> float:
+        used_memory = float(used[self._memory_index]) if self._memory_index is not None else 0.0
         return lmdt_estimate(self.profile, memory_mb(used_memory, canonical_memory))
 
     def apply(self, event: ev.WorkloadEvent) -> None:
         self.counters.events_applied += 1
         kind = event.kind
         if kind is ev.EventKind.ADD_NODE:
-            total = model.as_vector(event.total)
+            total = frozen_vector(event.total)
             node = self.nodes.setdefault(event.node_id, NodeRuntime(event.node_id, total))
             # a node added again keeps what sits on it
             node.total, node.attributes = total, dict(event.attributes)
@@ -160,7 +170,7 @@ class CellState:
         elif kind is ev.EventKind.UPDATE_NODE_TOTAL:
             node = self.nodes.get(event.node_id)
             if node is not None:
-                node.total = model.as_vector(event.total)
+                node.total = frozen_vector(event.total)
         elif kind is ev.EventKind.ADD_NODE_ATTRIBUTES:
             node = self.nodes.get(event.node_id)
             if node is not None:
@@ -171,10 +181,10 @@ class CellState:
                 for name in event.attribute_names:
                     node.attributes.pop(name, None)
         elif kind is ev.EventKind.ADD_TASK:
-            used = model.zero_vector(self.catalog.dimension)
+            used = frozen_vector(np.zeros(self.catalog.dimension))
             task = TaskRuntime(
                 task_id=event.task_id,
-                required=model.as_vector(event.required),
+                required=frozen_vector(event.required),
                 used=used,
                 migration_cost_mb=self._migration_cost(used),
                 priority=event.priority,
@@ -202,11 +212,11 @@ class CellState:
         elif kind is ev.EventKind.UPDATE_TASK_REQUIRED:
             task = self.tasks.get(event.task_id)
             if task is not None:
-                required = model.as_vector(event.required)
+                required = frozen_vector(event.required)
                 node_id = self.placement.get(event.task_id)
                 if node_id is not None:
                     node = self.nodes[node_id]
-                    delta = np.asarray(required) - np.asarray(task.required)
+                    delta = required - task.required
                     node.required += delta
                     if task.production:
                         node.prod_required += delta
@@ -216,10 +226,10 @@ class CellState:
         elif kind is ev.EventKind.UPDATE_TASK_USED:
             task = self.tasks.get(event.task_id)
             if task is not None:
-                used = model.as_vector(event.used)
+                used = frozen_vector(event.used)
                 node_id = self.placement.get(event.task_id)
                 if node_id is not None:
-                    self.nodes[node_id].used += np.asarray(used) - np.asarray(task.used)
+                    self.nodes[node_id].used += used - task.used
                 task.used = used
                 task.unstarted = False
                 task.migration_cost_mb = self._migration_cost(used, event.canonical_memory)

@@ -612,7 +612,7 @@ def test_random_churn_keeps_agent_invariants(seed, rounds, monkeypatch):
     rng = random.Random(seed)
     engine = build_engine([(1.0, 1.0)] * 6, seed=seed,
                           config=AgentConfig(rounds_per_tick=rounds, audit=True))
-    gone: dict[str, tuple] = {}
+    gone: dict[str, list] = {}
     next_task = 0
     for _ in range(30):
         batch = []
@@ -638,11 +638,12 @@ def test_random_churn_keeps_agent_invariants(seed, rounds, monkeypatch):
                                                      total=total))
             elif roll < 0.9 and len(nodes) > 2:
                 node_id = rng.choice(nodes)
-                gone[node_id] = engine.cell.nodes[node_id].total
+                gone[node_id] = engine.cell.nodes[node_id].total.tolist()
                 batch.append(ev.RemoveNodeEvent(timestamp=0, node_id=node_id))
             else:
                 node_id = rng.choice(sorted(gone) + nodes)
-                total = gone.pop(node_id, None) or engine.cell.nodes[node_id].total
+                total = (gone.pop(node_id) if node_id in gone
+                         else engine.cell.nodes[node_id].total.tolist())
                 batch.append(ev.AddNodeEvent(timestamp=0, node_id=node_id, total=total))
             # apply one at a time: the choices above read the cell as it stands
             engine.apply_events(batch[-1:])

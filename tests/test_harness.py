@@ -34,7 +34,6 @@ from cellsim.model import (
     ResourceTypeCatalog,
     SystemState,
     TaskSpec,
-    zero_vector,
 )
 from cellsim.workload import AnomalyKind, CellState, SynthConfig, synth_generate
 from cellsim.workload import events as ev
@@ -78,7 +77,7 @@ def cell_state_oracle(cell):
         nodes=tuple(NodeSpec(id=n.node_id, total=n.total, attributes=n.attributes)
                     for n in sorted(cell.nodes.values(), key=lambda n: n.node_id)),
         tasks=tuple(TaskSpec(id=t.task_id, required=t.required,
-                             used=zero_vector(len(t.required)) if t.unstarted else t.used,
+                             used=t.used,
                              migration_cost_mb=t.migration_cost_mb, priority=t.priority,
                              production=t.production, constraints=t.constraints,
                              unstarted=t.unstarted)

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,7 +140,7 @@ class TestCellStateFold:
         cell.place("t1", "n1")
         assert list(cell.pending) == []
         task = cell.tasks["t1"]
-        assert task.used == (0.1, 0.1)
+        assert task.used.tolist() == [0.1, 0.1]
         assert task.migration_cost_mb == lmdt_estimate(BUILTIN_PROFILES["apache"], memory_mb(0.1))
         assert not task.unstarted
         cell.apply(ev.RemoveTaskEvent(3, "t1"))
@@ -168,6 +169,11 @@ class TestCellStateFold:
                              duration_minutes=10.0)
         events = list(synth_generate(config))
 
+        def fields(record):
+            """Every field of a node or task, its vectors as lists."""
+            return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                    for name, value in vars(record).items()}
+
         def run():
             cell = CellState(CAT2)
             for event in events:
@@ -175,7 +181,9 @@ class TestCellStateFold:
                 if cell.pending and isinstance(event, ev.AddTaskEvent) and event.recorded_node:
                     if event.recorded_node in cell.nodes:
                         cell.place(event.task_id, event.recorded_node)
-            return cell.nodes, cell.tasks, cell.placement, cell.pending
+            return ({node_id: fields(node) for node_id, node in cell.nodes.items()},
+                    {task_id: fields(task) for task_id, task in cell.tasks.items()},
+                    cell.placement, cell.pending)
 
         first, second = run(), run()
         assert first[2], "the fold placed no task; the comparison would be vacuous"
@@ -247,7 +255,7 @@ class TestMigrationCost:
         cost = cell.tasks["t1"].migration_cost_mb
         cell.apply(ev.UpdateTaskUsedEvent(2, "t1", (0.1, 100.0)))
         task = cell.tasks["t1"]
-        assert task.used == (0.1, 100.0)
+        assert task.used.tolist() == [0.1, 100.0]
         assert cell.nodes["n1"].used.tolist() == [0.1, 100.0]
         assert math.isfinite(task.migration_cost_mb)
         assert task.migration_cost_mb == pytest.approx(500 * cost)

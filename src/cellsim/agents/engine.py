@@ -586,7 +586,7 @@ class BrokerAgent:
         chosen = [i for i, _, _ in picks]
         available = (totals[chosen] - used[chosen]).tolist()
         return [CandidateNodeRecommendation(
-                    node_id=ids[i], node_available_resources=tuple(room_left),
+                    node_id=ids[i], node_available_resources=room_left,
                     fitness_value=fit, force_migration=forced, created_at=engine.now_us)
                 for (i, fit, forced), room_left in zip(picks, available)]
 
@@ -650,7 +650,8 @@ class BrokerAgent:
             return  # the task ended while a request for it was in flight
         while flow.next_index < len(flow.recommendations):
             rec = flow.recommendations[flow.next_index]
-            if rec.expired(engine.now_us, RECOMMENDATION_TTL_US):
+            # skip a stale quote and a node that has left since the quote
+            if rec.expired(engine.now_us, RECOMMENDATION_TTL_US) or rec.node_id not in engine.agents:
                 flow.next_index += 1
                 continue
             corr = engine.next_correlation()
@@ -880,9 +881,16 @@ class AgentEngine(Engine):
                 if reservation and reservation.source in self.agents:
                     self.agents[reservation.source].task_left(task_id)
         cell.apply(event)
+        # mail to the node is lost with it, even if a node of its id comes back
+        self._outbox = [m for m in self._outbox if m.recipient != event.node_id]
         for broker in self.brokers.values():
             if broker.cache.pop(event.node_id, None) is not None:
                 broker._index_dirty = True
+            # a placement requested of the node gets no answer: quote it afresh
+            for corr, flow in list(broker.in_flight.items()):
+                if flow.recommendations[flow.next_index].node_id == event.node_id:
+                    del broker.in_flight[corr]
+                    broker.retry_queue.append(flow.task_id)
         # displaced tasks re-enter scheduling unless already mid-migration
         for task_id in displaced:
             if task_id in cell.tasks and task_id not in self.reservation_target:

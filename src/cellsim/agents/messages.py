@@ -39,7 +39,7 @@ class CandidateNodeRecommendation:
     """
 
     node_id: str
-    node_available_resources: tuple
+    node_available_resources: list
     fitness_value: float
     force_migration: bool
     created_at: int

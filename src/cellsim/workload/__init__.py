@@ -12,7 +12,7 @@ from .events import EventBatch, EventKind, WorkloadEvent, sort_events
 from .parsers import map_task_action, open_trace_directory
 from .state import CellState
 from .synth import SynthConfig, synth_generate
-from .window import BufferedEventSource, WindowCollector
+from .window import WindowCollector
 
 __all__ = [
     "AnomalyKind", "AnomalyReport", "AnomalySink", "filter_anomalies",
@@ -22,5 +22,5 @@ __all__ = [
     "map_task_action", "open_trace_directory",
     "CellState",
     "SynthConfig", "synth_generate",
-    "BufferedEventSource", "WindowCollector",
+    "WindowCollector",
 ]

@@ -54,11 +54,13 @@ class AnomalySink:
 
 
 def filter_anomalies(cell_state, batch: ev.EventBatch) -> tuple[ev.EventBatch, list[AnomalyReport]]:
-    """Drop unmatchable task additions; flag over-usage windows.
+    """Drop unmatchable tasks; flag over-usage windows.
 
     A task whose constraints match no node, as the batch's earlier node
-    events leave the cell, can never be placed, so its AddTask is dropped and
-    reported.  Node events are never dropped.  When the summed used memory of
+    events leave the cell, can never be placed.  Its AddTask is dropped, and
+    a constraint update that leaves it so is replaced, in place, by the
+    task's removal at the same timestamp; either is reported.  Node events
+    are never dropped.  When the summed used memory of
     all tasks exceeds total cell memory within this window, the batch is
     flagged (events retained).
     """
@@ -77,11 +79,16 @@ def filter_anomalies(cell_state, batch: ev.EventBatch) -> tuple[ev.EventBatch, l
         elif kind is ev.EventKind.REMOVE_NODE_ATTRIBUTES and event.node_id in attributes:
             attributes[event.node_id] = {name: value for name, value in attributes[event.node_id].items()
                                          if name not in event.attribute_names}
-        elif kind is ev.EventKind.ADD_TASK and event.constraints and not any(
-                matches_attributes(event.constraints, attrs) for attrs in attributes.values()):
-            reports.append(AnomalyReport(AnomalyKind.UNMATCHABLE_CONSTRAINTS,
-                                         f"task {event.task_id} matches no node; dropped"))
-            continue
+        elif kind in (ev.EventKind.ADD_TASK, ev.EventKind.UPDATE_TASK_CONSTRAINTS) and \
+                event.constraints and not any(
+                    matches_attributes(event.constraints, attrs) for attrs in attributes.values()):
+            added = kind is ev.EventKind.ADD_TASK
+            reports.append(AnomalyReport(
+                AnomalyKind.UNMATCHABLE_CONSTRAINTS,
+                f"task {event.task_id} matches no node; {'dropped' if added else 'removed'}"))
+            if added:
+                continue
+            event = ev.RemoveTaskEvent(event.timestamp, event.task_id)
         kept.append(event)
 
     if "memory" in cell_state.catalog.names and cell_state.nodes:

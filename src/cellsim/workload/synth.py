@@ -68,6 +68,8 @@ class SynthConfig:
                 raise ValueError("distribution ranges must satisfy 0 <= lo <= hi")
         if not (0 <= self.constraint_rate <= 1):
             raise ValueError("constraint_rate must be in [0, 1]")
+        if int(self.usage_interval_minutes * MINUTE_US) < 1:
+            raise ValueError("usage_interval_minutes must be at least 1 microsecond")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":

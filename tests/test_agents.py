@@ -575,6 +575,54 @@ def test_status_report_from_a_removed_node_is_ignored():
     assert engine.cell.placement["t"] in ("n000", "n001")
 
 
+@pytest.mark.parametrize("rounds, readd", [(1, False), (2, False), (1, True)],
+                         ids=["request-queued", "confirmation-queued", "node-readded"])
+def test_placement_in_flight_to_a_departing_node_is_retried(rounds, readd):
+    # the tick ends with a placement request (one round a tick) or its
+    # confirmation (two rounds a tick) still queued, and the next window
+    # removes the target: the task must be placed on the other node.  A node
+    # of the same id that comes back in the window never sees the request,
+    # so it holds no reservation that no flow will commit.
+    engine = build_engine([(1.0, 1.0)] * 2, seed=1,
+                          config=AgentConfig(rounds_per_tick=rounds, audit=True))
+    engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.2, 0.2))])
+    engine.run_tick()
+    (broker,) = engine.brokers.values()
+    (flow,) = broker.in_flight.values()
+    target = flow.recommendations[flow.next_index].node_id
+    (other,) = set(engine.agents) - {target}
+    events = [ev.RemoveNodeEvent(timestamp=0, node_id=target)]
+    if readd:
+        events.append(ev.AddNodeEvent(timestamp=0, node_id=target, total=(1.0, 1.0)))
+    engine.apply_events(events)
+    run_ticks(engine, 10)
+    assert set(engine.cell.placement) == {"t"}
+    if not readd:
+        assert engine.cell.placement["t"] == other
+    assert not broker.in_flight
+    assert all(not agent.in_migrations for agent in engine.agents.values())
+    check_agent_invariants(engine)
+
+
+def test_agent_stats_keep_their_values():
+    engine = build_engine([(1.0, 1.0)])
+    add_task(engine, "t", required=(0.3, 0.3), used=(0.2, 0.1), node="n000")
+    stats = engine.agents["n000"].stats()
+    engine.apply_events([ev.UpdateTaskUsedEvent(timestamp=0, task_id="t", used=(0.5, 0.4))])
+    assert engine.cell.nodes["n000"].used.tolist() == [0.5, 0.4]
+    assert stats.used.tolist() == [0.2, 0.1]
+    assert stats.projected_used.tolist() == [0.2, 0.1]
+
+
+def test_task_snapshot_keeps_its_usage():
+    engine = build_engine([(1.0, 1.0)])
+    add_task(engine, "t", required=(0.3, 0.3), used=(0.2, 0.1), node="n000")
+    snapshot = engine.snapshot_task("t")
+    engine.apply_events([ev.UpdateTaskUsedEvent(timestamp=0, task_id="t", used=(0.5, 0.4))])
+    assert engine.cell.tasks["t"].used.tolist() == [0.5, 0.4]
+    assert snapshot.used.tolist() == [0.2, 0.1]
+
+
 def check_agent_invariants(engine):
     """The facts the engine keeps outside the cell agree with the cell."""
     for node_id, agent in engine.agents.items():
@@ -585,6 +633,10 @@ def check_agent_invariants(engine):
     assert engine.reservation_invariant_holds()
     for task_id, node_id in engine.reservation_target.items():
         assert task_id in engine.agents[node_id].in_migrations, (task_id, node_id)
+    # between ticks every placement in flight awaits a queued request or answer
+    queued = {message.correlation_id for message in engine._outbox}
+    for broker in engine.brokers.values():
+        assert set(broker.in_flight) <= queued, broker.id
     assert engine.cell.conservation_holds()
     assert_loads_match(engine.cell)
 

@@ -482,6 +482,33 @@ class TestErrorLog:
         assert runner.sink.count(AnomalyKind.CORRUPT_RECORD) == 1
         assert runner.sink.reports == []  # drained every tick, not kept
 
+    def test_unmatchable_trace_constraint_removes_its_task(self, tmp_path):
+        # trace constraints reach the cell as updates after their task's
+        # AddTask; one that names a value no machine has must not leave the
+        # task pending for ever
+        trace_dir = tmp_path / "trace"
+        write_synthetic_trace(synth_config(constraint_rate=0.5), trace_dir)
+        ended = {row.split(",")[2] for row in
+                 (trace_dir / "task_events" / "part-00000-of-00001.csv").read_text().splitlines()
+                 if row.split(",")[5] == "4"}
+        constraints = trace_dir / "task_constraints" / "part-00000-of-00001.csv"
+        rows = [row.split(",") for row in constraints.read_text().splitlines()]
+        victim = next(row[1] for row in rows if row[1] not in ended)
+        constraints.write_text("".join(
+            ",".join(row[:5] + ["no-such-group" if row[1] == victim else row[5]]) + "\n"
+            for row in rows))
+        config = run_config(tmp_path, synth=None, trace_dir=trace_dir)
+        runner = SimulationRunner(config)
+        assert runner.run() == 0
+        task_id = f"{victim}-0"
+        error_log = Path(config.output_dir) / "logs" / "run-error.log"
+        assert [line for line in error_log.read_text().splitlines()
+                if line.startswith(AnomalyKind.UNMATCHABLE_CONSTRAINTS.value + "\t")
+                and f"task {task_id} " in line]
+        assert task_id not in runner.cell.tasks
+        assert runner.cell.conservation_holds()
+        assert_loads_match(runner.cell)
+
     def test_huge_usage_row_is_priced_not_reported(self, tmp_path):
         # memory 100.0 scales to 100 x 64 GiB, where e^(af * am) alone
         # would overflow a float; the estimate is linear there

@@ -121,9 +121,21 @@ class TestWindowCollector:
         assert report.kind is AnomalyKind.LATE_EVENT
         assert "at 30 " in report.detail and "[60,120)" in report.detail
 
+    def test_no_source_read_before_the_first_window(self):
+        read = []
+
+        def source():
+            read.append(0)
+            yield add_task(1, "t")
+
+        collector = WindowCollector([source()])
+        assert read == [] and not collector.exhausted
+        assert len(collector.collect_window(0, 10)) == 1
+        assert read == [0] and collector.exhausted
+
     def test_buffer_cap_still_collects_everything(self):
         events = [add_task(1, f"t{i}") for i in range(50)]
-        collector = WindowCollector([iter(events)], max_events=8)
+        collector = WindowCollector([iter(events)])
         assert len(collector.collect_window(0, 10)) == 50
 
 
@@ -146,6 +158,17 @@ class TestCellStateFold:
         cell.apply(ev.RemoveTaskEvent(3, "t1"))
         assert cell.tasks == {} and cell.placement == {}
         assert cell.conservation_holds()
+
+    def test_fold_vectors_are_read_only(self):
+        cell = CellState(CAT2)
+        cell.apply(add_node(0, "n1"))
+        cell.apply(add_task(0, "t1"))
+        cell.apply(ev.UpdateTaskUsedEvent(1, "t1", (0.1, 0.1)))
+        task = cell.tasks["t1"]
+        for vector in (cell.nodes["n1"].total, task.required, task.used):
+            with pytest.raises(ValueError):
+                vector[0] = 0.5
+        assert task.used.tolist() == [0.1, 0.1]
 
     def test_remove_node_requeues_tasks(self):
         cell = CellState(CAT2)
@@ -301,6 +324,20 @@ class TestAnomalyFilter:
         filtered, reports = filter_anomalies(cell, batch)
         assert [e.task_id for e in filtered] == ["good"]
         assert [r.kind for r in reports] == [AnomalyKind.UNMATCHABLE_CONSTRAINTS]
+
+    def test_unmatchable_constraint_update_removes_its_task(self):
+        cell = self._cell_with_node([("zone", "eu")])
+        us = (TaskConstraint(Op.EQUAL, "zone", "us"),)
+        eu = (TaskConstraint(Op.EQUAL, "zone", "eu"),)
+        batch = EventBatch(0, 10, (
+            add_task(1, "t"),
+            ev.UpdateTaskConstraintsEvent(1, "t", us),
+            ev.UpdateTaskConstraintsEvent(2, "u", eu),
+        ))
+        filtered, reports = filter_anomalies(cell, batch)
+        assert list(filtered) == [batch.events[0], ev.RemoveTaskEvent(1, "t"), batch.events[2]]
+        assert [(r.kind, r.detail) for r in reports] == [
+            (AnomalyKind.UNMATCHABLE_CONSTRAINTS, "task t matches no node; removed")]
 
     def test_node_events_never_dropped(self):
         cell = self._cell_with_node([])
@@ -466,3 +503,10 @@ class TestSynthGenerator:
             SynthConfig(seed=1, node_count=0).validate()
         with pytest.raises(ValueError):
             SynthConfig(seed=1, batch_fraction=1.5).validate()
+
+    @pytest.mark.parametrize("minutes", [0.0, -5.0, 1e-9])
+    def test_usage_interval_under_a_microsecond_rejected(self, minutes):
+        # a zero interval would report usage at the same instant for ever
+        with pytest.raises(ValueError, match="usage_interval_minutes"):
+            SynthConfig(seed=1, usage_interval_minutes=minutes).validate()
+        SynthConfig(seed=1, usage_interval_minutes=2e-8).validate()  # 1.2 µs

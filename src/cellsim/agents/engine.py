@@ -518,12 +518,11 @@ class BrokerAgent:
 
         The pool is a uniform sample without replacement of the scan limit's
         size from the eligible nodes (the constraint set's cached matches,
-        which for no constraints are every cached node, less ``exclude``),
-        drawn as positions so no
-        per-quote array spans the cache.  The scored band is a weighted
-        sample without replacement: the nodes with the smallest
-        exponential-over-fitness keys.  Only the forced band reaches the
-        unscanned eligible nodes; they are shuffled when it does."""
+        every cached node for no constraints, less ``exclude``), drawn as
+        positions so no per-quote array spans the cache.  The scored band
+        is a weighted sample without replacement: the nodes with the
+        smallest exponential-over-fitness keys.  Only the forced band reaches
+        the unscanned eligible nodes; they are shuffled when it does."""
         engine = self.engine
         if self._index_dirty:
             self._rebuild_index()

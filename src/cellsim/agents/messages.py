@@ -3,9 +3,9 @@
 All communication is point-to-point request/response; every response carries
 its request's correlation id.  Status reports are the monitoring channel
 from node agents to brokers and sit outside the negotiation protocol.
-Resource vectors travel as float64 arrays: a task's are the cell's own
-read-only arrays, a node's are copies taken when the message is built, so
-a message keeps its values whatever the cell does next.
+Resource vectors travel as float64 arrays: the cell's own read-only ones,
+and a copy of a node's load sum, which the cell updates in place, so a
+message keeps its values whatever the cell does next.
 """
 
 from __future__ import annotations

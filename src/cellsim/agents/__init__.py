@@ -11,10 +11,10 @@ from .engine import (
 )
 from .messages import (
     FORCED_FITNESS,
-    CandidateNodeRecommendation,
     Message,
     MessageKind,
     NodeStats,
+    Quote,
     TaskSnapshot,
 )
 from .scoring import (
@@ -33,8 +33,7 @@ from .selection import RemovalCandidate, SelectionResult, select_candidate_servi
 __all__ = [
     "AgentConfig", "AgentEngine", "AuditRecord", "BrokerAgent", "BrokerCacheEntry",
     "NodeAgent", "TickMetrics",
-    "FORCED_FITNESS", "CandidateNodeRecommendation", "Message", "MessageKind",
-    "NodeStats", "TaskSnapshot",
+    "FORCED_FITNESS", "Message", "MessageKind", "NodeStats", "Quote", "TaskSnapshot",
     "INITIAL_PARAMS", "REALLOC_PARAMS", "STA_CUTOFF", "AllocationClass",
     "ScoringParams", "allocation_score_vec", "asr_metrics", "classify_vec", "rus_fits",
     "RemovalCandidate", "SelectionResult", "select_candidate_services",

@@ -4,9 +4,9 @@ Every node runs an agent that keeps the node stable; brokers cache reported
 node state and quote candidate targets.  An overloaded node picks tasks to
 shed, asks a broker for up to fifteen scored candidate nodes, negotiates
 acceptance directly with their agents, and commits the migration against a
-final suitability check at the target.  Forced recommendations bypass the
-availability check (never the constraint or total-capacity checks) so a
-task with restrictive constraints cannot starve.
+final suitability check at the target.  A quote's forced entries bypass
+the availability check (never the constraint or total-capacity checks) so
+a task with restrictive constraints cannot starve.
 
 Execution is deterministic: a seeded single-threaded scheduler splits each
 tick into rounds, delivering messages sent in one round at the start of the
@@ -33,10 +33,10 @@ from ..workload import events as ev
 from .messages import (
     FORCED_FITNESS,
     ZERO_SCORE_FITNESS,
-    CandidateNodeRecommendation,
     Message,
     MessageKind,
     NodeStats,
+    Quote,
     TaskSnapshot,
 )
 from .scoring import rus_fits, score
@@ -98,7 +98,7 @@ class InMigration:
 class Negotiation:
     task_id: str
     state: str                      # quote | accepts | confirm
-    recommendations: list = field(default_factory=list)
+    quote: Optional[Quote] = None
     accepted: dict = field(default_factory=dict)    # node_id -> NodeStats
     rejected: set = field(default_factory=set)
     attempted: set = field(default_factory=set)
@@ -109,7 +109,7 @@ class Negotiation:
 @dataclass(slots=True)
 class PlacementFlow:
     task_id: str
-    recommendations: list
+    quote: Quote
     next_index: int = 0
 
 
@@ -214,23 +214,23 @@ class NodeAgent:
 
     # -- admission checks ---------------------------------------------------------
 
-    def projected_used(self, extra: np.ndarray) -> np.ndarray:
-        return self.node.used + self.incoming_used + extra
-
     def admission_ok(self, snapshot: TaskSnapshot, forced: bool) -> bool:
+        # element by element: numpy's per-call cost dwarfs a few comparisons
         node = self.node
         if not matches_attributes(snapshot.constraints, node.attributes):
             return False
-        if np.any(snapshot.required > node.total):
+        total = node.total.tolist()
+        if any(req > cap for req, cap in zip(snapshot.required, total)):
             return False  # total capacity must suffice even when forced
         if forced:
             return True
-        if np.any(self.projected_used(snapshot.used) > node.total):
+        load = zip(node.used.tolist(), self.incoming_used.tolist(), snapshot.used, total)
+        if any(used + incoming + extra > cap for used, incoming, extra, cap in load):
             return False
-        prod = node.prod_required + self.incoming_prod_req
+        prod = [p + i for p, i in zip(node.prod_required.tolist(), self.incoming_prod_req.tolist())]
         if snapshot.production:
-            prod = prod + snapshot.required
-        return rus_fits(node.total, prod)
+            prod = [p + r for p, r in zip(prod, snapshot.required)]
+        return rus_fits(total, prod)
 
     def stats(self) -> NodeStats:
         # the fold updates the node's load sum in place: report a copy
@@ -294,18 +294,17 @@ class NodeAgent:
         negotiation = self.negotiations.get(task_id)
         if negotiation is None or negotiation.quote_corr != message.correlation_id:
             return
-        negotiation.recommendations = list(message.recommendations)
+        quote = negotiation.quote = message.quote
         negotiation.state = "accepts"
         negotiation.deadline_us = self.engine.now_us + ACCEPTANCE_WAIT_ROUNDS * self.engine.round_us
-        live = [r for r in negotiation.recommendations if not r.force_migration]
-        if not live:
+        if quote is None or not quote.regular:
             self._select_target(negotiation)
             return
-        for rec in live:
+        for node_id in quote.node_ids[:quote.regular]:
             corr = self.engine.next_correlation()
             self.engine.send(Message(
                 kind=MessageKind.TASK_MIGRATION_REQUEST, sender=self.id,
-                recipient=rec.node_id, correlation_id=corr, task=message.task))
+                recipient=node_id, correlation_id=corr, task=message.task))
 
     def _handle_accept_reject(self, message: Message) -> None:
         task_id = message.task.task_id if message.task else None
@@ -316,8 +315,7 @@ class NodeAgent:
             negotiation.accepted[message.sender] = message.node_stats
         else:
             negotiation.rejected.add(message.sender)
-        expected = sum(1 for r in negotiation.recommendations if not r.force_migration)
-        if len(negotiation.accepted) + len(negotiation.rejected) >= expected:
+        if len(negotiation.accepted) + len(negotiation.rejected) >= negotiation.quote.regular:
             self._select_target(negotiation)
 
     def _select_target(self, negotiation: Negotiation) -> None:
@@ -328,21 +326,23 @@ class NodeAgent:
             return
         snapshot = engine.snapshot_task(negotiation.task_id)
         now = engine.now_us
-        live = [r for r in negotiation.recommendations
-                if not r.expired(now, RECOMMENDATION_TTL_US) and r.node_id not in negotiation.attempted]
-        regular = [r for r in live if not r.force_migration and r.node_id in negotiation.accepted]
-        forced = [r for r in live if r.force_migration]
+        # entry indices into the quote, in quote order
+        quote = negotiation.quote
+        live = [] if quote is None or quote.expired(now, RECOMMENDATION_TTL_US) else [
+            i for i, node_id in enumerate(quote.node_ids) if node_id not in negotiation.attempted]
+        regular = [i for i in live if i < quote.regular and quote.node_ids[i] in negotiation.accepted]
+        forced = [i for i in live if i >= quote.regular]
 
-        choice: Optional[CandidateNodeRecommendation] = None
+        choice: Optional[int] = None
         if regular:
-            stats = [negotiation.accepted[r.node_id] for r in regular]
+            stats = [negotiation.accepted[quote.node_ids[i]] for i in regular]
             before = np.stack([s.projected_used for s in stats])
             weights = score(engine.config.realloc_scorer, np.stack([s.total for s in stats]),
                             before, before + snapshot.used).tolist()
-            positive = [(r, w) for r, w in zip(regular, weights) if w > 0]
+            positive = [(i, w) for i, w in zip(regular, weights) if w > 0]
             if positive:
-                recs, ws = zip(*positive)
-                choice = self.rng.choices(recs, weights=ws, k=1)[0]
+                entries, ws = zip(*positive)
+                choice = self.rng.choices(entries, weights=ws, k=1)[0]
             else:
                 choice = self.rng.choice(regular)
         elif forced:
@@ -354,15 +354,16 @@ class NodeAgent:
             self.negotiations.pop(negotiation.task_id, None)
             engine.metrics.san_restarts += 1
             return
-        negotiation.attempted.add(choice.node_id)
+        target = quote.node_ids[choice]
+        negotiation.attempted.add(target)
         negotiation.state = "confirm"
         negotiation.deadline_us = now + ACCEPTANCE_WAIT_ROUNDS * engine.round_us
         engine.metrics.migrations_attempted += 1
-        engine.sample_target_selection(self, negotiation, snapshot, live, choice)
+        engine.sample_target_selection(self, snapshot, quote, live, choice)
         engine.send(Message(
             kind=MessageKind.TASK_MIGRATION_PROCESS_REQUEST, sender=self.id,
-            recipient=choice.node_id, correlation_id=engine.next_correlation(), task=snapshot,
-            forced=choice.force_migration, rec_age_us=now - choice.created_at))
+            recipient=target, correlation_id=engine.next_correlation(), task=snapshot,
+            forced=choice >= quote.regular, rec_age_us=now - quote.created_at))
 
     def _handle_process_error(self, message: Message) -> None:
         task_id = message.task.task_id
@@ -509,12 +510,13 @@ class BrokerAgent:
     # -- quoting -----------------------------------------------------------------
 
     def compute_recommendations(self, snapshot: TaskSnapshot, initial: bool,
-                                exclude: Optional[str]) -> Optional[list]:
-        """Up to ``RECOMMENDATION_COUNT`` candidates for the task, in three
-        bands: nodes drawn by score from the scanned pool, zero-score pool
-        nodes with room, then forced nodes with the total capacity (pool
-        nodes without the room, then unscanned ones).  None if no cached
-        node other than ``exclude`` matches the task's constraints.
+                                exclude: Optional[str]) -> Optional[Quote]:
+        """A quote of up to ``RECOMMENDATION_COUNT`` candidates for the
+        task, in three bands: nodes drawn by score from the scanned pool,
+        zero-score pool nodes with room (the quote's regular entries), then
+        forced nodes with the total capacity (pool nodes without the room,
+        then unscanned ones).  None if no cached node other than ``exclude``
+        matches the task's constraints.
 
         The pool is a uniform sample without replacement of the scan limit's
         size from the eligible nodes (the constraint set's cached matches,
@@ -561,15 +563,15 @@ class BrokerAgent:
             top = np.argpartition(keys, RECOMMENDATION_COUNT - 1)[:RECOMMENDATION_COUNT]
             scored, fitness = scored[top], fitness[top]
         order = np.lexsort((scored, -fitness))  # falling fitness, then id (index order)
-        picks = [(i, fit, False)  # (index, fitness, forced)
-                 for i, fit in zip(scored[order].tolist(), fitness[order].tolist())]
-        if len(picks) < RECOMMENDATION_COUNT:
+        chosen, fits = scored[order].tolist(), fitness[order].tolist()
+        forced = []
+        if len(chosen) < RECOMMENDATION_COUNT:
             # zero-score nodes with room still beat any forced entry: a flat
             # score never justifies skipping availability checks
             room = np.all(pool_totals - pool_used >= task_vec, axis=1)
-            picks += [(i, ZERO_SCORE_FITNESS, False)
-                      for i in pool[~positive & room][:RECOMMENDATION_COUNT].tolist()]
-            if len(picks) < RECOMMENDATION_COUNT:
+            chosen += pool[~positive & room][:RECOMMENDATION_COUNT - len(chosen)].tolist()
+            fits += [ZERO_SCORE_FITNESS] * (len(chosen) - len(fits))
+            if len(chosen) < RECOMMENDATION_COUNT:
                 # last resort: the pool nodes left, then the unscanned
                 # eligible ones, that have the total capacity for the task
                 rest = pool[~positive & ~room]
@@ -580,14 +582,11 @@ class BrokerAgent:
                     self.np_rng.shuffle(unscanned)
                     rest = np.concatenate((rest, entries(unscanned)))
                 capable = rest[np.all(required <= totals[rest], axis=1)]
-                picks += [(i, FORCED_FITNESS, True) for i in capable[:RECOMMENDATION_COUNT].tolist()]
-        picks = picks[:RECOMMENDATION_COUNT]
-        chosen = [i for i, _, _ in picks]
-        available = (totals[chosen] - used[chosen]).tolist()
-        return [CandidateNodeRecommendation(
-                    node_id=ids[i], node_available_resources=room_left,
-                    fitness_value=fit, force_migration=forced, created_at=engine.now_us)
-                for (i, fit, forced), room_left in zip(picks, available)]
+                forced = capable[:RECOMMENDATION_COUNT - len(chosen)].tolist()
+        picked = chosen + forced
+        return Quote(node_ids=[ids[i] for i in picked], fitness=fits + [FORCED_FITNESS] * len(forced),
+                     available=totals[picked] - used[picked], regular=len(chosen),
+                     created_at=engine.now_us)
 
     # -- protocol ------------------------------------------------------------------
 
@@ -596,16 +595,15 @@ class BrokerAgent:
         if kind is MessageKind.STATUS_REPORT:
             self.update_cache(message.node_stats, self.engine.now_us)
         elif kind is MessageKind.GET_CANDIDATE_NODES_REQUEST:
-            recommendations = self.compute_recommendations(
+            quote = self.compute_recommendations(
                 message.task, initial=message.initial, exclude=message.sender)
-            self.engine.sample_quote(self, message, recommendations)
-            if recommendations is None:
+            self.engine.sample_quote(message, quote)
+            if quote is None:
                 self.engine.report_unschedulable(message.task.task_id)
-                recommendations = []
             self.engine.send(Message(
                 kind=MessageKind.GET_CANDIDATE_NODES_RESPONSE, sender=self.id,
                 recipient=message.sender, correlation_id=message.correlation_id,
-                task=message.task, recommendations=tuple(recommendations)))
+                task=message.task, quote=quote))
         elif kind is MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE:
             flow = self.in_flight.pop(message.correlation_id, None)
             if flow is not None:
@@ -634,32 +632,32 @@ class BrokerAgent:
             if task_id in self.engine.cell.placement:
                 continue
             snapshot = self.engine.snapshot_task(task_id)
-            recommendations = self.compute_recommendations(snapshot, initial=True, exclude=None)
-            if recommendations is None:
+            quote = self.compute_recommendations(snapshot, initial=True, exclude=None)
+            if quote is None:
                 self.engine.report_unschedulable(task_id)
-            if not recommendations:
                 self.engine.retry_placement(task_id, self.rng)
                 continue
-            flow = PlacementFlow(task_id=task_id, recommendations=recommendations)
-            self._try_placement(flow)
+            self._try_placement(PlacementFlow(task_id=task_id, quote=quote))
 
     def _try_placement(self, flow: PlacementFlow) -> None:
         engine = self.engine
         if flow.task_id not in engine.cell.tasks:
             return  # the task ended while a request for it was in flight
-        while flow.next_index < len(flow.recommendations):
-            rec = flow.recommendations[flow.next_index]
-            # skip a stale quote and a node that has left since the quote
-            if rec.expired(engine.now_us, RECOMMENDATION_TTL_US) or rec.node_id not in engine.agents:
+        quote = flow.quote
+        # skip a stale quote and a node that has left since the quote
+        node_ids = () if quote.expired(engine.now_us, RECOMMENDATION_TTL_US) else quote.node_ids
+        while flow.next_index < len(node_ids):
+            node_id = node_ids[flow.next_index]
+            if node_id not in engine.agents:
                 flow.next_index += 1
                 continue
             corr = engine.next_correlation()
             self.in_flight[corr] = flow
             engine.send(Message(
                 kind=MessageKind.TASK_MIGRATION_PROCESS_REQUEST, sender=self.id,
-                recipient=rec.node_id, correlation_id=corr,
-                task=engine.snapshot_task(flow.task_id), forced=rec.force_migration,
-                initial=True, rec_age_us=engine.now_us - rec.created_at))
+                recipient=node_id, correlation_id=corr,
+                task=engine.snapshot_task(flow.task_id), forced=flow.next_index >= quote.regular,
+                initial=True, rec_age_us=engine.now_us - quote.created_at))
             return
         # every candidate failed: back to the pending queue for fresh quotes
         engine.retry_placement(flow.task_id, self.rng)
@@ -887,7 +885,7 @@ class AgentEngine(Engine):
                 broker._index_dirty = True
             # a placement requested of the node gets no answer: quote it afresh
             for corr, flow in list(broker.in_flight.items()):
-                if flow.recommendations[flow.next_index].node_id == event.node_id:
+                if flow.quote.node_ids[flow.next_index] == event.node_id:
                     del broker.in_flight[corr]
                     broker.retry_queue.append(flow.task_id)
         # displaced tasks re-enter scheduling unless already mid-migration
@@ -987,7 +985,7 @@ class AgentEngine(Engine):
         lines.append(f"Total migration cost (selected tasks) = {cost} [MB]")
         self.log("\n".join(lines))
 
-    def sample_quote(self, broker: BrokerAgent, message: Message, recommendations) -> None:
+    def sample_quote(self, message: Message, quote: Optional[Quote]) -> None:
         if not self._sampled("quote"):
             return
         lines = [f"SAMPLE: candidate nodes recommendations for migration-out of task:",
@@ -995,19 +993,19 @@ class AgentEngine(Engine):
                  f"[{', '.join(f'{v:.10f}' for v in message.task.required)}] "
                  f"Migration cost = {message.task.migration_cost_mb:.2f} [MB]",
                  f"Source node: [{message.sender}]"]
-        for rec in recommendations or ():
-            lines.append(rec.log_format())
+        for i in range(0 if quote is None else len(quote.node_ids)):
+            lines.append(quote.log_format(i))
         self.log("\n".join(lines))
 
-    def sample_target_selection(self, agent: NodeAgent, negotiation, snapshot,
-                                live, choice) -> None:
+    def sample_target_selection(self, agent: NodeAgent, snapshot: TaskSnapshot,
+                                quote: Quote, live: list, choice: int) -> None:
         if not self._sampled("target"):
             return
         lines = [f"SAMPLE: accepted recommendations for migration-out of task:",
                  f"Task [{snapshot.task_id}] Migration cost = {snapshot.migration_cost_mb:.2f} [MB]",
                  f"Source node: [{agent.id}]",
                  "All non-expired recommendations (* selected):"]
-        for rec in live:
-            star = "* " if rec is choice else ""
-            lines.append(star + rec.log_format())
+        for i in live:
+            star = "* " if i == choice else ""
+            lines.append(star + quote.log_format(i))
         self.log("\n".join(lines))

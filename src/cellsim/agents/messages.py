@@ -5,7 +5,8 @@ its request's correlation id.  Status reports are the monitoring channel
 from node agents to brokers and sit outside the negotiation protocol.
 Resource vectors travel as float64 arrays: the cell's own read-only ones,
 and a copy of a node's load sum, which the cell updates in place, so a
-message keeps its values whatever the cell does next.
+message keeps its values whatever the cell does next.  A broker's quote is
+one record for all its candidate nodes, not one object per node.
 """
 
 from __future__ import annotations
@@ -30,29 +31,30 @@ class MessageKind(enum.Enum):
 
 
 @dataclass(slots=True)
-class CandidateNodeRecommendation:
-    """Broker quote for one candidate node.
-
-    Forced recommendations carry a sentinel minimal fitness and mark nodes
-    with enough total capacity whose current availability is insufficient;
-    they are eligible only after every regular candidate has failed.
+class Quote:
+    """A broker's candidate nodes for one task, best first: entry ``i`` is
+    ``node_ids[i]``, its fitness and its room (row ``i`` of ``available``:
+    total less used, as the broker's cache showed it).  The first
+    ``regular`` entries had room.  The rest are forced: nodes with the total
+    capacity but not the room, which skip the availability check and are
+    tried only after every regular entry has failed.
     """
 
-    node_id: str
-    node_available_resources: list
-    fitness_value: float
-    force_migration: bool
+    node_ids: list
+    fitness: list
+    available: np.ndarray
+    regular: int
     created_at: int
 
     def expired(self, now_us: int, ttl_us: int) -> bool:
         return now_us - self.created_at > ttl_us
 
-    def log_format(self) -> str:
-        avail = ",".join(f"{v:.10f}" for v in self.node_available_resources)
-        return (f"CandidateNodeRecommendation[nodeId={self.node_id},"
+    def log_format(self, i: int) -> str:
+        avail = ",".join(f"{v:.10f}" for v in self.available[i])
+        return (f"CandidateNodeRecommendation[nodeId={self.node_ids[i]},"
                 f"nodeAvailableResources=[{avail}],"
-                f"fitnessValue={self.fitness_value:.12f},"
-                f"forceMigration={str(self.force_migration).lower()}]")
+                f"fitnessValue={self.fitness[i]:.12f},"
+                f"forceMigration={str(i >= self.regular).lower()}]")
 
 
 FORCED_FITNESS = 1e-12
@@ -91,12 +93,13 @@ class Message:
     recipient: str
     correlation_id: int
     task: Optional[TaskSnapshot] = None
-    recommendations: tuple = ()
+    #: For quote responses: None when no cached node matches the task.
+    quote: Optional[Quote] = None
     node_stats: Optional[NodeStats] = None
     forced: bool = False
     #: For quote requests: True when quoting an initial placement.
     initial: bool = False
-    #: For process requests: the age of the recommendation acted on.
+    #: For process requests: the age of the quote acted on.
     rec_age_us: int = 0
 
     def trace_line(self, now_us: int) -> str:

@@ -15,9 +15,9 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 8: the cell's vectors are read-only
-#: float64 arrays, and a process request carries its recommendation's age.
-VERSION = 8
+#: version control log).  Version 9: a broker quote is one ``Quote``
+#: record, which negotiations, placement flows and quote responses hold.
+VERSION = 9
 
 
 class SnapshotError(RuntimeError):

@@ -64,7 +64,6 @@ class StrategyConfig:
     time_budget_s: Optional[float] = None
     tabu_dull_move_limit: int = 25
     full_scan_leaf_cap: float = 1e8
-    cache_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.seed is None:
@@ -90,7 +89,7 @@ class _Run:
                         else PackedProblem.from_state(instance))
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.cache = SolutionCache() if cfg.cache_enabled else None
+        self.cache = SolutionCache()
         self.examined = 0
         self.runs = 0
         self.best: Optional[CandidateSolution] = None
@@ -108,8 +107,6 @@ class _Run:
 
     def candidate(self, assign: np.ndarray) -> CandidateSolution:
         self.charge()
-        if self.cache is None:
-            return CandidateSolution(self.problem, assign.copy())
         frozen = assign.copy()
         return self.cache.lookup_or_insert(
             self.problem.key(frozen), lambda: CandidateSolution(self.problem, frozen))
@@ -133,7 +130,7 @@ class _Run:
         stats = {
             "runs": self.runs,
             "candidates_examined": self.examined,
-            "cache_hits": self.cache.hits if self.cache else 0,
+            "cache_hits": self.cache.hits,
             "elapsed_s": time.monotonic() - self.started,
         }
         if extra:
@@ -154,49 +151,47 @@ def _origin_shortcut(run: _Run) -> Optional[BalancerResult]:
 
 def _neighbor_scan(run: _Run, current: CandidateSolution,
                    visited: Optional[set] = None) -> Optional[CandidateSolution]:
-    """Best stable neighbor by (cost, moved, encoding); incremental checks.
+    """Best stable one-task move by (cost, moved, task, node), not in ``visited``.
 
     From a stable solution, moving one task keeps every node stable except
-    possibly the target, so each neighbor costs O(d) to test.
+    possibly the target, so a task is tested against all the other nodes
+    (cut to the budget left) in one array test, one candidate per node.  Its
+    moves have two cost tiers, home (when it sits off its origin; costs are
+    never negative) and the rest, so its fitting nodes are walked in key
+    order, home first, then by node index: the first not in ``visited`` wins.
     """
     problem = run.problem
     base = current.assign
     loads = current.loads
+    nodes = np.arange(problem.node_count)
     best_key = None
-    best_move = None
     for t in range(problem.task_count):
-        src = int(base[t])
-        demand = problem.required[t]
-        base_cost = current.stc_from_origin
-        src_is_origin = src == int(problem.origin[t])
-        for n in range(problem.node_count):
-            if n == src:
-                continue
-            if not run.budget_left():
-                break
-            run.charge()
-            if np.any(loads[n] + demand > problem.capacity[n]):
-                continue
-            cost = base_cost
-            if src_is_origin:
-                cost += problem.costs[t]
-            elif n == int(problem.origin[t]):
-                cost -= problem.costs[t]
-            moved = current.moved_count + (1 if src_is_origin else (-1 if n == int(problem.origin[t]) else 0))
-            key = (cost, moved, t, n)
+        if not run.budget_left():
+            break
+        src, home = int(base[t]), int(problem.origin[t])
+        targets = np.delete(nodes, src)[:run.cfg.max_candidates - run.examined]
+        run.charge(len(targets))
+        fits = targets[np.all(loads[targets] + problem.required[t] <= problem.capacity[targets], axis=1)]
+        cost, moved = current.stc_from_origin, current.moved_count
+        if src == home:
+            tiers = [(cost + problem.costs[t], moved + 1, fits)]
+        else:
+            at_home = fits == home
+            tiers = [(cost - problem.costs[t], moved - 1, fits[at_home]), (cost, moved, fits[~at_home])]
+        for key in ((cost, moved, t, n) for cost, moved, ns in tiers for n in ns.tolist()):
             if best_key is not None and key >= best_key:
-                continue
+                break
             if visited is not None:
                 probe = base.copy()
-                probe[t] = n
+                probe[t] = key[3]
                 if problem.key(probe) in visited:
                     continue
             best_key = key
-            best_move = (t, n)
-    if best_move is None:
+            break
+    if best_key is None:
         return None
     assign = base.copy()
-    assign[best_move[0]] = best_move[1]
+    assign[best_key[2]] = best_key[3]
     return run.candidate(assign)
 
 
@@ -398,7 +393,6 @@ def seeded_genetic(instance: Instance, cfg: StrategyConfig,
             # seeds should be cheap local optima: long dull-move wandering
             # inside a seeding slice only eats the shared budget
             tabu_dull_move_limit=min(3, cfg.tabu_dull_move_limit),
-            cache_enabled=False,
         )
         sub = SEEDER_STRATEGIES[name](problem, sub_cfg)
         run.charge(sub.stats["candidates_examined"])

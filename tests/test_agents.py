@@ -12,6 +12,7 @@ from cellsim.agents import (
     AgentConfig,
     AgentEngine,
     FORCED_FITNESS,
+    Message,
     MessageKind,
     NodeAgent,
     RemovalCandidate,
@@ -153,8 +154,8 @@ class TestBrokerQuotes:
         snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False,
                                 (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
         broker = engine.brokers["broker-000"]
-        recs = broker.compute_recommendations(snapshot, initial=True, exclude=None)
-        assert [r.node_id for r in recs] == ["n000"]
+        quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
+        assert quote.node_ids == ["n000"]
 
     def test_no_matching_node_is_unschedulable(self):
         engine = build_engine([(1.0, 1.0)] * 3)
@@ -172,24 +173,25 @@ class TestBrokerQuotes:
                      used=(0.88, 0.88), node=f"n{index:03d}")
         snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, False, (), 10.0)
         broker = engine.brokers["broker-000"]
-        recs = broker.compute_recommendations(snapshot, initial=True, exclude=None)
-        assert len(recs) == 15
-        regular = [r for r in recs if not r.force_migration]
-        forced = [r for r in recs if r.force_migration]
-        assert len(regular) == 12  # the 12 nodes with room come first
-        assert len(forced) == 3   # busy-but-capable nodes pad the tail
-        fits = [r.fitness_value for r in regular]
+        quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
+        assert len(quote.node_ids) == len(quote.fitness) == len(quote.available) == 15
+        assert quote.regular == 12  # the 12 nodes with room come first
+        regular, forced = quote.node_ids[:12], quote.node_ids[12:]
+        assert set(regular) == {f"n{i:03d}" for i in range(8, 20)}
+        assert set(forced) < {f"n{i:03d}" for i in range(8)}  # busy-but-capable nodes pad the tail
+        fits = quote.fitness[:12]
         assert fits == sorted(fits, reverse=True)
-        assert all(r.fitness_value == FORCED_FITNESS for r in forced)
-        assert recs[:len(regular)] == regular  # forced entries trail
+        assert all(fit == FORCED_FITNESS for fit in quote.fitness[12:])
+        room = np.all(quote.available >= 0.2, axis=1)
+        assert room.tolist() == [True] * 12 + [False] * 3  # forced entries trail
 
     def test_deterministic_quotes(self):
         def run():
             engine = build_engine([(1.0, 1.0)] * 30, seed=77)
             snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, False, (), 10.0)
             broker = engine.brokers["broker-000"]
-            recs = broker.compute_recommendations(snapshot, initial=True, exclude=None)
-            return [(r.node_id, r.fitness_value, r.force_migration) for r in recs]
+            quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
+            return quote.node_ids, quote.fitness, quote.regular, quote.available.tolist()
 
         assert run() == run()
 
@@ -200,8 +202,7 @@ class TestBrokerQuotes:
         broker = engine.brokers["broker-000"]
 
         def quote():
-            recs = broker.compute_recommendations(snapshot, initial=True, exclude=None)
-            return [r.node_id for r in recs]
+            return broker.compute_recommendations(snapshot, initial=True, exclude=None).node_ids
 
         assert quote() == ["n000"]
         engine.apply_events([ev.RemoveNodeAttributesEvent(0, "n000", ("gpu",)),
@@ -213,8 +214,8 @@ class TestBrokerQuotes:
         engine = build_engine([(1.0, 1.0)] * 2)
         snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False, (), 10.0)
         broker = engine.brokers["broker-000"]
-        recs = broker.compute_recommendations(snapshot, initial=False, exclude="n000")
-        assert [r.node_id for r in recs] == ["n001"]
+        quote = broker.compute_recommendations(snapshot, initial=False, exclude="n000")
+        assert quote.node_ids == ["n001"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,37 +248,38 @@ def test_quote_bands(data):
     initial = data.draw(st.booleans())
     requester = data.draw(st.one_of(st.none(), st.integers(0, count - 1).map("n{:03d}".format)))
     snapshot = TaskSnapshot("t", required, used, False, False, constraints, 10.0)
-    recs = engine.brokers["broker-000"].compute_recommendations(
+    quote = engine.brokers["broker-000"].compute_recommendations(
         snapshot, initial=initial, exclude=requester)
 
     nodes = engine.cell.nodes
     eligible = {node_id for node_id in nodes if node_id != requester
                 and matches_attributes(constraints, nodes[node_id].attributes)}
     if not eligible:
-        assert recs is None
+        assert quote is None
         return
     task_vec = np.asarray(required if initial else used)
-    ids = [r.node_id for r in recs]
+    ids = quote.node_ids
     assert len(ids) == len(set(ids)) <= RECOMMENDATION_COUNT
+    assert len(quote.fitness) == len(quote.available) == len(ids)
+    assert 0 <= quote.regular <= len(ids)
     assert set(ids) <= eligible
     bands = []
-    for rec in recs:
-        room = np.all(np.asarray(rec.node_available_resources) >= task_vec)
-        if rec.force_migration:
-            assert rec.fitness_value == FORCED_FITNESS
-            assert np.all(np.asarray(required) <= nodes[rec.node_id].total) and not room
+    for i, (node_id, fitness) in enumerate(zip(ids, quote.fitness)):
+        room = np.all(quote.available[i] >= task_vec)
+        if i >= quote.regular:
+            assert fitness == FORCED_FITNESS
+            assert np.all(np.asarray(required) <= nodes[node_id].total) and not room
             bands.append(2)
-        elif rec.fitness_value == ZERO_SCORE_FITNESS:
+        elif fitness == ZERO_SCORE_FITNESS:
             assert room
             bands.append(1)
         else:
-            assert rec.fitness_value > 0.0
+            assert fitness > 0.0 and fitness != FORCED_FITNESS
             bands.append(0)
     assert bands == sorted(bands)
-    scored = [r.fitness_value for r in recs if not r.force_migration
-              and r.fitness_value != ZERO_SCORE_FITNESS]
+    scored = [fit for fit in quote.fitness[:quote.regular] if fit != ZERO_SCORE_FITNESS]
     assert scored == sorted(scored, reverse=True)
-    if len(recs) < RECOMMENDATION_COUNT:
+    if len(ids) < RECOMMENDATION_COUNT:
         capable = {n for n in eligible if np.all(np.asarray(required) <= nodes[n].total)}
         assert capable <= set(ids)
 
@@ -341,12 +343,64 @@ def test_forced_band_reaches_unscanned_nodes(monkeypatch):
         add_task(engine, f"load{i}", required=load, used=load, node=node)
     pools = scanned_pools(monkeypatch)
     snapshot = TaskSnapshot("t", (1.5, 1.5), (0.0, 0.0), False, True, (), 10.0)
-    recs = engine.brokers["broker-000"].compute_recommendations(snapshot, initial=True, exclude=None)
+    quote = engine.brokers["broker-000"].compute_recommendations(snapshot, initial=True, exclude=None)
     capable = {f"n{i:03d}" for i in range(0, 500, 50)}
-    assert all(r.force_migration for r in recs)
-    assert {r.node_id for r in recs} == capable
-    in_pool = [r.node_id in set(pools[0]) for r in recs]
+    assert quote.regular == 0  # every entry is forced
+    assert quote.fitness == [FORCED_FITNESS] * len(capable)
+    assert set(quote.node_ids) == capable
+    in_pool = [node_id in set(pools[0]) for node_id in quote.node_ids]
     assert in_pool == sorted(in_pool, reverse=True) and not all(in_pool)
+
+
+QUOTE_ENTRIES = [
+    "CandidateNodeRecommendation[nodeId=n003,nodeAvailableResources=[0.8000000000,0.7500000000],"
+    "fitnessValue=0.332346651303,forceMigration=false]",
+    "CandidateNodeRecommendation[nodeId=n002,nodeAvailableResources=[1.0000000000,1.0000000000],"
+    "fitnessValue=0.200000000000,forceMigration=false]",
+    "CandidateNodeRecommendation[nodeId=n001,nodeAvailableResources=[0.3000000000,0.4000000000],"
+    "fitnessValue=0.000000000001,forceMigration=true]",
+]
+
+
+def test_sampled_quote_and_target_records():
+    """The first sampled quote and target-selection records of a fixed run,
+    text for text: two regular entries, then a forced one, and the star on
+    the entry the source chose."""
+    engine = build_engine([(1.0, 1.0)] * 4, seed=3)
+    add_task(engine, "a", required=(0.7, 0.5), used=(0.6, 0.5), node="n000", cost=120.0)
+    add_task(engine, "b", required=(0.6, 0.6), used=(0.5, 0.55), node="n000", cost=80.0)
+    add_task(engine, "c", required=(0.7, 0.7), used=(0.7, 0.6), node="n001", cost=10.0)
+    add_task(engine, "d", required=(0.3, 0.3), used=(0.2, 0.25), node="n003", cost=10.0)
+    records = []
+    engine.log = records.append
+    run_ticks(engine, 2)
+    quotes = [r for r in records if r.startswith("SAMPLE: candidate nodes")]
+    targets = [r for r in records if r.startswith("SAMPLE: accepted")]
+    assert quotes[0].split("\n") == [
+        "SAMPLE: candidate nodes recommendations for migration-out of task:",
+        "Task [b] Required resources=[0.6000000000, 0.6000000000] Migration cost = 80.00 [MB]",
+        "Source node: [n000]",
+        *QUOTE_ENTRIES,
+    ]
+    assert targets[0].split("\n") == [
+        "SAMPLE: accepted recommendations for migration-out of task:",
+        "Task [b] Migration cost = 80.00 [MB]",
+        "Source node: [n000]",
+        "All non-expired recommendations (* selected):",
+        QUOTE_ENTRIES[0], "* " + QUOTE_ENTRIES[1], QUOTE_ENTRIES[2],
+    ]
+
+
+def test_unschedulable_quote_is_answered_with_none():
+    engine = build_engine([(1.0, 1.0)] * 2, attrs={0: (("gpu", "yes"),)})
+    snapshot = TaskSnapshot("t", np.array([0.1, 0.1]), np.array([0.1, 0.1]), False, False,
+                            (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
+    engine.brokers["broker-000"].handle(Message(
+        kind=MessageKind.GET_CANDIDATE_NODES_REQUEST, sender="n000", recipient="broker-000",
+        correlation_id=7, task=snapshot))
+    (reply,) = [m for m in engine._outbox if m.kind is MessageKind.GET_CANDIDATE_NODES_RESPONSE]
+    assert (reply.recipient, reply.correlation_id, reply.quote) == ("n000", 7, None)
+    assert engine.unschedulable == {"t"}
 
 
 class TestAdmission:
@@ -589,7 +643,7 @@ def test_placement_in_flight_to_a_departing_node_is_retried(rounds, readd):
     engine.run_tick()
     (broker,) = engine.brokers.values()
     (flow,) = broker.in_flight.values()
-    target = flow.recommendations[flow.next_index].node_id
+    target = flow.quote.node_ids[flow.next_index]
     (other,) = set(engine.agents) - {target}
     events = [ev.RemoveNodeEvent(timestamp=0, node_id=target)]
     if readd:

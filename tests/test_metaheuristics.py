@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellsim.metaheuristics import (
     BalancerResult,
@@ -32,6 +33,8 @@ from cellsim.model import (
     is_system_stable,
     transformation_cost,
 )
+from cellsim.metaheuristics.strategies import _neighbor_scan, _Run
+from scan_oracle import neighbor_scan as oracle_neighbor_scan
 
 
 def brute_force_optimum(problem: PackedProblem):
@@ -144,13 +147,51 @@ class TestSolutionCache:
         cache.lookup_or_insert(k1, lambda: CandidateSolution(problem, problem.origin.copy()))
         assert cache.misses == 3  # k1 was evicted, rebuilt
 
-    def test_cache_off_equivalence(self):
-        state = benchmark_state("test1")
-        on = greedy(state, StrategyConfig(seed=42, max_candidates=4000))
-        off = greedy(state, StrategyConfig(seed=42, max_candidates=4000, cache_enabled=False))
-        assert on.stc_mb == off.stc_mb
-        assert (on.best.assign == off.best.assign).all()
-        assert off.stats["cache_hits"] == 0
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_neighbor_scan_matches_scalar_oracle(data):
+    """On a random packed problem, with off-cell origins, repeated costs, a
+    random visited set and a budget that may run out partway through a
+    task's nodes, the per-task array scan picks the oracle's move and
+    examines the same number of candidates."""
+    dim = data.draw(st.integers(1, 3))
+    n_nodes = data.draw(st.integers(1, 6))
+    n_tasks = data.draw(st.integers(0, 8))
+    vectors = lambda rows, low, high: np.array(data.draw(st.lists(
+        st.lists(st.floats(low, high), min_size=dim, max_size=dim),
+        min_size=rows, max_size=rows)), dtype=np.float64).reshape(rows, dim)
+    problem = PackedProblem(
+        task_ids=tuple(f"t{i}" for i in range(n_tasks)),
+        node_ids=tuple(f"n{i}" for i in range(n_nodes)),
+        required=vectors(n_tasks, 0.0, 4.0),
+        capacity=vectors(n_nodes, 1.0, 10.0),
+        costs=np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                                          min_size=n_tasks, max_size=n_tasks))),
+        origin=np.array(data.draw(st.lists(st.integers(-1, n_nodes - 1),
+                                           min_size=n_tasks, max_size=n_tasks)), dtype=np.int64))
+    assign = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1),
+                                         min_size=n_tasks, max_size=n_tasks)), dtype=np.int64)
+    neighbors = []
+    for t in range(n_tasks):
+        for n in range(n_nodes):
+            if n != assign[t]:
+                probe = assign.copy()
+                probe[t] = n
+                neighbors.append(problem.key(probe))
+    visited = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(neighbors))
+                                  if neighbors else st.just(set())))
+    budget = data.draw(st.integers(1, n_tasks * n_nodes + 2))
+    spent = data.draw(st.integers(0, budget))
+
+    def scan(scan_fn):
+        run = _Run(problem, StrategyConfig(seed=0, max_candidates=budget))
+        run.examined = spent
+        step = scan_fn(run, CandidateSolution(problem, assign),
+                       visited=None if visited is None else set(visited))
+        return (None if step is None else step.assign.tolist()), run.examined
+
+    assert scan(_neighbor_scan) == scan(oracle_neighbor_scan)
 
 
 class TestFullScanOracle:

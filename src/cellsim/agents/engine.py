@@ -49,7 +49,6 @@ RECOMMENDATION_COUNT = 15
 INITIAL_SCAN_LIMIT = 200
 REALLOC_SCAN_LIMIT = 2000
 RECOMMENDATION_TTL_US = 3 * MINUTE_US
-CACHE_ENTRY_TTL_US = 5 * MINUTE_US
 #: Rounds a negotiation waits for a reply (a quote takes two; 3 rounds = 30 s at 6 a tick).
 ACCEPTANCE_WAIT_ROUNDS = 3
 #: Queued placements a broker serves per round.
@@ -71,12 +70,12 @@ class AgentConfig:
     #: Names in ``scoring.SCORERS``: initial sias(_gain), realloc sras(_gain).
     initial_scorer: str = "sias_gain"
     realloc_scorer: str = "sras"
-    audit: bool = False
 
 
 @dataclass(slots=True)
 class BrokerCacheEntry:
-    """A node's last reported availability (the cell holds the rest)."""
+    """A node's last reported availability (the cell holds the rest), kept
+    until the node leaves the cell: every node reports each tick."""
 
     available: np.ndarray
     last_update: int
@@ -133,18 +132,19 @@ class Engine:
     lets the engine act in ``run_tick``; every engine keeps its placements in
     the ``CellState`` it was given, so per-node loads are read from the cell
     (``CellState.node_table``), not from the engine.  ``log`` and
-    ``message_trace`` are the run's line writers, set by the runner;
-    snapshots leave them out, since they write to files open in this process
-    only.
+    ``message_trace`` are the run's line writers and ``audit`` its record
+    writer, set by the runner; snapshots leave them out, since they write to
+    files open in this process only.
     """
 
     log: Optional[Callable[[str], None]] = None
     message_trace: Optional[Callable[[str], None]] = None
+    audit: Optional[Callable[[AuditRecord], None]] = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("log", None)
-        state.pop("message_trace", None)
+        for writer in ("log", "message_trace", "audit"):
+            state.pop(writer, None)
         return state
 
     def apply_events(self, events: Iterable) -> None:
@@ -487,12 +487,8 @@ class BrokerAgent:
             available=stats.total - stats.used, last_update=now)
         self._index_dirty = True
 
-    def evict_stale(self, now: int) -> None:
+    def clear_matches(self) -> None:
         self._matches.clear()  # events between ticks may change node attributes
-        for node_id, entry in list(self.cache.items()):
-            if now - entry.last_update > CACHE_ENTRY_TTL_US or node_id not in self.engine.cell.nodes:
-                del self.cache[node_id]
-                self._index_dirty = True
 
     def _rebuild_index(self) -> None:
         entries = sorted(self.cache.items())
@@ -665,6 +661,9 @@ class BrokerAgent:
 
 @dataclass(slots=True)
 class AuditRecord:
+    """One committed placement or completed migration, as the protocol's
+    safety checks see it (``--audit`` writes it to ``<run>-audit.csv``)."""
+
     task_id: str
     source: Optional[str]
     target: str
@@ -682,13 +681,12 @@ class AuditRecord:
 class AgentEngine(Engine):
     """Deterministic round-based scheduler for the agent network."""
 
-    def __init__(self, cell: CellState, config: AgentConfig, seed: int,
-                 start_us: int = 0):
+    def __init__(self, cell: CellState, config: AgentConfig, seed: int):
         self.cell = cell
         self.config = config
         self.seed = seed
         self.dimension = cell.catalog.dimension
-        self.now_us = start_us
+        self.now_us = 0
         self.round_us = config.tick_length_us // config.rounds_per_tick
         self.rng = random.Random(_stable_seed(seed, "engine"))
         self.agents: dict[str, NodeAgent] = {}
@@ -705,7 +703,7 @@ class AgentEngine(Engine):
         #: source hears of it, and no transfer is open between ticks.
         self.transfers: list[tuple[str, str]] = []
         self.metrics = TickMetrics()
-        self.audit_log: list[AuditRecord] = []
+        #: live tasks reported unschedulable, so each gets one ERROR line
         self.unschedulable: set[str] = set()
         self._sample_counters = dict.fromkeys(SAMPLE_RATES, 0)
         #: task -> the node holding its reservation, so task removal is O(1)
@@ -781,7 +779,7 @@ class AgentEngine(Engine):
         reservation = agent.release_reservation(task_id)
         self.cell.place(task_id, node_id)
         self.metrics.placements += 1
-        if self.config.audit:
+        if self.audit is not None:
             self._audit(task_id, None, agent, reservation, initial=True)
 
     def _complete_transfers(self) -> None:
@@ -797,13 +795,13 @@ class AgentEngine(Engine):
             task = self.cell.tasks[task_id]
             self.metrics.migrations_completed += 1
             self.metrics.stc_mb += task.migration_cost_mb
-            if self.config.audit:
+            if self.audit is not None:
                 self._audit(task_id, reservation.source, target, reservation, initial=False)
 
     def _audit(self, task_id: str, source: Optional[str], target: NodeAgent,
                reservation: Optional[InMigration], initial: bool) -> None:
         forced = reservation.forced if reservation is not None else False
-        self.audit_log.append(AuditRecord(
+        self.audit(AuditRecord(
             task_id=task_id,
             source=source,
             target=target.id,
@@ -842,6 +840,7 @@ class AgentEngine(Engine):
             broker.enqueue_placement(event.task_id)
         elif kind is ev.EventKind.REMOVE_TASK:
             task_id = event.task_id
+            self.unschedulable.discard(task_id)
             # its negotiation, if any, is open on the node it sits on
             owner = self.agents.get(cell.placement.get(task_id))
             if owner is not None:
@@ -899,7 +898,7 @@ class AgentEngine(Engine):
         """Advance one tick (events must have been applied by the caller)."""
         self.metrics = TickMetrics()
         for broker in self.brokers.values():
-            broker.evict_stale(self.now_us)
+            broker.clear_matches()
             broker.flush_retries()
         self._gossip()
         for round_index in range(self.config.rounds_per_tick):

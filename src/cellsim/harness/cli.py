@@ -44,8 +44,6 @@ def _add_run_parser(subparsers) -> None:
     p.add_argument("--ticks", type=int, default=None, help="simulated ticks to run")
     p.add_argument("--tick-seconds", type=int, default=60)
     p.add_argument("--rounds-per-tick", type=int, default=6)
-    p.add_argument("--speed-factor", type=float, default=0.0,
-                   help="pace the run at N× real time (0 = unpaced)")
     p.add_argument("--scale-factor", type=int, default=1, choices=(1, 2, 4, 8))
     p.add_argument("--compaction", type=float, default=0.0,
                    help="fraction of nodes removed at the compaction tick")
@@ -81,7 +79,6 @@ def _run_config(args) -> RunConfig:
         ticks=args.ticks,
         tick_length_us=args.tick_seconds * 1_000_000,
         rounds_per_tick=args.rounds_per_tick,
-        speed_factor=args.speed_factor,
         scale_factor=args.scale_factor,
         compaction_fraction=args.compaction,
         compaction_tick=args.compaction_tick,
@@ -140,7 +137,6 @@ def cmd_bench(args) -> int:
             cfg = StrategyConfig(
                 seed=args.seed + offset,
                 max_candidates=args.budget,
-                time_budget_s=args.wall_clock,
                 full_scan_leaf_cap=args.full_scan_cap,
             )
             try:
@@ -164,7 +160,7 @@ def cmd_bench(args) -> int:
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "strategy", "seed", "stable", "best_stc_mb",
-                         "runs", "unique_candidates", "cache_hits", "elapsed_s"])
+                         "runs", "candidates_examined", "cache_hits", "elapsed_s"])
         writer.writerows(rows)
     return EXIT_OK
 
@@ -208,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scenario", default="test1", choices=sorted(SCENARIOS))
     bench.add_argument("--strategies", default="greedy,tabu,sa,ga,sga")
     bench.add_argument("--budget", type=int, default=20_000)
-    bench.add_argument("--wall-clock", type=float, default=None,
-                       help="optional wall-clock budget per run, seconds")
     bench.add_argument("--repeats", type=int, default=1)
     bench.add_argument("--seed", required=True, type=int)
     bench.add_argument("--full-scan-cap", type=float, default=1e8)

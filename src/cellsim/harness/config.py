@@ -30,8 +30,6 @@ class RunConfig:
     synth: Optional[SynthConfig] = None
     ticks: Optional[int] = None
     tick_length_us: int = MINUTE_US
-    #: Simulated-to-wall-clock pacing; 0 runs unpaced (as fast as possible).
-    speed_factor: float = 0.0
     scale_factor: int = 1
     compaction_fraction: float = 0.0
     compaction_tick: int = 1
@@ -86,7 +84,6 @@ class RunConfig:
             broker_count=self.broker_count,
             initial_scorer=self.initial_scorer,
             realloc_scorer=self.realloc_scorer,
-            audit=self.audit,
         )
 
     def strategy_config(self, seed: int) -> StrategyConfig:

@@ -7,8 +7,11 @@ are formatted with fixed precision and rows follow the simulation order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, Optional
+
+from ..agents.engine import AuditRecord
 
 TICKS_HEADER = [
     "tick", "idle", "sta", "ta", "pa", "da", "overloaded",
@@ -16,6 +19,16 @@ TICKS_HEADER = [
     "cpu_used_ratio", "mem_used_ratio", "cpu_req_ratio", "mem_req_ratio",
     "stc_mb",
 ]
+AUDIT_HEADER = [f.name for f in fields(AuditRecord)]
+
+
+def _audit_value(value) -> str:
+    """0/1 for a flag, three decimals for the cost, nothing for no source."""
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    if isinstance(value, bool):
+        return str(int(value))
+    return "" if value is None else str(value)
 
 
 @dataclass
@@ -50,7 +63,8 @@ class TickRecord:
 
 class RunOutputs:
     """Owns the output tree: logs/<run>.log, logs/<run>-error.log,
-    logs/<run>-ticks.csv and usage/<run>-<tick>.csv dumps."""
+    logs/<run>-ticks.csv, usage/<run>-<tick>.csv dumps and, when a run asks
+    for them, logs/<run>-messages.log and logs/<run>-audit.csv."""
 
     def __init__(self, output_dir: Path, run_name: str):
         self.output_dir = Path(output_dir)
@@ -65,7 +79,7 @@ class RunOutputs:
                                 encoding="utf-8", newline="")
         self._ticks = csv.writer(self._ticks_file)
         self._ticks.writerow(TICKS_HEADER)
-        self._trace_file = None
+        self._lazy_files = []
 
     def log(self, line: str) -> None:
         self._log.write(line + "\n")
@@ -73,15 +87,27 @@ class RunOutputs:
     def error(self, line: str) -> None:
         self._error_log.write(line + "\n")
 
-    def message_trace_writer(self):
-        """Line writer for logs/<run>-messages.log, created on the first
-        line, so an engine that sends no messages leaves no file."""
+    def line_writer(self, suffix: str, header: Optional[str] = None) -> Callable[[str], None]:
+        """Line writer for logs/<run><suffix>, created (header first) on the
+        first line, so an engine that writes none leaves no file."""
+        handle = None
+
         def write(line: str) -> None:
-            if self._trace_file is None:
-                self._trace_file = open(self.logs_dir / f"{self.run_name}-messages.log",
-                                        "w", encoding="utf-8")
-            self._trace_file.write(line + "\n")
+            nonlocal handle
+            if handle is None:
+                handle = open(self.logs_dir / f"{self.run_name}{suffix}", "w", encoding="utf-8")
+                self._lazy_files.append(handle)
+                if header is not None:
+                    handle.write(header + "\n")
+            handle.write(line + "\n")
         return write
+
+    def audit_writer(self) -> Callable[[AuditRecord], None]:
+        """Record writer for logs/<run>-audit.csv: booleans as 0/1 and the
+        cost in fixed point, so the file is byte-deterministic."""
+        write = self.line_writer("-audit.csv", ",".join(AUDIT_HEADER))
+        return lambda record: write(",".join(_audit_value(getattr(record, name))
+                                             for name in AUDIT_HEADER))
 
     def write_tick(self, record: TickRecord) -> None:
         self._ticks.writerow(record.row())
@@ -97,9 +123,8 @@ class RunOutputs:
                 writer.writerow([row[0], row[1]] + [f"{v:.6f}" for v in row[2:]])
 
     def close(self) -> None:
-        for handle in (self._log, self._error_log, self._ticks_file, self._trace_file):
-            if handle is not None:
-                handle.close()
+        for handle in (self._log, self._error_log, self._ticks_file, *self._lazy_files):
+            handle.close()
 
     def __enter__(self) -> "RunOutputs":
         return self

@@ -14,9 +14,8 @@ continues bit-identically.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -234,16 +233,14 @@ class SimulationRunner:
         )
         return record, table, classes
 
-    def run(self, outputs: Optional[RunOutputs] = None) -> int:
+    def run(self) -> int:
         config = self.config
-        owns_outputs = outputs is None
-        if outputs is None:
-            outputs = RunOutputs(config.output_dir, config.run_name)
-        self.engine.log = outputs.log
-        if config.message_trace:
-            self.engine.message_trace = outputs.message_trace_writer()
-        try:
-            wall_start = time.monotonic()
+        with RunOutputs(config.output_dir, config.run_name) as outputs:
+            self.engine.log = outputs.log
+            if config.message_trace:
+                self.engine.message_trace = outputs.line_writer("-messages.log")
+            if config.audit:
+                self.engine.audit = outputs.audit_writer()
             idle_ticks = 0
             while True:
                 if config.ticks is not None and self.tick >= config.ticks:
@@ -259,17 +256,9 @@ class SimulationRunner:
                     idle_ticks += 1
                 else:
                     idle_ticks = 0
-                if config.speed_factor > 0:
-                    target_wall = (self.tick * config.tick_length_us / 1e6) / config.speed_factor
-                    lag = target_wall - (time.monotonic() - wall_start)
-                    if lag > 0:
-                        time.sleep(lag)
             outputs.log(f"run complete at tick {self.tick}; accumulated STC "
                         f"{self.accumulated_stc:.3f} MB")
-            return 0
-        finally:
-            if owns_outputs:
-                outputs.close()
+        return 0
 
     def _run_one_tick(self, outputs: RunOutputs) -> None:
         config = self.config

@@ -15,9 +15,9 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 9: a broker quote is one ``Quote``
-#: record, which negotiations, placement flows and quote responses hold.
-VERSION = 9
+#: version control log).  Version 10: the agent engine keeps no audit log
+#: and ``AgentConfig`` has no ``audit`` field.
+VERSION = 10
 
 
 class SnapshotError(RuntimeError):

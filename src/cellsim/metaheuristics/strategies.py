@@ -9,8 +9,8 @@ an unstable assignment as stable; if the budget runs out before a stable
 solution appears, the result says so.
 
 Every candidate evaluation is metered against ``max_candidates``, which
-makes cross-strategy comparisons budget-fair and keeps tests deterministic;
-wall-clock budgets exist for benchmarking only.
+makes cross-strategy comparisons budget-fair and keeps results
+deterministic; the clock is read only to report ``elapsed_s``.
 
 Greedy and tabu search are one local-search loop: greedy is tabu search
 that keeps no tabu list and allows no non-improving move.  Annealing and
@@ -58,10 +58,8 @@ class SearchSpaceCapExceeded(RuntimeError):
 @dataclass
 class StrategyConfig:
     seed: int
-    #: Candidate-evaluation budget; the deterministic replacement for the
-    #: wall-clock budgets used in benchmarking mode.
+    #: Candidate-evaluation budget; no clock limits a search.
     max_candidates: int = 50_000
-    time_budget_s: Optional[float] = None
     tabu_dull_move_limit: int = 25
     full_scan_leaf_cap: float = 1e8
 
@@ -96,11 +94,7 @@ class _Run:
         self.started = time.monotonic()
 
     def budget_left(self) -> bool:
-        if self.examined >= self.cfg.max_candidates:
-            return False
-        if self.cfg.time_budget_s is not None:
-            return (time.monotonic() - self.started) < self.cfg.time_budget_s
-        return True
+        return self.examined < self.cfg.max_candidates
 
     def charge(self, count: int = 1) -> None:
         self.examined += count

@@ -307,11 +307,12 @@ class TestCriterion7ScoringSurface:
 
 # -- 8. protocol safety -------------------------------------------------------------------
 
-def _random_protocol_scenario(seed: int) -> AgentEngine:
+def _random_protocol_scenario(seed: int, records: list) -> AgentEngine:
     rng = random.Random(seed)
     n_nodes = rng.randint(20, 100)
     cell = CellState(CAT2)
-    engine = AgentEngine(cell, AgentConfig(audit=True), seed=seed)
+    engine = AgentEngine(cell, AgentConfig(), seed=seed)
+    engine.audit = records.append
     groups = rng.randint(2, 4)
     engine.apply_events([
         ev.AddNodeEvent(0, f"n{i:04d}", (1.0, 1.0),
@@ -366,11 +367,12 @@ class TestCriterion8ProtocolSafety:
         completed = 0
         conservation_failures = 0
         for seed in range(1000):
-            engine = _random_protocol_scenario(seed)
+            records = []
+            engine = _random_protocol_scenario(seed, records)
             ticks = 2 if seed % 4 else 3
             for _ in range(ticks):
                 engine.run_tick()
-            for record in engine.audit_log:
+            for record in records:
                 if not record.forced:
                     assert record.stable_after, f"seed {seed}: unstable target after non-forced"
                     assert record.rus_after, f"seed {seed}: production overcommit after non-forced"
@@ -380,7 +382,7 @@ class TestCriterion8ProtocolSafety:
             if not engine.cell.conservation_holds():
                 conservation_failures += 1
             assert engine.reservation_invariant_holds(), f"seed {seed}: reservation imbalance"
-            completed += len(engine.audit_log)
+            completed += len(records)
         assert conservation_failures == 0
         elapsed = time.monotonic() - start
         assert elapsed < 600.0

@@ -33,9 +33,12 @@ CAT2 = ResourceTypeCatalog(("cpu", "memory"))
 MIN_US = 60 * 1_000_000
 
 
-def build_engine(node_totals, seed=1, config=None, attrs=None):
+def build_engine(node_totals, seed=1, config=None, attrs=None, records=None):
+    """An engine that audits every placement and migration, into ``records``
+    if given."""
     cell = CellState(CAT2)
-    engine = AgentEngine(cell, config or AgentConfig(audit=True), seed=seed)
+    engine = AgentEngine(cell, config or AgentConfig(), seed=seed)
+    engine.audit = (records if records is not None else []).append
     for index, total in enumerate(node_totals):
         engine.apply_events([ev.AddNodeEvent(
             timestamp=0, node_id=f"n{index:03d}", total=total,
@@ -207,7 +210,7 @@ class TestBrokerQuotes:
         assert quote() == ["n000"]
         engine.apply_events([ev.RemoveNodeAttributesEvent(0, "n000", ("gpu",)),
                              ev.AddNodeAttributesEvent(0, "n001", (("gpu", "yes"),))])
-        broker.evict_stale(engine.now_us)  # what every tick starts with
+        broker.clear_matches()  # what every tick starts with
         assert quote() == ["n001"]
 
     def test_exclude_source(self):
@@ -453,9 +456,10 @@ def run_ticks(engine, ticks):
 
 
 class TestEndToEnd:
-    def _overload_scenario(self, seed=5, rounds_per_tick=6):
+    def _overload_scenario(self, seed=5, rounds_per_tick=6, records=None):
         engine = build_engine([(1.0, 1.0)] * 10, seed=seed,
-                              config=AgentConfig(rounds_per_tick=rounds_per_tick, audit=True))
+                              config=AgentConfig(rounds_per_tick=rounds_per_tick),
+                              records=records)
         # overload n000 with six tasks, everything else idle
         for index in range(6):
             add_task(engine, f"t{index}", required=(0.25, 0.2),
@@ -481,9 +485,10 @@ class TestEndToEnd:
         assert engine.overloaded_count() == 0
 
     def test_non_forced_targets_stay_stable(self):
-        engine = self._overload_scenario()
+        records = []
+        engine = self._overload_scenario(records=records)
         run_ticks(engine, 5)
-        for record in engine.audit_log:
+        for record in records:
             if not record.forced:
                 assert record.stable_after
                 assert record.rus_after
@@ -548,12 +553,22 @@ class TestEndToEnd:
         assert engine.cell.conservation_holds()
 
     def test_unschedulable_reported(self):
+        # once per task, and forgotten when the task ends
+        lines = []
         engine = build_engine([(1.0, 1.0)])
+        engine.log = lines.append
         engine.apply_events([ev.AddTaskEvent(
-            timestamp=0, task_id="nope", required=(0.1, 0.1),
-            constraints=(TaskConstraint(Op.EQUAL, "missing", "x"),))])
-        run_ticks(engine, 1)
-        assert "nope" in engine.unschedulable
+            timestamp=0, task_id=task_id, required=(0.1, 0.1),
+            constraints=(TaskConstraint(Op.EQUAL, "missing", "x"),)) for task_id in ("nope", "gone")])
+        run_ticks(engine, 3)
+        assert engine.unschedulable == {"nope", "gone"}
+        engine.apply_events([ev.RemoveTaskEvent(timestamp=0, task_id="gone")])
+        run_ticks(engine, 3)
+        assert engine.unschedulable == {"nope"}
+        # a live task is quoted again every tick, but reported once
+        assert [line for line in lines if line.startswith("ERROR")] == [
+            f"ERROR task {task_id} unschedulable: no matching node in cache"
+            for task_id in ("nope", "gone")]
 
 
 def test_status_messages_flow_every_tick():
@@ -569,7 +584,7 @@ def test_node_added_again_keeps_its_reservations():
     # with two rounds a tick, a placement reserved in the last round is
     # committed when the confirmation lands next tick
     engine = build_engine([(1.0, 1.0)] * 2, seed=4,
-                          config=AgentConfig(rounds_per_tick=2, audit=True))
+                          config=AgentConfig(rounds_per_tick=2))
     add_task(engine, "big", required=(0.9, 0.9), used=(0.9, 0.9), node="n000")
     engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.3, 0.3))])
     engine.run_tick()
@@ -595,7 +610,7 @@ def test_placement_refused_after_its_task_ended_is_dropped():
     # window that ended the task; the broker must drop the flow, not send
     # the task to its next candidate
     engine = build_engine([(1.0, 1.0)] * 2, seed=1,
-                          config=AgentConfig(rounds_per_tick=2, audit=True))
+                          config=AgentConfig(rounds_per_tick=2))
     # three production tasks whose full requirements fit one to a node, so
     # at least one request is refused on the RUS bound
     engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id=f"p{i}", required=(0.6, 0.6),
@@ -620,7 +635,7 @@ def test_status_report_from_a_removed_node_is_ignored():
     # with one round a tick, the status reports sent in a tick reach the
     # brokers after the next window's events, which may remove the sender
     engine = build_engine([(1.0, 1.0)] * 3, seed=6,
-                          config=AgentConfig(rounds_per_tick=1, audit=True))
+                          config=AgentConfig(rounds_per_tick=1))
     engine.run_tick()
     engine.apply_events([ev.RemoveNodeEvent(timestamp=0, node_id="n002"),
                          ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.3, 0.3))])
@@ -638,7 +653,7 @@ def test_placement_in_flight_to_a_departing_node_is_retried(rounds, readd):
     # of the same id that comes back in the window never sees the request,
     # so it holds no reservation that no flow will commit.
     engine = build_engine([(1.0, 1.0)] * 2, seed=1,
-                          config=AgentConfig(rounds_per_tick=rounds, audit=True))
+                          config=AgentConfig(rounds_per_tick=rounds))
     engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.2, 0.2))])
     engine.run_tick()
     (broker,) = engine.brokers.values()
@@ -717,7 +732,7 @@ def test_random_churn_keeps_agent_invariants(seed, rounds, monkeypatch):
     monkeypatch.setattr(NodeAgent, "handle", checked_handle)
     rng = random.Random(seed)
     engine = build_engine([(1.0, 1.0)] * 6, seed=seed,
-                          config=AgentConfig(rounds_per_tick=rounds, audit=True))
+                          config=AgentConfig(rounds_per_tick=rounds))
     gone: dict[str, list] = {}
     next_task = 0
     for _ in range(30):

@@ -1,8 +1,10 @@
 """Harness behavior: tick loop, modes, scaling, snapshots, CLI plumbing."""
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from cell_oracle import assert_loads_match
+from cellsim.agents import AuditRecord
 from cellsim.harness import (
     ConfigError,
     RunConfig,
@@ -27,7 +30,7 @@ from cellsim.harness.scaling import IdCollisionError
 from cellsim.harness.snapshot import MAGIC, VERSION
 from cellsim.harness.tracewriter import write_synthetic_trace
 from cellsim.livemigration import MigrationProfile, lmdt_estimate, memory_mb
-from cellsim.metaheuristics import STRATEGIES, PackedProblem
+from cellsim.metaheuristics import STRATEGIES, PackedProblem, StrategyConfig, benchmark_state
 from cellsim.model import (
     Assignment,
     NodeSpec,
@@ -57,6 +60,12 @@ def run_config(tmp_path, **kw):
 
 def read_ticks(config):
     path = Path(config.output_dir) / "logs" / f"{config.run_name}-ticks.csv"
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def read_audit(config):
+    path = Path(config.output_dir) / "logs" / f"{config.run_name}-audit.csv"
     with open(path) as fh:
         return list(csv.DictReader(fh))
 
@@ -211,6 +220,18 @@ class TestMasbMode:
         bytes_b = (Path(out_b.output_dir) / "logs" / "run-ticks.csv").read_bytes()
         assert bytes_a != bytes_b
 
+    def test_long_ticks_keep_broker_caches(self, tmp_path):
+        # every node reports each tick, so a broker's cache holds the whole
+        # cell when a tick starts, however long the tick: on an
+        # unconstrained cell no task is unschedulable
+        config = run_config(tmp_path, ticks=3, tick_length_us=10 * 60 * 1_000_000,
+                            synth=synth_config(duration_minutes=30.0))
+        runner = SimulationRunner(config)
+        assert runner.run() == 0
+        log = (Path(config.output_dir) / "logs" / "run.log").read_text()
+        assert "unschedulable" not in log
+        assert runner.cell.placement
+
 
 class TestScalingInvariance:
     def test_replay_class_ratios_stable_under_scaling(self, tmp_path):
@@ -244,10 +265,35 @@ class TestStcAccounting:
                                                usage_ratio=(0.8, 1.1)))
         runner = SimulationRunner(config)
         assert runner.run() == 0
-        csv_total = sum(float(r["stc_mb"]) for r in read_ticks(config))
-        audit_total = sum(rec.cost_mb for rec in runner.engine.audit_log
-                          if not rec.initial)
-        assert csv_total == pytest.approx(audit_total)
+        ticks, audit = read_ticks(config), read_audit(config)
+        migrations = [row for row in audit if row["initial"] == "0"]
+        assert migrations
+        # both files round each value to 0.001 MB
+        csv_total = sum(float(r["stc_mb"]) for r in ticks)
+        audit_total = sum(float(r["cost_mb"]) for r in migrations)
+        assert csv_total == pytest.approx(audit_total, abs=0.0005 * (len(ticks) + len(migrations)))
+        assert len(migrations) == sum(int(r["migrations_completed"]) for r in ticks)
+
+    def test_audit_csv_format(self, tmp_path):
+        config = run_config(tmp_path, mode="masb", ticks=4, audit=True)
+        assert SimulationRunner(config).run() == 0
+        path = Path(config.output_dir) / "logs" / "run-audit.csv"
+        header = path.read_text().splitlines()[0]
+        assert header.split(",") == [field.name for field in dataclasses.fields(AuditRecord)]
+        rows = read_audit(config)
+        assert rows
+        for row in rows:
+            for flag in ("forced", "initial", "constraints_ok", "capacity_ok",
+                         "stable_after", "rus_after"):
+                assert row[flag] in ("0", "1")
+            if row["initial"] == "1":
+                assert (row["source"], row["cost_mb"]) == ("", "0.000")
+            assert re.fullmatch(r"\d+\.\d{3}", row["cost_mb"])
+
+    def test_no_audit_file_without_audit(self, tmp_path):
+        config = run_config(tmp_path, mode="masb", ticks=4)
+        assert SimulationRunner(config).run() == 0
+        assert not (Path(config.output_dir) / "logs" / "run-audit.csv").exists()
 
 
 class TestMetaheuristicMode:
@@ -336,9 +382,9 @@ class TestSnapshotRoundtrip:
 
     @pytest.mark.parametrize("mode", ["replay", "masb", "metaheuristic"])
     def test_resume_reproduces_run(self, tmp_path, mode):
-        # masb also traces messages, so the engine's writers must survive
-        # being left out of the snapshot
-        extra = {"masb": dict(message_trace=True),
+        # masb also traces messages and audits, so the engine's writers must
+        # survive being left out of the snapshot
+        extra = {"masb": dict(message_trace=True, audit=True),
                  "metaheuristic": dict(strategy="greedy", strategy_budget=4000)}.get(mode, {})
         full_config = run_config(tmp_path / "full", mode=mode, ticks=8,
                                  snapshot_every=None, **extra)
@@ -364,6 +410,9 @@ class TestSnapshotRoundtrip:
             assert resumed_trace
             assert resumed_trace == [line for line in full_trace
                                      if int(line.split("\t")[0]) >= resumed_from_us]
+            resumed_audit = read_audit(resumed_config)
+            assert resumed_audit
+            assert read_audit(half_config) + resumed_audit == read_audit(full_config)
 
     @pytest.mark.parametrize("source", ["trace", "synth"])
     def test_resumed_anomaly_counts_cover_whole_run(self, tmp_path, source):
@@ -605,6 +654,10 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert {r["strategy"] for r in rows} == {"greedy", "tabu"}
         assert all(r["stable"] == "1" for r in rows)
+        for row in rows:
+            result = STRATEGIES[row["strategy"]](benchmark_state("test1"),
+                                                 StrategyConfig(seed=5, max_candidates=1500))
+            assert int(row["candidates_examined"]) == result.stats["candidates_examined"]
 
     def test_snapshot_inspect(self, tmp_path, capsys):
         config = run_config(tmp_path, ticks=4, snapshot_every=2)

@@ -185,7 +185,7 @@ class NodeAgent:
 
     def overloaded(self) -> bool:
         node = self.node
-        return bool(np.any(node.used > node.total))
+        return any(used > cap for used, cap in zip(node.used.tolist(), node.total.tolist()))
 
     def task_left(self, task_id: str) -> None:
         """A task on this node finished or migrated away: stop moving it."""
@@ -196,7 +196,8 @@ class NodeAgent:
         self.in_migrations[snapshot.task_id] = InMigration(
             snapshot=snapshot, source=source, forced=forced, rec_age_us=rec_age_us,
             constraints_ok=matches_attributes(snapshot.constraints, self.node.attributes),
-            capacity_ok=bool(np.all(snapshot.required <= self.node.total)))
+            capacity_ok=all(req <= cap for req, cap in zip(snapshot.required,
+                                                          self.node.total.tolist())))
         self.engine.reservation_target[snapshot.task_id] = self.id
         self.incoming_used += snapshot.used
         if snapshot.production:
@@ -403,11 +404,12 @@ class NodeAgent:
     def _compulsory_tasks(self) -> list[str]:
         out = []
         node = self.node
+        total = node.total.tolist()
         for task_id in node.residents:
             task = self.engine.cell.tasks[task_id]
             if task.constraints and not matches_attributes(task.constraints, node.attributes):
                 out.append(task_id)
-            elif np.any(task.required > node.total):
+            elif any(req > cap for req, cap in zip(task.required.tolist(), total)):
                 out.append(task_id)
         return sorted(out)
 
@@ -564,7 +566,7 @@ class BrokerAgent:
         if len(chosen) < RECOMMENDATION_COUNT:
             # zero-score nodes with room still beat any forced entry: a flat
             # score never justifies skipping availability checks
-            room = np.all(pool_totals - pool_used >= task_vec, axis=1)
+            room = (pool_totals - pool_used >= task_vec).all(axis=1)
             chosen += pool[~positive & room][:RECOMMENDATION_COUNT - len(chosen)].tolist()
             fits += [ZERO_SCORE_FITNESS] * (len(chosen) - len(fits))
             if len(chosen) < RECOMMENDATION_COUNT:
@@ -577,7 +579,7 @@ class BrokerAgent:
                     unscanned = np.flatnonzero(unscanned)
                     self.np_rng.shuffle(unscanned)
                     rest = np.concatenate((rest, entries(unscanned)))
-                capable = rest[np.all(required <= totals[rest], axis=1)]
+                capable = rest[(required <= totals[rest]).all(axis=1)]
                 forced = capable[:RECOMMENDATION_COUNT - len(chosen)].tolist()
         picked = chosen + forced
         return Quote(node_ids=[ids[i] for i in picked], fitness=fits + [FORCED_FITNESS] * len(forced),
@@ -856,10 +858,9 @@ class AgentEngine(Engine):
             agent = self.agents.get(cell.placement.get(event.task_id))
             if before is not None and agent is not None:
                 # a usage jump above the threshold share of the node is a RUS spike
-                delta = task.used - before
-                total = agent.node.total
-                jump = np.divide(delta, total, out=np.zeros_like(delta), where=total > 0)
-                if np.any(jump > RUS_SPIKE_THRESHOLD):
+                if any(cap > 0 and (new - old) / cap > RUS_SPIKE_THRESHOLD
+                       for new, old, cap in zip(task.used.tolist(), before.tolist(),
+                                                agent.node.total.tolist())):
                     self.metrics.rus_spikes += 1
         else:
             cell.apply(event)

@@ -60,16 +60,18 @@ def allocation_score_vec(params: ScoringParams, totals: np.ndarray,
     totals = np.asarray(totals, dtype=np.float64)
     used_after = np.asarray(used_after, dtype=np.float64)
     positive_cap = totals > 0.0
-    zero_cap_demand = np.any(~positive_cap & (used_after > 0.0), axis=1)
-    cutoff = np.any(positive_cap & (used_after >= STA_CUTOFF * totals), axis=1)
+    # ndarray methods, not the np.any/np.all/np.prod wrappers: the same
+    # reductions without the dispatch cost on these small arrays
+    zero_cap_demand = (~positive_cap & (used_after > 0.0)).any(axis=1)
+    cutoff = (positive_cap & (used_after >= STA_CUTOFF * totals)).any(axis=1)
 
     deltas = used_after - params.f_bias * totals
     masked = np.where(positive_cap, deltas, 1.0)
-    exponent = np.prod(masked, axis=1)
+    exponent = masked.prod(axis=1)
     if params.low_biased:
-        far = np.all(~positive_cap | (deltas > 0.0), axis=1)
+        far = (~positive_cap | (deltas > 0.0)).all(axis=1)
     else:
-        far = np.all(~positive_cap | (deltas < 0.0), axis=1)
+        far = (~positive_cap | (deltas < 0.0)).all(axis=1)
     exponent = np.where(far, 0.0, exponent)
 
     # cut-off rows score zero, and on an overloaded node their power overflows
@@ -94,10 +96,16 @@ def score(scorer: str, totals: np.ndarray, before: np.ndarray,
     """Score each row's move from ``before`` to ``after`` with the named
     scorer from ``SCORERS``."""
     params, gain = SCORERS[scorer]
-    scores = allocation_score_vec(params, totals, after)
-    if gain:
-        scores = np.maximum(scores - allocation_score_vec(params, totals, before), 0.0)
-    return scores
+    if not gain:
+        return allocation_score_vec(params, totals, after)
+    # after and before rows scored in one call: each row's score depends
+    # on that row alone
+    totals = np.asarray(totals, dtype=np.float64)
+    if totals.ndim == 2 and len(totals) > 1:  # one (1, d) row serves all rows
+        totals = np.concatenate((totals, totals))
+    scores = allocation_score_vec(params, totals, np.concatenate((after, before)))
+    rows = len(after)
+    return np.maximum(scores[:rows] - scores[rows:], 0.0)
 
 
 class AllocationClass(enum.Enum):

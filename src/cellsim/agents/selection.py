@@ -9,6 +9,14 @@ whose removal de-overloads the node while maximizing
 so cheap-to-move tasks whose departure most improves the node win.  The
 search is restart-based and shallow: a handful of toggle steps per restart,
 stopping early once restarts stop improving the best subset.
+
+A toggle step ranks every probe from the current subset's load and cost
+plus or minus the toggled task's row, in one array pass, then re-sums the
+best-ranked probe from its mask and accepts it only if that exact fitness
+beats the current one.  Every accepted subset and reported fitness is thus
+the sum of that subset alone; rounding moves a decision only at a near tie
+between probes, or where a greedy start's running load sits within a few
+ulp of the capacity.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ class SelectionResult:
     fitness: float
     feasible: bool       # removal de-overloads the node
     alert: bool          # nothing de-overloads: operator attention needed
-    examined: int = 0
 
 
 def select_candidate_services(
@@ -70,10 +77,7 @@ def select_candidate_services(
             remaining = remaining - candidate.used
     pool = [by_id[k] for k in sorted(by_id)]
 
-    def overloaded(load: np.ndarray) -> bool:
-        return bool(np.any(load > total))
-
-    if not overloaded(remaining):
+    if not (remaining > total).any():
         return SelectionResult(task_ids=list(compulsory), compulsory=compulsory,
                                fitness=0.0, feasible=True, alert=False)
 
@@ -84,41 +88,49 @@ def select_candidate_services(
     usages = np.stack([c.used for c in pool])
     costs = np.array([c.migration_cost_mb for c in pool])
     n = len(pool)
-    examined = 0
 
-    def evaluate(masks: list[np.ndarray]) -> np.ndarray:
-        """Fitness of each removal mask, scored in one call; -1 where the
-        node stays overloaded, +inf where the removal costs nothing."""
-        nonlocal examined
-        examined += len(masks)
-        # each subset summed on its own, so a load or cost is bit for bit the
-        # sum of that subset alone
-        loads = remaining - np.array([np.add.reduce(usages[mask]) for mask in masks])
-        cost = np.array([np.add.reduce(costs[mask]) for mask in masks])
+    def fitness_of(loads: np.ndarray, cost: np.ndarray) -> np.ndarray:
+        """Fitness of each (load, cost) row, scored in one call; -1 where
+        the node stays overloaded, +inf where the removal costs nothing."""
         scores = allocation_score_vec(REALLOC_PARAMS, total[None, :], loads)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fitness = np.where(cost > 0.0, scores / cost, np.inf)
-        return np.where(np.any(loads > total, axis=1), -1.0, fitness)
+        fitness = np.divide(scores, cost, out=np.full(len(cost), np.inf), where=cost > 0.0)
+        return np.where((loads > total).any(axis=1), -1.0, fitness)
+
+    def exact(mask: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Load, cost and fitness of one removal mask, the subset summed on
+        its own, so they are bit for bit the sums of that subset alone."""
+        load = remaining - np.add.reduce(usages[mask])
+        cost = np.add.reduce(costs[mask])
+        return load, cost, float(fitness_of(load[None, :], np.array([cost]))[0])
 
     # Everything-out is the feasibility ceiling: if even that overloads, no
     # subset works and the caller must be alerted.
     all_mask = np.ones(n, dtype=bool)
-    if evaluate([all_mask])[0] < 0.0:
+    if exact(all_mask)[2] < 0.0:
         fallback = compulsory + [c.task_id for c in pool if not c.production]
         return SelectionResult(task_ids=fallback, compulsory=compulsory,
-                               fitness=0.0, feasible=False, alert=True,
-                               examined=examined)
+                               fitness=0.0, feasible=False, alert=True)
 
-    def greedy_start() -> np.ndarray:
-        """Shed usage-heavy-per-MB tasks first, in randomized order."""
+    weights = usages.max(axis=1) / np.maximum(costs, 1e-9)
+
+    def greedy_start() -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Shed usage-heavy-per-MB tasks first, in randomized order, until a
+        running load stops overloading the node; returns the mask with its
+        exact load, cost and fitness."""
+        keys = -weights * np.array([rng.uniform(0.5, 1.5) for _ in range(n)])
+        order = np.argsort(keys, kind="stable")  # ties by index
+        fits = ~(remaining - np.cumsum(usages[order], axis=0) > total).any(axis=1)
+        count = int(fits.argmax()) + 1 if fits.any() else n
         mask = np.zeros(n, dtype=bool)
-        weights = usages.max(axis=1) / np.maximum(costs, 1e-9)
-        order = sorted(range(n), key=lambda i: (-weights[i] * rng.uniform(0.5, 1.5), i))
-        for index in order:
-            if not overloaded(remaining - usages[mask].sum(axis=0) if mask.any() else remaining):
-                break
-            mask[index] = True
-        return mask
+        mask[order[:count]] = True
+        load, cost, fit = exact(mask)
+        # the running load may round just under a boundary the exact sum
+        # crosses: shed on until the exact sum fits (at worst: all_mask)
+        while fit < 0.0:
+            mask[order[count]] = True
+            count += 1
+            load, cost, fit = exact(mask)
+        return mask, load, cost, fit
 
     best_mask: Optional[np.ndarray] = None
     best_fitness = -1.0
@@ -126,22 +138,23 @@ def select_candidate_services(
     for _ in range(RESTARTS):
         if stall >= STALL_LIMIT:
             break
-        local_best = greedy_start()  # feasible: at worst it is all_mask
-        local_fit = float(evaluate([local_best])[0])
-        visited = {local_best.tobytes()}
+        local_best, load, cost, local_fit = greedy_start()
+        # Each accepted step strictly raises the exact fitness, so a mask
+        # visited earlier in the restart scores below the current one and
+        # is never accepted again: no visited list is needed.
         for _ in range(DEPTH):
-            # the toggle neighbourhood: flip one task in or out of the subset
-            probes = np.tile(local_best, (n, 1))
-            np.fill_diagonal(probes, ~local_best)
-            probes = [probe for probe in probes if probe.tobytes() not in visited]
-            if not probes:
+            # the toggle neighbourhood: flip one task in or out of the
+            # subset, ranked from the current sums plus or minus its row
+            sign = np.where(local_best, -1.0, 1.0)
+            ranked = fitness_of(load - sign[:, None] * usages, cost + sign * costs)
+            step = int(np.argmax(ranked))  # first index of the maximum
+            probe = local_best.copy()
+            probe[step] = not probe[step]
+            # accepted on its exact sums, as a from-scratch search would
+            probe_load, probe_cost, probe_fit = exact(probe)
+            if not probe_fit > local_fit:
                 break
-            fitness = evaluate(probes)
-            step = int(np.argmax(fitness))  # first index of the maximum
-            if not fitness[step] > local_fit:
-                break
-            local_best, local_fit = probes[step], float(fitness[step])
-            visited.add(local_best.tobytes())
+            local_best, load, cost, local_fit = probe, probe_load, probe_cost, probe_fit
         if local_fit > best_fitness:
             best_fitness, best_mask = local_fit, local_best
             stall = 0
@@ -151,5 +164,4 @@ def select_candidate_services(
     assert best_mask is not None
     selected = compulsory + [pool[i].task_id for i in range(n) if best_mask[i]]
     return SelectionResult(task_ids=selected, compulsory=compulsory,
-                           fitness=best_fitness, feasible=True, alert=False,
-                           examined=examined)
+                           fitness=best_fitness, feasible=True, alert=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import selection_oracle
 from cell_oracle import assert_loads_match
 from cellsim.agents import (
     REALLOC_PARAMS,
@@ -148,6 +149,75 @@ def test_selection_fitness_matches_scalar_oracle(data):
     cost = sum(c.migration_cost_mb for c in chosen)
     expected = allocation_score(REALLOC_PARAMS, total, load) / cost
     assert result.fitness == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def assert_selection_matches_oracle(total, used, candidates, compulsory, seed):
+    """The search decides as the from-scratch oracle: the same subset,
+    fitness and flags, and the same random draws."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    result = select_candidate_services(
+        total=total, used=used, removable=candidates, compulsory_ids=compulsory, rng=rng)
+    expected = selection_oracle.select_candidate_services(
+        total=total, used=used, removable=candidates, compulsory_ids=compulsory,
+        rng=oracle_rng)
+    assert result == expected, seed
+    assert rng.getstate() == oracle_rng.getstate(), seed
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_selection_matches_from_scratch_oracle(data):
+    """With usages in 64ths and whole-number costs every sum is exact, so
+    the search that ranks probes from the current subset plus or minus one
+    row decides as the one that sums every probe from scratch."""
+    count = data.draw(st.integers(2, 40))
+    sixty_fourths = st.integers(0, 63).map(lambda k: k / 64)
+    candidates = [RemovalCandidate(
+        task_id=f"t{i:02d}", used=np.array(data.draw(st.tuples(sixty_fourths, sixty_fourths))),
+        migration_cost_mb=float(data.draw(st.integers(0, 1000))),
+        production=data.draw(st.booleans())) for i in range(count)]
+    compulsory = [c.task_id for c in candidates if data.draw(st.integers(0, 7)) == 0]
+    total = np.array(data.draw(st.tuples(*[st.integers(16, 32 * count)] * 2))) / 64
+    # load the node does not offer up: where it is large, nothing de-overloads
+    pinned = np.array(data.draw(st.tuples(*[st.integers(0, 8 * count)] * 2))) / 64
+    used = np.add.reduce([c.used for c in candidates]) + pinned
+    assert_selection_matches_oracle(total, used, candidates, compulsory,
+                                    data.draw(st.integers(0, 2**32)))
+
+
+def test_selection_accepts_on_exact_sums():
+    """With usages in tenths the sums round, and a probe's load derived from
+    the current subset's drifts from its own sum in the last bits: accepted
+    on its own sum, each step still decides as the from-scratch oracle."""
+    draw = random.Random(11)
+    for seed in range(200):
+        count = draw.randint(2, 30)
+        candidates = [RemovalCandidate(
+            task_id=f"t{i:02d}", used=np.array([draw.randint(1, 9) / 10, draw.randint(1, 9) / 10]),
+            migration_cost_mb=draw.randint(1, 999) / 7, production=draw.random() < 0.3)
+            for i in range(count)]
+        compulsory = [c.task_id for c in candidates if draw.random() < 0.1]
+        total = np.array([draw.uniform(0.5, count / 3), draw.uniform(0.5, count / 3)])
+        used = np.add.reduce([c.used for c in candidates])
+        assert_selection_matches_oracle(total, used, candidates, compulsory, seed)
+
+
+def test_greedy_start_sheds_on_until_the_exact_sum_fits():
+    """The greedy start stops on a running load.  Here that load, after four
+    tasks, rounds to exactly the capacity while the four tasks' own sum
+    leaves the node 1 ulp over it: the start must shed a fifth task, as the
+    from-scratch oracle does, not hand the tabu steps an overloaded subset."""
+    first = (0.6, 0.7, 0.9, 0.1, 0.6, 0.5, 0.9)
+    second = (0.0, 0.3, 0.2, 0.2, 0.0, 0.2, 0.1)
+    rank = {5: 0, 3: 1, 6: 2, 1: 3, 0: 4, 4: 5, 2: 6}  # costs fix the greedy order
+    candidates = [RemovalCandidate(
+        task_id=f"t{i}", used=np.array([first[i], second[i]]),
+        migration_cost_mb=first[i] * 4.0 ** rank[i], production=False) for i in range(7)]
+    used = np.add.reduce([c.used for c in candidates])
+    total = np.array([2.0999999999999996, 1.5])
+    result = assert_selection_matches_oracle(total, used, candidates, [], 0)
+    assert result.task_ids == ["t0", "t1", "t4", "t5", "t6"]
 
 
 class TestBrokerQuotes:
@@ -448,6 +518,20 @@ class TestAdmission:
         assert agent.admission_ok(fits_total, forced=True)
         too_big = TaskSnapshot("t2", (1.5, 0.1), (0.2, 0.2), False, False, (), 10.0)
         assert not agent.admission_ok(too_big, forced=True)
+
+
+def test_rus_spike_counts_jumps_above_a_tenth_of_capacity():
+    """A usage update on a placed task is a RUS spike when it raises some
+    resource by more than 10% of the node's capacity; a zero-capacity
+    resource never counts."""
+    engine = build_engine([(2.0, 0.0)])
+    add_task(engine, "t", required=(0.1, 0.0), used=(0.1, 0.0), node="n000")
+    spikes = []
+    for used in ((0.3, 0.0), (0.5, 0.0), (0.5, 0.5), (0.71, 0.5), (0.2, 0.5)):
+        engine.apply_events([ev.UpdateTaskUsedEvent(timestamp=0, task_id="t", used=used)])
+        spikes.append(engine.metrics.rus_spikes)
+    # a rise of 0.2 on a capacity of 2.0 is a tenth, not above it
+    assert spikes == [0, 0, 0, 1, 1]
 
 
 def run_ticks(engine, ticks):

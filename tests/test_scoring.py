@@ -14,6 +14,7 @@ import pytest
 from cellsim.agents.scoring import (
     INITIAL_PARAMS,
     REALLOC_PARAMS,
+    SCORERS,
     AllocationClass,
     ScoringParams,
     allocation_score_vec,
@@ -156,6 +157,24 @@ class TestGain:
         for i in range(len(before)):
             expected = score_gain(scalar, MAX11, tuple(before[i]), tuple(after[i]))
             assert vec[i] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SCORERS))
+    @pytest.mark.parametrize("shared_total", [False, True])
+    def test_score_equals_separate_calls(self, name, shared_total):
+        """One call per move equals the after and before rows scored apart,
+        bit for bit, for a quote's (N, d) totals and a single (1, d) row;
+        the rows include zero capacities, cut-off and overloaded loads."""
+        rng = np.random.default_rng(31)
+        totals = rng.uniform(0.0, 2.0, (1 if shared_total else 300, 2))
+        totals[rng.random(totals.shape) < 0.05] = 0.0
+        before = rng.uniform(0.0, 2.5, (300, 2))
+        before[rng.random(before.shape) < 0.05] = 0.0
+        after = before + rng.uniform(0.0, 0.5, (300, 2))
+        params, gain = SCORERS[name]
+        expected = allocation_score_vec(params, totals, after)
+        if gain:
+            expected = np.maximum(expected - allocation_score_vec(params, totals, before), 0.0)
+        assert np.array_equal(score(name, totals, before, after), expected)
 
     @pytest.mark.parametrize("name,scalar", [("sias", sias), ("sras", sras)])
     def test_level_scorer_matches_oracle(self, name, scalar):

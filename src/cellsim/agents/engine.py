@@ -48,7 +48,8 @@ RECOMMENDATION_COUNT = 15
 #: Cached nodes a broker scans per quote: initial placements, re-allocations.
 INITIAL_SCAN_LIMIT = 200
 REALLOC_SCAN_LIMIT = 2000
-RECOMMENDATION_TTL_US = 3 * MINUTE_US
+#: Ticks a broker quote stays valid (a regular target is chosen three rounds on).
+RECOMMENDATION_TTL_TICKS = 3
 #: Rounds a negotiation waits for a reply (a quote takes two; 3 rounds = 30 s at 6 a tick).
 ACCEPTANCE_WAIT_ROUNDS = 3
 #: Queued placements a broker serves per round.
@@ -329,7 +330,7 @@ class NodeAgent:
         now = engine.now_us
         # entry indices into the quote, in quote order
         quote = negotiation.quote
-        live = [] if quote is None or quote.expired(now, RECOMMENDATION_TTL_US) else [
+        live = [] if quote is None or quote.expired(now, engine.quote_ttl_us) else [
             i for i, node_id in enumerate(quote.node_ids) if node_id not in negotiation.attempted]
         regular = [i for i in live if i < quote.regular and quote.node_ids[i] in negotiation.accepted]
         forced = [i for i in live if i >= quote.regular]
@@ -643,7 +644,7 @@ class BrokerAgent:
             return  # the task ended while a request for it was in flight
         quote = flow.quote
         # skip a stale quote and a node that has left since the quote
-        node_ids = () if quote.expired(engine.now_us, RECOMMENDATION_TTL_US) else quote.node_ids
+        node_ids = () if quote.expired(engine.now_us, engine.quote_ttl_us) else quote.node_ids
         while flow.next_index < len(node_ids):
             node_id = node_ids[flow.next_index]
             if node_id not in engine.agents:
@@ -690,6 +691,7 @@ class AgentEngine(Engine):
         self.dimension = cell.catalog.dimension
         self.now_us = 0
         self.round_us = config.tick_length_us // config.rounds_per_tick
+        self.quote_ttl_us = RECOMMENDATION_TTL_TICKS * config.tick_length_us
         self.rng = random.Random(_stable_seed(seed, "engine"))
         self.agents: dict[str, NodeAgent] = {}
         self.brokers: dict[str, BrokerAgent] = {}
@@ -750,7 +752,6 @@ class AgentEngine(Engine):
             required=task.required,
             used=task.used,  # zero until the task's first usage event
             production=task.production,
-            unstarted=task.unstarted,
             constraints=task.constraints,
             migration_cost_mb=task.migration_cost_mb,
         )
@@ -814,7 +815,7 @@ class AgentEngine(Engine):
             stable_after=not target.overloaded(),
             rus_after=rus_fits(target.node.total, target.node.prod_required),
             rec_age_us=reservation.rec_age_us if reservation is not None else 0,
-            ttl_us=RECOMMENDATION_TTL_US,
+            ttl_us=self.quote_ttl_us,
             cost_mb=0.0 if initial else self.cell.tasks[task_id].migration_cost_mb,
         ))
 

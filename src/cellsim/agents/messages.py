@@ -71,7 +71,6 @@ class TaskSnapshot:
     required: np.ndarray
     used: np.ndarray
     production: bool
-    unstarted: bool
     constraints: tuple
     migration_cost_mb: float
 

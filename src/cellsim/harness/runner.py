@@ -162,10 +162,9 @@ class SimulationRunner:
             if not trace_dir.is_dir():
                 raise TraceError(f"trace directory {trace_dir} does not exist")
             time_offset_us = GCD_TIME_SHIFT_US if config.gcd_time_shift else 0
-            parsers = open_trace_directory(trace_dir, time_offset_us, self.sink)
-            if not parsers:
+            sources = open_trace_directory(trace_dir, time_offset_us, self.sink)
+            if not sources:
                 raise TraceError(f"no trace files found under {trace_dir}")
-            sources = parsers
         else:
             sources = [synth_generate(config.synth)]
         if config.scale_factor > 1:

@@ -15,9 +15,10 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 10: the agent engine keeps no audit log
-#: and ``AgentConfig`` has no ``audit`` field.
-VERSION = 10
+#: version control log).  Version 11: tasks and task snapshots carry no
+#: ``unstarted`` flag or recorded node, and the agent engine holds its quote
+#: lifetime.
+VERSION = 11
 
 
 class SnapshotError(RuntimeError):

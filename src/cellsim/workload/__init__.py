@@ -9,7 +9,7 @@ from .constraints import (
     matches_attributes,
 )
 from .events import EventBatch, EventKind, WorkloadEvent, sort_events
-from .parsers import map_task_action, open_trace_directory
+from .parsers import open_trace_directory
 from .state import CellState
 from .synth import SynthConfig, synth_generate
 from .window import WindowCollector
@@ -19,7 +19,7 @@ __all__ = [
     "ConstraintOperator", "TaskConstraint", "check_constraint",
     "matches_attributes",
     "EventBatch", "EventKind", "WorkloadEvent", "sort_events",
-    "map_task_action", "open_trace_directory",
+    "open_trace_directory",
     "CellState",
     "SynthConfig", "synth_generate",
     "WindowCollector",

@@ -18,7 +18,6 @@ migration cost is derived, from its used memory, whatever the event source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -43,8 +42,6 @@ class TaskRuntime:
     priority: int = 0
     production: bool = False
     constraints: tuple[TaskConstraint, ...] = ()
-    unstarted: bool = True
-    recorded_node: Optional[str] = None
 
 
 @dataclass(eq=False)
@@ -190,8 +187,6 @@ class CellState:
                 priority=event.priority,
                 production=event.production,
                 constraints=tuple(event.constraints),
-                unstarted=True,
-                recorded_node=event.recorded_node,
             )
             node_id = self.placement.get(event.task_id)
             if node_id is None:
@@ -231,7 +226,6 @@ class CellState:
                 if node_id is not None:
                     self.nodes[node_id].used += used - task.used
                 task.used = used
-                task.unstarted = False
                 task.migration_cost_mb = self._migration_cost(used, event.canonical_memory)
         elif kind is ev.EventKind.UPDATE_TASK_CONSTRAINTS:
             task = self.tasks.get(event.task_id)

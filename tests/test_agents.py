@@ -224,7 +224,7 @@ class TestBrokerQuotes:
     def test_single_matching_node(self):
         engine = build_engine([(1.0, 1.0), (1.0, 1.0)],
                               attrs={0: (("gpu", "yes"),)})
-        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False,
+        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False,
                                 (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
         broker = engine.brokers["broker-000"]
         quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
@@ -232,7 +232,7 @@ class TestBrokerQuotes:
 
     def test_no_matching_node_is_unschedulable(self):
         engine = build_engine([(1.0, 1.0)] * 3)
-        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False,
+        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False,
                                 (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
         broker = engine.brokers["broker-000"]
         assert broker.compute_recommendations(snapshot, initial=True, exclude=None) is None
@@ -244,7 +244,7 @@ class TestBrokerQuotes:
         for index in range(8):
             add_task(engine, f"busy{index}", required=(0.2, 0.2),
                      used=(0.88, 0.88), node=f"n{index:03d}")
-        snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, False, (), 10.0)
+        snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, (), 10.0)
         broker = engine.brokers["broker-000"]
         quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
         assert len(quote.node_ids) == len(quote.fitness) == len(quote.available) == 15
@@ -261,7 +261,7 @@ class TestBrokerQuotes:
     def test_deterministic_quotes(self):
         def run():
             engine = build_engine([(1.0, 1.0)] * 30, seed=77)
-            snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, False, (), 10.0)
+            snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, (), 10.0)
             broker = engine.brokers["broker-000"]
             quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
             return quote.node_ids, quote.fitness, quote.regular, quote.available.tolist()
@@ -270,7 +270,7 @@ class TestBrokerQuotes:
 
     def test_attribute_change_between_ticks_reaches_quotes(self):
         engine = build_engine([(1.0, 1.0)] * 2, attrs={0: (("gpu", "yes"),)})
-        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False,
+        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False,
                                 (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
         broker = engine.brokers["broker-000"]
 
@@ -285,7 +285,7 @@ class TestBrokerQuotes:
 
     def test_exclude_source(self):
         engine = build_engine([(1.0, 1.0)] * 2)
-        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False, (), 10.0)
+        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, (), 10.0)
         broker = engine.brokers["broker-000"]
         quote = broker.compute_recommendations(snapshot, initial=False, exclude="n000")
         assert quote.node_ids == ["n001"]
@@ -320,7 +320,7 @@ def test_quote_bands(data):
         max_size=2)))
     initial = data.draw(st.booleans())
     requester = data.draw(st.one_of(st.none(), st.integers(0, count - 1).map("n{:03d}".format)))
-    snapshot = TaskSnapshot("t", required, used, False, False, constraints, 10.0)
+    snapshot = TaskSnapshot("t", required, used, False, constraints, 10.0)
     quote = engine.brokers["broker-000"].compute_recommendations(
         snapshot, initial=initial, exclude=requester)
 
@@ -395,7 +395,7 @@ def test_pool_above_scan_limit_samples_eligible_nodes(constraints, requester, mo
     eligible = {node_id for node_id in nodes if node_id != requester
                 and matches_attributes(constraints, nodes[node_id].attributes)}
     assert len(eligible) > INITIAL_SCAN_LIMIT
-    snapshot = TaskSnapshot("t", (0.1, 0.1), (0.0, 0.0), False, True, constraints, 10.0)
+    snapshot = TaskSnapshot("t", (0.1, 0.1), (0.0, 0.0), False, constraints, 10.0)
     broker = engine.brokers["broker-000"]
     for _ in range(40):
         broker.compute_recommendations(snapshot, initial=True, exclude=requester)
@@ -415,7 +415,7 @@ def test_forced_band_reaches_unscanned_nodes(monkeypatch):
         load = tuple(0.95 * t for t in engine.cell.nodes[node].total)
         add_task(engine, f"load{i}", required=load, used=load, node=node)
     pools = scanned_pools(monkeypatch)
-    snapshot = TaskSnapshot("t", (1.5, 1.5), (0.0, 0.0), False, True, (), 10.0)
+    snapshot = TaskSnapshot("t", (1.5, 1.5), (0.0, 0.0), False, (), 10.0)
     quote = engine.brokers["broker-000"].compute_recommendations(snapshot, initial=True, exclude=None)
     capable = {f"n{i:03d}" for i in range(0, 500, 50)}
     assert quote.regular == 0  # every entry is forced
@@ -466,7 +466,7 @@ def test_sampled_quote_and_target_records():
 
 def test_unschedulable_quote_is_answered_with_none():
     engine = build_engine([(1.0, 1.0)] * 2, attrs={0: (("gpu", "yes"),)})
-    snapshot = TaskSnapshot("t", np.array([0.1, 0.1]), np.array([0.1, 0.1]), False, False,
+    snapshot = TaskSnapshot("t", np.array([0.1, 0.1]), np.array([0.1, 0.1]), False,
                             (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
     engine.brokers["broker-000"].handle(Message(
         kind=MessageKind.GET_CANDIDATE_NODES_REQUEST, sender="n000", recipient="broker-000",
@@ -480,21 +480,21 @@ class TestAdmission:
     def test_empty_node_accepts_small_task(self):
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
-        snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, False, (), 10.0)
+        snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, (), 10.0)
         assert agent.admission_ok(snapshot, forced=False)
 
     def test_projected_overflow_rejects(self):
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
-        inflight = TaskSnapshot("a", (0.5, 0.5), (0.6, 0.6), False, False, (), 10.0)
+        inflight = TaskSnapshot("a", (0.5, 0.5), (0.6, 0.6), False, (), 10.0)
         agent.reserve(inflight, source="elsewhere", forced=False, rec_age_us=0)
-        snapshot = TaskSnapshot("t", (0.2, 0.2), (0.5, 0.5), False, False, (), 10.0)
+        snapshot = TaskSnapshot("t", (0.2, 0.2), (0.5, 0.5), False, (), 10.0)
         assert not agent.admission_ok(snapshot, forced=False)
 
     def test_constraint_mismatch_rejects_even_when_empty(self):
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
-        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, False,
+        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False,
                                 (TaskConstraint(Op.EQUAL, "zone", "eu"),), 10.0)
         assert not agent.admission_ok(snapshot, forced=False)
         assert not agent.admission_ok(snapshot, forced=True)  # survives forcing
@@ -504,19 +504,19 @@ class TestAdmission:
         agent = engine.agents["n000"]
         add_task(engine, "prod1", required=(0.3, 0.1), used=(0.05, 0.05),
                  production=True, node="n000")
-        snapshot = TaskSnapshot("t", (0.25, 0.1), (0.01, 0.01), True, False, (), 10.0)
+        snapshot = TaskSnapshot("t", (0.25, 0.1), (0.01, 0.01), True, (), 10.0)
         assert not agent.admission_ok(snapshot, forced=False)  # 0.55 > 0.5
-        non_prod = TaskSnapshot("t2", (0.25, 0.1), (0.01, 0.01), False, False, (), 10.0)
+        non_prod = TaskSnapshot("t2", (0.25, 0.1), (0.01, 0.01), False, (), 10.0)
         assert agent.admission_ok(non_prod, forced=False)
 
     def test_forced_skips_availability_not_capacity(self):
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
         add_task(engine, "big", required=(0.2, 0.2), used=(0.95, 0.95), node="n000")
-        fits_total = TaskSnapshot("t", (0.3, 0.3), (0.2, 0.2), False, False, (), 10.0)
+        fits_total = TaskSnapshot("t", (0.3, 0.3), (0.2, 0.2), False, (), 10.0)
         assert not agent.admission_ok(fits_total, forced=False)
         assert agent.admission_ok(fits_total, forced=True)
-        too_big = TaskSnapshot("t2", (1.5, 0.1), (0.2, 0.2), False, False, (), 10.0)
+        too_big = TaskSnapshot("t2", (1.5, 0.1), (0.2, 0.2), False, (), 10.0)
         assert not agent.admission_ok(too_big, forced=True)
 
 

@@ -88,8 +88,7 @@ def cell_state_oracle(cell):
         tasks=tuple(TaskSpec(id=t.task_id, required=t.required,
                              used=t.used,
                              migration_cost_mb=t.migration_cost_mb, priority=t.priority,
-                             production=t.production, constraints=t.constraints,
-                             unstarted=t.unstarted)
+                             production=t.production, constraints=t.constraints)
                     for t in sorted(cell.tasks.values(), key=lambda t: t.task_id)),
         assignment=Assignment(assignment),
     )
@@ -231,6 +230,22 @@ class TestMasbMode:
         log = (Path(config.output_dir) / "logs" / "run.log").read_text()
         assert "unschedulable" not in log
         assert runner.cell.placement
+
+    def test_quotes_outlive_long_ticks(self, tmp_path):
+        # a regular target is chosen three rounds after its quote; at
+        # 70-s rounds a 3-minute quote lifetime expired every quote first,
+        # and no regular migration ever happened
+        config = run_config(tmp_path, seed=3, ticks=12, tick_length_us=420 * 1_000_000,
+                            usage_dump_every=0, audit=True,
+                            synth=synth_config(node_count=40, task_arrival_rate=12.0,
+                                               duration_minutes=400.0, usage_ratio=(0.7, 1.1),
+                                               usage_ramp_updates=3, usage_interval_minutes=5.0))
+        runner = SimulationRunner(config)
+        assert runner.run() == 0
+        audit = read_audit(config)
+        assert [row for row in audit if row["initial"] == "0" and row["forced"] == "0"]
+        assert {row["ttl_us"] for row in audit} == {str(3 * config.tick_length_us)}
+        assert read_ticks(config)[-1]["overloaded"] == "0"
 
 
 class TestScalingInvariance:

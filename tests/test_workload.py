@@ -154,7 +154,6 @@ class TestCellStateFold:
         task = cell.tasks["t1"]
         assert task.used.tolist() == [0.1, 0.1]
         assert task.migration_cost_mb == lmdt_estimate(BUILTIN_PROFILES["apache"], memory_mb(0.1))
-        assert not task.unstarted
         cell.apply(ev.RemoveTaskEvent(3, "t1"))
         assert cell.tasks == {} and cell.placement == {}
         assert cell.conservation_holds()
@@ -295,15 +294,18 @@ class TestMigrationCost:
                              duration_minutes=15.0, usage_interval_minutes=2.0,
                              usage_ramp_updates=3, constraint_rate=0.2)
         direct = CellState(CAT2)
+        reported = set()
         for event in synth_generate(config):
             direct.apply(event)
+            if isinstance(event, ev.UpdateTaskUsedEvent):
+                reported.add(event.task_id)
         write_synthetic_trace(config, tmp_path / "trace")
         parsed = CellState(CAT2)
-        parsers = open_trace_directory(tmp_path / "trace", GCD_TIME_SHIFT_US)
-        for event in sort_events(itertools.chain(*parsers)):
+        streams = open_trace_directory(tmp_path / "trace", GCD_TIME_SHIFT_US)
+        for event in sort_events(itertools.chain(*streams)):
             parsed.apply(event)
         started = {task_id: task.migration_cost_mb for task_id, task in direct.tasks.items()
-                   if not task.unstarted}
+                   if task_id in reported}
         assert len(started) > 20
         # the trace names a task "<job>-<index>", and the writer puts the id in the job
         assert {task_id: parsed.tasks[f"{task_id}-0"].migration_cost_mb

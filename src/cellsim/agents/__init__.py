@@ -28,7 +28,7 @@ from .scoring import (
     classify_vec,
     rus_fits,
 )
-from .selection import RemovalCandidate, SelectionResult, select_candidate_services
+from .selection import SelectionResult, select_candidate_services
 
 __all__ = [
     "AgentConfig", "AgentEngine", "AuditRecord", "BrokerAgent", "BrokerCacheEntry",
@@ -36,5 +36,5 @@ __all__ = [
     "FORCED_FITNESS", "Message", "MessageKind", "NodeStats", "Quote", "TaskSnapshot",
     "INITIAL_PARAMS", "REALLOC_PARAMS", "STA_CUTOFF", "AllocationClass",
     "ScoringParams", "allocation_score_vec", "asr_metrics", "classify_vec", "rus_fits",
-    "RemovalCandidate", "SelectionResult", "select_candidate_services",
+    "SelectionResult", "select_candidate_services",
 ]

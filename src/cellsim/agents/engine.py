@@ -40,7 +40,7 @@ from .messages import (
     TaskSnapshot,
 )
 from .scoring import rus_fits, score
-from .selection import RemovalCandidate, select_candidate_services
+from .selection import select_candidate_services
 
 MINUTE_US = 60 * 1_000_000
 #: Candidate nodes per broker quote.
@@ -421,16 +421,7 @@ class NodeAgent:
         compulsory = self._compulsory_tasks()
         if not self.overloaded() and not compulsory:
             return
-        movable = sorted(self.node.residents)
-        removable = []
-        for task_id in movable:
-            task = engine.cell.tasks[task_id]
-            removable.append(RemovalCandidate(
-                task_id=task_id,
-                used=task.used,
-                migration_cost_mb=task.migration_cost_mb,
-                production=task.production,
-            ))
+        removable = [engine.cell.tasks[task_id] for task_id in sorted(self.node.residents)]
         if not removable:
             return
         result = select_candidate_services(
@@ -769,12 +760,6 @@ class AgentEngine(Engine):
 
     # -- state transitions -------------------------------------------------------
 
-    def place_directly(self, task_id: str, node_id: str) -> None:
-        """Replay-style placement bypassing negotiation (scenario setup);
-        broker caches learn the new load immediately."""
-        self.cell.place(task_id, node_id)
-        self._report_to_brokers(node_id)
-
     def commit_initial_placement(self, task_id: str, node_id: str) -> None:
         agent = self.agents.get(node_id)
         if agent is None or task_id not in self.cell.tasks:
@@ -940,19 +925,6 @@ class AgentEngine(Engine):
             if agent is not None:
                 agent.on_round(round_index)
 
-    # -- metrics -----------------------------------------------------------------------
-
-    def overloaded_count(self) -> int:
-        return sum(1 for agent in self.agents.values() if agent.overloaded())
-
-    def reservation_invariant_holds(self) -> bool:
-        """Every reserved task is reserved on exactly one target."""
-        reserved: dict[str, int] = {}
-        for agent in self.agents.values():
-            for task_id in agent.in_migrations:
-                reserved[task_id] = reserved.get(task_id, 0) + 1
-        return all(count == 1 for count in reserved.values())
-
     # -- decision sampling ----------------------------------------------------------
 
     def _sampled(self, kind: str) -> bool:
@@ -970,14 +942,11 @@ class AgentEngine(Engine):
                  f"Node total resources = [{', '.join(f'{v:.10f}' for v in agent.node.total)}]",
                  f"Node used resources (all tasks) = [{', '.join(f'{v:.10f}' for v in agent.node.used)}]"]
         selected = set(result.task_ids)
-        for candidate in removable:
-            task = self.cell.tasks.get(candidate.task_id)
-            if task is None:
-                continue
-            star = "* " if candidate.task_id in selected else ""
+        for task in removable:
+            star = "* " if task.task_id in selected else ""
             flags = " (PROD)" if task.production else ""
             lines.append(
-                f"{star}Task [{candidate.task_id}]{flags} Priority={task.priority} "
+                f"{star}Task [{task.task_id}]{flags} Priority={task.priority} "
                 f"Required resources=[{', '.join(f'{v:.10f}' for v in task.required)}] "
                 f"Used resources=[{', '.join(f'{v:.10f}' for v in task.used)}] "
                 f"Migration cost = {task.migration_cost_mb:.2f} [MB]")

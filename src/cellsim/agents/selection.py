@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..workload.state import TaskRuntime
 from .scoring import REALLOC_PARAMS, allocation_score_vec
 
 
@@ -34,14 +35,6 @@ from .scoring import REALLOC_PARAMS, allocation_score_vec
 RESTARTS = 25
 DEPTH = 5
 STALL_LIMIT = 6
-
-
-@dataclass
-class RemovalCandidate:
-    task_id: str
-    used: np.ndarray
-    migration_cost_mb: float
-    production: bool
 
 
 @dataclass
@@ -56,12 +49,14 @@ class SelectionResult:
 def select_candidate_services(
     total: Sequence[float],
     used: Sequence[float],
-    removable: Sequence[RemovalCandidate],
+    removable: Sequence[TaskRuntime],
     compulsory_ids: Sequence[str],
     rng,
 ) -> SelectionResult:
     """Pick the compulsory tasks plus a de-overloading subset of removables.
 
+    ``removable`` are the node's resident task rows, of which the search
+    reads ``task_id``, ``used``, ``migration_cost_mb`` and ``production``.
     ``used`` is the node's load and must already include every listed task.
     Compulsory tasks are removed unconditionally; the tabu search then works
     on what remains, within ``RESTARTS``, ``DEPTH`` and ``STALL_LIMIT``.

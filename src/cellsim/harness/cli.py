@@ -21,7 +21,7 @@ from ..metaheuristics import SCENARIOS, STRATEGIES, StrategyConfig, benchmark_st
 from ..metaheuristics.problem import InfeasibleError
 from ..metaheuristics.strategies import SearchSpaceCapExceeded
 from ..workload.synth import SynthConfig
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_config_file
 from .runner import InfeasibleWorkloadError, SimulationRunner, TraceError
 from .snapshot import SnapshotError, load_snapshot
 from .tracewriter import write_synthetic_trace
@@ -68,7 +68,8 @@ def _add_run_parser(subparsers) -> None:
 
 
 def _run_config(args) -> RunConfig:
-    synth = SynthConfig.from_file(args.synth_config) if args.synth_config else None
+    synth = (read_config_file(SynthConfig.from_file, args.synth_config, "synth config")
+             if args.synth_config else None)
     return RunConfig(
         mode=args.mode,
         seed=args.seed,
@@ -167,9 +168,9 @@ def cmd_bench(args) -> int:
 
 def cmd_synth(args) -> int:
     try:
-        config = SynthConfig.from_file(args.config)
+        config = read_config_file(SynthConfig.from_file, args.config, "synth config")
         config.validate()
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     counts = write_synthetic_trace(config, args.out)

@@ -20,6 +20,17 @@ class ConfigError(ValueError):
     """Invalid run configuration (CLI exit code 1)."""
 
 
+def read_config_file(load, path: Path, what: str):
+    """``load(path)``, where an unreadable or malformed file is a
+    ConfigError naming it; ``load`` raises OSError or ValueError."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (in {what} {path})") from None
+
+
 @dataclass
 class RunConfig:
     mode: str
@@ -66,6 +77,8 @@ class RunConfig:
             raise ConfigError("scale factor must be 1, 2, 4 or 8")
         if self.tick_length_us <= 0 or self.rounds_per_tick <= 0:
             raise ConfigError("tick length and rounds per tick must be positive")
+        if self.broker_count < 1:
+            raise ConfigError("broker count must be >= 1")
         for scorer in (self.initial_scorer, self.realloc_scorer):
             if scorer not in SCORERS:
                 raise ConfigError(f"unknown scorer {scorer!r}; known: {', '.join(SCORERS)}")

@@ -31,7 +31,7 @@ from ..workload.parsers import GCD_TIME_SHIFT_US, open_trace_directory
 from ..workload.state import CellState
 from ..workload.synth import synth_generate
 from ..workload.window import WindowCollector
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, read_config_file
 from .outputs import RunOutputs, TickRecord
 from .scaling import compaction_events, scale_cell
 from .snapshot import load_snapshot, save_snapshot
@@ -130,7 +130,7 @@ class SimulationRunner:
         config.validate()
         self.config = config
         self.catalog = model.ResourceTypeCatalog(("cpu", "memory"))
-        profiles = (ProfileCatalog.from_file(config.profile_file)
+        profiles = (read_config_file(ProfileCatalog.from_file, config.profile_file, "profile file")
                     if config.profile_file else ProfileCatalog())
         try:
             profile = profiles.get(config.migration_profile)

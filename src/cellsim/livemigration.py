@@ -101,14 +101,21 @@ class ProfileCatalog:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ProfileCatalog":
-        """Load extra profiles from JSON: {"name": {"cmdt_mb": .., "af": .., "mf_mb": ..}}."""
+        """Load extra profiles from JSON: {"name": {"cmdt_mb": .., "af": .., "mf_mb": ..}}.
+
+        Raises OSError when the file cannot be read and ValueError when it
+        is not such an object."""
         raw = json.loads(Path(path).read_text())
-        profiles = {
-            name.lower(): MigrationProfile(
-                cmdt_mb=float(entry["cmdt_mb"]),
-                af=float(entry["af"]),
-                mf_mb=float(entry.get("mf_mb", DEFAULT_MF_MB)),
-            )
-            for name, entry in raw.items()
-        }
+        if not isinstance(raw, dict):
+            raise ValueError("profiles are a JSON object of name -> profile")
+        profiles = {}
+        for name, entry in raw.items():
+            try:
+                profiles[name.lower()] = MigrationProfile(
+                    cmdt_mb=float(entry["cmdt_mb"]),
+                    af=float(entry["af"]),
+                    mf_mb=float(entry.get("mf_mb", DEFAULT_MF_MB)),
+                )
+            except (KeyError, TypeError):
+                raise ValueError(f"profile {name!r} needs numeric cmdt_mb and af") from None
         return cls(profiles)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from importlib import resources
 
-from ..model import Assignment, NodeSpec, ResourceTypeCatalog, SystemState, TaskSpec
+from ..model import NodeSpec, ResourceTypeCatalog, SystemState, TaskSpec
 
 CATALOG4 = ResourceTypeCatalog(("cpu", "memory", "network", "io"))
 
@@ -49,7 +49,6 @@ def load_benchmark_tasks() -> list[tuple[TaskSpec, str]]:
             id=row["task"],
             required=(float(row["cpu"]), float(row["memory"]),
                       float(row["network"]), float(row["io"])),
-            used=(0.0, 0.0, 0.0, 0.0),
             migration_cost_mb=float(row["migration_cost"]),
         )
         out.append((task, row["initial_node"]))
@@ -69,5 +68,5 @@ def benchmark_state(scenario: str = "test1") -> SystemState:
         catalog=CATALOG4,
         nodes=tuple(nodes),
         tasks=tuple(task for task, _ in pairs),
-        assignment=Assignment({task.id: origin for task, origin in pairs}),
+        assignment={task.id: origin for task, origin in pairs},
     )

@@ -107,10 +107,8 @@ class PackedProblem:
         the total capacity in some resource."""
         return not np.any(self.required.sum(axis=0) > self.capacity.sum(axis=0))
 
-    def assignment_of(self, assign: np.ndarray) -> model.Assignment:
-        return model.Assignment({
-            self.task_ids[t]: self.node_ids[int(assign[t])] for t in range(self.task_count)
-        })
+    def assignment_of(self, assign: np.ndarray) -> dict[str, str]:
+        return {self.task_ids[t]: self.node_ids[int(assign[t])] for t in range(self.task_count)}
 
     def key(self, assign: np.ndarray) -> bytes:
         return assign.tobytes()
@@ -158,7 +156,7 @@ class CandidateSolution:
         return (not self.stable, self.stc_from_origin, self.moved_count,
                 tuple(int(v) for v in self.assign))
 
-    def to_assignment(self) -> model.Assignment:
+    def to_assignment(self) -> dict[str, str]:
         return self.problem.assignment_of(self.assign)
 
     def __repr__(self) -> str:

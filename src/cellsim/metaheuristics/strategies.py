@@ -23,7 +23,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -48,6 +48,11 @@ GA_MUTATION_RATE = 0.3
 GA_DRIFT = 2
 #: Seeded GA's population as a share of the plain GA population.
 SGA_POOL_FRACTION = 0.25
+#: Dull steps in a row after which a tabu walk stops: tabu search's own,
+#: and a seeded GA seed's, which should be a cheap local optimum (long
+#: dull-move wandering inside a seeding slice only eats the shared budget).
+TABU_DULL_MOVE_LIMIT = 25
+SGA_SEED_DULL_MOVE_LIMIT = 3
 FULL_SCAN_NODE_CAP = 50_000_000
 
 
@@ -60,7 +65,6 @@ class StrategyConfig:
     seed: int
     #: Candidate-evaluation budget; no clock limits a search.
     max_candidates: int = 50_000
-    tabu_dull_move_limit: int = 25
     full_scan_leaf_cap: float = 1e8
 
     def __post_init__(self) -> None:
@@ -189,17 +193,18 @@ def _neighbor_scan(run: _Run, current: CandidateSolution,
     return run.candidate(assign)
 
 
-def _local_search(instance: Instance, cfg: StrategyConfig, tabu: bool) -> BalancerResult:
+def _local_search(instance: Instance, cfg: StrategyConfig, tabu: bool,
+                  tabu_dull_limit: int = TABU_DULL_MOVE_LIMIT) -> BalancerResult:
     """Walk to the best stable neighbor, restarting while budget remains.
 
     Without ``tabu`` the walk stops at its first non-improving (dull) step;
     with it, it never revisits an assignment and stops after more than
-    ``tabu_dull_move_limit`` dull steps in a row."""
+    ``tabu_dull_limit`` dull steps in a row."""
     run = _Run(instance, cfg)
     shortcut = _origin_shortcut(run)
     if shortcut is not None:
         return shortcut
-    dull_limit = cfg.tabu_dull_move_limit if tabu else 0
+    dull_limit = tabu_dull_limit if tabu else 0
     while run.budget_left():
         run.runs += 1
         current = run.random_stable()
@@ -351,19 +356,10 @@ def genetic(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     return run.result()
 
 
-SEEDER_STRATEGIES: dict[str, Callable[[Instance, StrategyConfig], BalancerResult]] = {}
-
-
-def seeded_genetic(instance: Instance, cfg: StrategyConfig,
-                   seeders: Sequence[str] = ("tabu",)) -> BalancerResult:
+def seeded_genetic(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     """Genetic search whose population (and drift) comes from locally optimal
-    solutions produced by the seeder strategies, at a quarter of the plain
-    population size."""
-    if not seeders:
-        raise ValueError("at least one seeder strategy required")
-    unknown = [s for s in seeders if s not in SEEDER_STRATEGIES]
-    if unknown:
-        raise ValueError(f"unknown seeders {unknown}; choose from {sorted(SEEDER_STRATEGIES)}")
+    solutions, each a short tabu walk, at a quarter of the plain population
+    size."""
     run = _Run(instance, cfg)
     shortcut = _origin_shortcut(run)
     if shortcut is not None:
@@ -377,18 +373,13 @@ def seeded_genetic(instance: Instance, cfg: StrategyConfig,
     scan_cost = max(1, problem.task_count * max(1, problem.node_count - 1))
     slice_budget = max(64, scan_cost * (problem.task_count + 4))
 
-    def run_seeder(name: str) -> Optional[CandidateSolution]:
+    def seed() -> Optional[CandidateSolution]:
         remaining = cfg.max_candidates - run.examined
         if remaining <= 0:
             return None
-        sub_cfg = StrategyConfig(
-            seed=run.rng.randrange(2**63),
-            max_candidates=min(slice_budget, remaining),
-            # seeds should be cheap local optima: long dull-move wandering
-            # inside a seeding slice only eats the shared budget
-            tabu_dull_move_limit=min(3, cfg.tabu_dull_move_limit),
-        )
-        sub = SEEDER_STRATEGIES[name](problem, sub_cfg)
+        sub_cfg = StrategyConfig(seed=run.rng.randrange(2**63),
+                                 max_candidates=min(slice_budget, remaining))
+        sub = _local_search(problem, sub_cfg, tabu=True, tabu_dull_limit=SGA_SEED_DULL_MOVE_LIMIT)
         run.charge(sub.stats["candidates_examined"])
         if sub.best is None:
             return None
@@ -398,30 +389,23 @@ def seeded_genetic(instance: Instance, cfg: StrategyConfig,
         return solution
 
     population: list[CandidateSolution] = []
-    index = 0
+    attempts = 0
     while len(population) < pool_size and run.budget_left():
-        solution = run_seeder(seeders[index % len(seeders)])
-        index += 1
+        solution = seed()
+        attempts += 1
         if solution is not None:
             population.append(solution)
-        elif index > 3 * pool_size * len(seeders):
+        elif attempts > 3 * pool_size:
             break
     if not population:
-        # all seeders failed: degrade to a random stable population
+        # no seed came back: degrade to a random stable population
         for _ in range(pool_size):
             solution = run.random_stable()
             if solution is None:
                 break
             population.append(solution)
 
-    seeder_cycle = {"index": 0}
-
-    def seeded_drift() -> Optional[CandidateSolution]:
-        name = seeders[seeder_cycle["index"] % len(seeders)]
-        seeder_cycle["index"] += 1
-        return run_seeder(name)
-
-    _ga_loop(run, population, drift=seeded_drift)
+    _ga_loop(run, population, drift=seed)
     return run.result()
 
 
@@ -522,9 +506,3 @@ STRATEGIES: dict[str, Callable[..., BalancerResult]] = {
     "sga": seeded_genetic,
     "full_scan": full_scan,
 }
-
-SEEDER_STRATEGIES.update({
-    "greedy": greedy,
-    "tabu": tabu_search,
-    "sa": simulated_annealing,
-})

@@ -1,16 +1,18 @@
-"""Core resource model shared by both load-balancing engines.
+"""The resource catalog both engines share, and the fixture model.
 
-Nodes offer fixed resource capacities, tasks demand resource vectors, and an
-assignment maps every task to a node.  A node is *stable* when no resource is
-over-committed; moving a task between nodes costs its migration size in MB.
-All types are frozen values.  The fixture scenarios are ``SystemState``
-values; a running simulation keeps its cell in the mutable
-``workload.state.CellState``.
+``ResourceTypeCatalog`` names the resource types of one simulation; a
+running simulation keeps its cell in the mutable ``workload.state.CellState``.
+The rest is the model the fixture scenarios load into: a frozen
+``SystemState`` of nodes with capacity vectors, tasks with requirement
+vectors and migration costs, and a task id -> node id dict.  A node is
+*stable* when no resource is over-committed; moving a task between nodes
+costs its migration size in MB.  The scalar functions below are the
+reference a strategy's fixture result is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -48,92 +50,52 @@ class ResourceTypeCatalog:
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """A node: capacity vector plus free-form attributes used for constraint matching."""
+    """A node and its capacity vector."""
 
     id: str
     total: Vector
-    attributes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "total", as_vector(self.total))
         if any(v < 0 for v in self.total):
             raise ValueError(f"node {self.id}: capacities must be non-negative")
-        object.__setattr__(self, "attributes", dict(self.attributes))
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A task: user-declared requirements, monitored usage and migration cost."""
+    """A task: its declared requirements and its migration cost."""
 
     id: str
     required: Vector
-    used: Vector
     migration_cost_mb: float
-    priority: int = 0
-    production: bool = False
-    constraints: tuple = ()
-    unstarted: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "required", as_vector(self.required))
-        object.__setattr__(self, "used", as_vector(self.used))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if any(v < 0 for v in self.required) or any(v < 0 for v in self.used):
+        if any(v < 0 for v in self.required):
             raise ValueError(f"task {self.id}: resource vectors must be non-negative")
         if not self.migration_cost_mb > 0:
             raise ValueError(f"task {self.id}: migration cost must be positive")
-        if self.unstarted and any(v != 0 for v in self.used):
-            raise ValueError(f"task {self.id}: unstarted tasks cannot report usage")
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Total task-id -> node-id mapping.
-
-    Node ids are not restricted to live nodes: an origin assignment may point
-    at nodes that have since been disabled or retired.  Such tasks simply load
-    no live node and always pay their migration cost when re-placed.
-    """
-
-    mapping: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", dict(self.mapping))
-
-    def __getitem__(self, task_id: str) -> str:
-        try:
-            return self.mapping[task_id]
-        except KeyError:
-            raise UnknownIdError(f"task {task_id!r} not in assignment") from None
-
-    def __contains__(self, task_id: str) -> bool:
-        return task_id in self.mapping
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def items(self):
-        return self.mapping.items()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Assignment) and self.mapping == other.mapping
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.mapping.items()))
 
 
 @dataclass(frozen=True)
 class SystemState:
-    """The full system: catalog, nodes, tasks and the current assignment."""
+    """The full system: catalog, nodes, tasks and a task id -> node id dict.
+
+    The dict is copied, so the state stays a value.  Its node ids are not
+    restricted to ``nodes``: an origin may point at a node outside the
+    scenario.  Such a task loads no node and always pays its migration
+    cost when re-placed.
+    """
 
     catalog: ResourceTypeCatalog
     nodes: tuple[NodeSpec, ...]
     tasks: tuple[TaskSpec, ...]
-    assignment: Assignment
+    assignment: dict[str, str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "tasks", tuple(self.tasks))
+        object.__setattr__(self, "assignment", dict(self.assignment))
         dim = self.catalog.dimension
         node_ids = [n.id for n in self.nodes]
         task_ids = [t.id for t in self.tasks]
@@ -145,7 +107,7 @@ class SystemState:
             if len(node.total) != dim:
                 raise ValueError(f"node {node.id}: vector dimension mismatch")
         for task in self.tasks:
-            if len(task.required) != dim or len(task.used) != dim:
+            if len(task.required) != dim:
                 raise ValueError(f"task {task.id}: vector dimension mismatch")
         for task_id in task_ids:
             if task_id not in self.assignment:
@@ -191,7 +153,8 @@ def is_system_stable(state: SystemState) -> bool:
     return all(is_node_stable(state, node.id) for node in state.nodes)
 
 
-def migration_cost(task: TaskSpec, from_assignment: Assignment, to_assignment: Assignment) -> float:
+def migration_cost(task: TaskSpec, from_assignment: Mapping[str, str],
+                   to_assignment: Mapping[str, str]) -> float:
     """Zero when the task stays put, otherwise the task's full transfer size."""
     if task.id not in from_assignment or task.id not in to_assignment:
         raise UnknownIdError(f"task {task.id!r} missing from an assignment")
@@ -201,8 +164,8 @@ def migration_cost(task: TaskSpec, from_assignment: Assignment, to_assignment: A
 
 
 def transformation_cost(
-    from_assignment: Assignment,
-    to_assignment: Assignment,
+    from_assignment: Mapping[str, str],
+    to_assignment: Mapping[str, str],
     tasks: Sequence[TaskSpec],
 ) -> float:
     return sum(migration_cost(t, from_assignment, to_assignment) for t in tasks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -73,7 +73,11 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":
+        """Raises OSError when the file cannot be read and ValueError when
+        it is not a JSON object of known keys."""
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("a synth config is a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -81,11 +85,10 @@ class SynthConfig:
         for key in ("batch_duration_min", "service_duration_min", "node_capacity",
                     "batch_required", "service_required", "usage_ratio"):
             if key in raw:
+                if not isinstance(raw[key], list):
+                    raise ValueError(f"{key} must be a list")
                 raw[key] = tuple(raw[key])
         return cls(**raw)
-
-    def to_file(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _node_attributes(config: SynthConfig, index: int) -> tuple[tuple[str, str], ...]:

@@ -14,17 +14,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from cellsim.agents.scoring import REALLOC_PARAMS, allocation_score_vec
-from cellsim.agents.selection import (
-    DEPTH,
-    RESTARTS,
-    STALL_LIMIT,
-    RemovalCandidate,
-    SelectionResult,
-)
+from cellsim.agents.selection import DEPTH, RESTARTS, STALL_LIMIT, SelectionResult
+from cellsim.workload.state import TaskRuntime
 
 
 def select_candidate_services(total: Sequence[float], used: Sequence[float],
-                              removable: Sequence[RemovalCandidate],
+                              removable: Sequence[TaskRuntime],
                               compulsory_ids: Sequence[str], rng) -> SelectionResult:
     total = np.asarray(total, dtype=np.float64)
     remaining = np.asarray(used, dtype=np.float64).copy()

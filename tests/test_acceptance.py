@@ -35,7 +35,6 @@ from cellsim.metaheuristics import (
     tabu_search,
 )
 from cellsim.model import (
-    Assignment,
     NodeSpec,
     ResourceTypeCatalog,
     SystemState,
@@ -48,6 +47,7 @@ from cellsim.model import (
 from cellsim.workload import CellState, SynthConfig
 from cellsim.workload import events as ev
 
+from support import overloaded_count, place_directly, reservation_invariant_holds
 from test_constraints import GOLDEN_ROWS
 from cellsim.workload.constraints import check_constraint
 
@@ -68,22 +68,22 @@ class TestCriterion1WorkedExamples:
         state = SystemState(
             catalog=cat1,
             nodes=(NodeSpec("n1", (2.0,)),),
-            tasks=(TaskSpec(id="t1", required=(0.5,), used=(0.0,), migration_cost_mb=1.0),
-                   TaskSpec(id="t2", required=(0.2,), used=(0.0,), migration_cost_mb=1.0)),
-            assignment=Assignment({"t1": "n1", "t2": "n1"}),
+            tasks=(TaskSpec(id="t1", required=(0.5,), migration_cost_mb=1.0),
+                   TaskSpec(id="t2", required=(0.2,), migration_cost_mb=1.0)),
+            assignment={"t1": "n1", "t2": "n1"},
         )
         assert available_resources(state, "n1") == (1.3,)
 
         # the two-task swap costs exactly 105 + 240 = 345 MB
         tasks = (
-            TaskSpec(id="t1", required=(5.0, 3.0), used=(0.0, 0.0), migration_cost_mb=50.0),
-            TaskSpec(id="t2", required=(2.0, 6.0), used=(0.0, 0.0), migration_cost_mb=105.0),
-            TaskSpec(id="t3", required=(4.0, 1.0), used=(0.0, 0.0), migration_cost_mb=70.0),
-            TaskSpec(id="t4", required=(3.0, 2.0), used=(0.0, 0.0), migration_cost_mb=80.0),
-            TaskSpec(id="t5", required=(6.0, 3.0), used=(0.0, 0.0), migration_cost_mb=240.0),
+            TaskSpec(id="t1", required=(5.0, 3.0), migration_cost_mb=50.0),
+            TaskSpec(id="t2", required=(2.0, 6.0), migration_cost_mb=105.0),
+            TaskSpec(id="t3", required=(4.0, 1.0), migration_cost_mb=70.0),
+            TaskSpec(id="t4", required=(3.0, 2.0), migration_cost_mb=80.0),
+            TaskSpec(id="t5", required=(6.0, 3.0), migration_cost_mb=240.0),
         )
-        before = Assignment({"t1": "A", "t2": "A", "t3": "A", "t4": "B", "t5": "B"})
-        after = Assignment({**before.mapping, "t2": "B", "t5": "A"})
+        before = {"t1": "A", "t2": "A", "t3": "A", "t4": "B", "t5": "B"}
+        after = {**before, "t2": "B", "t5": "A"}
         assert transformation_cost(before, after, tasks) == 345.0
 
         # unmoved tasks incur exactly zero
@@ -116,12 +116,11 @@ def _random_instance(seed: int):
                  for i in range(n_nodes)]
         tasks = [TaskSpec(id=f"t{i:02d}",
                           required=tuple(rng.uniform(0.5, 6) for _ in range(dim)),
-                          used=(0.0,) * dim,
                           migration_cost_mb=rng.choice([1, 2, 5, 7, 11, 20]))
                  for i in range(n_tasks)]
         assignment = {t.id: rng.choice(nodes).id for t in tasks}
         return SystemState(catalog=catalog, nodes=tuple(nodes), tasks=tuple(tasks),
-                           assignment=Assignment(assignment))
+                           assignment=assignment)
 
 
 def _enumerate_optimum(problem: PackedProblem):
@@ -170,7 +169,7 @@ STRATEGIES_UNDER_TEST = [
     ("tabu", lambda s, c: tabu_search(s, c)),
     ("sa", lambda s, c: simulated_annealing(s, c)),
     ("ga", lambda s, c: genetic(s, c)),
-    ("sga-ts", lambda s, c: seeded_genetic(s, c, seeders=("tabu",))),
+    ("sga-ts", lambda s, c: seeded_genetic(s, c)),
 ]
 
 
@@ -215,8 +214,7 @@ class TestCriterion5SeedingBenefit:
             fixture_ga, fixture_sga = [], []
             for seed in range(20):
                 ga = genetic(state, StrategyConfig(seed=seed, max_candidates=budget))
-                sga = seeded_genetic(state, StrategyConfig(seed=seed, max_candidates=budget),
-                                     seeders=("tabu",))
+                sga = seeded_genetic(state, StrategyConfig(seed=seed, max_candidates=budget))
                 assert ga.stable and sga.stable
                 fixture_ga.append(ga.stc_mb)
                 fixture_sga.append(sga.stc_mb)
@@ -355,7 +353,7 @@ def _random_protocol_scenario(seed: int, records: list) -> AgentEngine:
             node = f"n{rng.randrange(n_nodes):04d}"
         from cellsim.workload.constraints import matches_attributes
         if matches_attributes(task.constraints, cell.nodes[node].attributes):
-            engine.place_directly(task_id, node)
+            place_directly(engine, task_id, node)
         else:
             engine.retry_placement(task_id, rng)
     return engine
@@ -381,7 +379,7 @@ class TestCriterion8ProtocolSafety:
                 assert record.rec_age_us <= record.ttl_us, f"seed {seed}: expired recommendation used"
             if not engine.cell.conservation_holds():
                 conservation_failures += 1
-            assert engine.reservation_invariant_holds(), f"seed {seed}: reservation imbalance"
+            assert reservation_invariant_holds(engine), f"seed {seed}: reservation imbalance"
             completed += len(records)
         assert conservation_failures == 0
         elapsed = time.monotonic() - start
@@ -414,7 +412,7 @@ def _liveness_scenario(seed: int, nodes: int = 200, burst: int = 10) -> AgentEng
                 broker.pending.remove(task_id)
             except ValueError:
                 pass
-        engine.place_directly(task_id, node)
+        place_directly(engine, task_id, node)
 
     # background load ~85% of aggregate capacity
     for i in range(nodes):
@@ -435,11 +433,11 @@ class TestCriterion9ProtocolLiveness:
         start = time.monotonic()
         for seed in range(10):
             engine = _liveness_scenario(seed)
-            assert engine.overloaded_count() >= 10
+            assert overloaded_count(engine) >= 10
             final = None
             for tick in range(30):
                 engine.run_tick()
-                final = engine.overloaded_count()
+                final = overloaded_count(engine)
                 if final == 0:
                     break
             limit = max(1, int(0.005 * len(engine.agents)))
@@ -550,7 +548,7 @@ class TestCriterion12PerformanceSmoke:
         engine = runner.engine
         assert runner.cell.counters.tasks_added >= 100_000 * 0.97  # Poisson draw
         assert len(engine.agents) == 10_000
-        ratio = engine.overloaded_count() / len(engine.agents)
+        ratio = overloaded_count(engine) / len(engine.agents)
         assert ratio <= 0.005, f"overloaded ratio {ratio:.4f} at steady state"
         _report("12 performance smoke",
                 f"{runner.cell.counters.tasks_added} tasks / 10k nodes, 60 sim-min in "

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import selection_oracle
 from cell_oracle import assert_loads_match
+from support import overloaded_count, place_directly, reservation_invariant_holds
 from cellsim.agents import (
     REALLOC_PARAMS,
     AgentConfig,
@@ -16,7 +17,6 @@ from cellsim.agents import (
     Message,
     MessageKind,
     NodeAgent,
-    RemovalCandidate,
     TaskSnapshot,
     select_candidate_services,
 )
@@ -27,6 +27,7 @@ from cellsim.agents.scoring import SCORERS, score
 from cellsim.model import ResourceTypeCatalog
 from cellsim.workload import CellState, ConstraintOperator as Op, TaskConstraint
 from cellsim.workload.constraints import matches_attributes
+from cellsim.workload.state import TaskRuntime
 from cellsim.workload import events as ev
 from scoring_oracle import allocation_score
 
@@ -62,13 +63,20 @@ def add_task(engine, task_id, required, used=None, production=False,
                 broker.pending.remove(task_id)
             except ValueError:
                 pass
-        engine.place_directly(task_id, node)
+        place_directly(engine, task_id, node)
+
+
+def resident(task_id, used, migration_cost_mb, production):
+    """A resident task's row, of which the selection reads the id, usage,
+    migration cost and production flag."""
+    return TaskRuntime(task_id=task_id, required=used, used=used,
+                       migration_cost_mb=migration_cost_mb, production=production)
 
 
 class TestSelection:
     def _candidates(self, spec):
-        return [RemovalCandidate(task_id=f"t{i}", used=np.array(u, dtype=float),
-                                 migration_cost_mb=c, production=p)
+        return [resident(task_id=f"t{i}", used=np.array(u, dtype=float),
+                         migration_cost_mb=c, production=p)
                 for i, (u, c, p) in enumerate(spec)]
 
     def test_not_overloaded_returns_empty(self):
@@ -133,7 +141,7 @@ def test_selection_fitness_matches_scalar_oracle(data):
     unit = st.floats(0.0, 0.6, allow_nan=False)
     total = np.array(data.draw(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0))))
     count = data.draw(st.integers(2, 8))
-    candidates = [RemovalCandidate(
+    candidates = [resident(
         task_id=f"t{i}", used=np.array(data.draw(st.tuples(unit, unit))),
         migration_cost_mb=data.draw(st.floats(1.0, 1000.0)),
         production=data.draw(st.booleans())) for i in range(count)]
@@ -173,7 +181,7 @@ def test_selection_matches_from_scratch_oracle(data):
     row decides as the one that sums every probe from scratch."""
     count = data.draw(st.integers(2, 40))
     sixty_fourths = st.integers(0, 63).map(lambda k: k / 64)
-    candidates = [RemovalCandidate(
+    candidates = [resident(
         task_id=f"t{i:02d}", used=np.array(data.draw(st.tuples(sixty_fourths, sixty_fourths))),
         migration_cost_mb=float(data.draw(st.integers(0, 1000))),
         production=data.draw(st.booleans())) for i in range(count)]
@@ -193,7 +201,7 @@ def test_selection_accepts_on_exact_sums():
     draw = random.Random(11)
     for seed in range(200):
         count = draw.randint(2, 30)
-        candidates = [RemovalCandidate(
+        candidates = [resident(
             task_id=f"t{i:02d}", used=np.array([draw.randint(1, 9) / 10, draw.randint(1, 9) / 10]),
             migration_cost_mb=draw.randint(1, 999) / 7, production=draw.random() < 0.3)
             for i in range(count)]
@@ -211,7 +219,7 @@ def test_greedy_start_sheds_on_until_the_exact_sum_fits():
     first = (0.6, 0.7, 0.9, 0.1, 0.6, 0.5, 0.9)
     second = (0.0, 0.3, 0.2, 0.2, 0.0, 0.2, 0.1)
     rank = {5: 0, 3: 1, 6: 2, 1: 3, 0: 4, 4: 5, 2: 6}  # costs fix the greedy order
-    candidates = [RemovalCandidate(
+    candidates = [resident(
         task_id=f"t{i}", used=np.array([first[i], second[i]]),
         migration_cost_mb=first[i] * 4.0 ** rank[i], production=False) for i in range(7)]
     used = np.add.reduce([c.used for c in candidates])
@@ -552,11 +560,11 @@ class TestEndToEnd:
 
     def test_overload_converges(self):
         engine = self._overload_scenario()
-        assert engine.overloaded_count() == 1
+        assert overloaded_count(engine) == 1
         metrics = run_ticks(engine, 5)
-        assert engine.overloaded_count() == 0
+        assert overloaded_count(engine) == 0
         assert engine.cell.conservation_holds()
-        assert engine.reservation_invariant_holds()
+        assert reservation_invariant_holds(engine)
         assert sum(m.migrations_completed for m in metrics) > 0
 
     def test_overloaded_node_sheds_at_two_rounds_a_tick(self):
@@ -566,7 +574,7 @@ class TestEndToEnd:
         metrics = run_ticks(engine, 5)
         assert sum(m.migrations_completed for m in metrics) > 0
         assert len(engine.cell.nodes["n000"].residents) < 6
-        assert engine.overloaded_count() == 0
+        assert overloaded_count(engine) == 0
 
     def test_non_forced_targets_stay_stable(self):
         records = []
@@ -622,7 +630,7 @@ class TestEndToEnd:
                              ev.RemoveTaskEvent(timestamp=0, task_id="t1")])
         run_ticks(engine, 3)
         assert engine.cell.conservation_holds()
-        assert engine.reservation_invariant_holds()
+        assert reservation_invariant_holds(engine)
         assert "t0" not in engine.cell.tasks
 
     def test_node_removal_requeues_tasks(self):
@@ -783,7 +791,7 @@ def check_agent_invariants(engine):
         # a negotiation is only open for a task on the agent's own node
         assert set(agent.negotiations) <= agent.node.residents, node_id
     assert engine.agents.keys() == engine.cell.nodes.keys()
-    assert engine.reservation_invariant_holds()
+    assert reservation_invariant_holds(engine)
     for task_id, node_id in engine.reservation_target.items():
         assert task_id in engine.agents[node_id].in_migrations, (task_id, node_id)
     # between ticks every placement in flight awaits a queued request or answer

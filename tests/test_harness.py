@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cell_oracle import assert_loads_match
+from support import reservation_invariant_holds, write_synth_config
 from cellsim.agents import AuditRecord
 from cellsim.harness import (
     ConfigError,
@@ -31,13 +32,7 @@ from cellsim.harness.snapshot import MAGIC, VERSION
 from cellsim.harness.tracewriter import write_synthetic_trace
 from cellsim.livemigration import MigrationProfile, lmdt_estimate, memory_mb
 from cellsim.metaheuristics import STRATEGIES, PackedProblem, StrategyConfig, benchmark_state
-from cellsim.model import (
-    Assignment,
-    NodeSpec,
-    ResourceTypeCatalog,
-    SystemState,
-    TaskSpec,
-)
+from cellsim.model import NodeSpec, ResourceTypeCatalog, SystemState, TaskSpec
 from cellsim.workload import AnomalyKind, CellState, SynthConfig, synth_generate
 from cellsim.workload import events as ev
 
@@ -83,14 +78,12 @@ def cell_state_oracle(cell):
     assignment = {tid: cell.placement.get(tid, "@unplaced") for tid in cell.tasks}
     return SystemState(
         catalog=cell.catalog,
-        nodes=tuple(NodeSpec(id=n.node_id, total=n.total, attributes=n.attributes)
+        nodes=tuple(NodeSpec(id=n.node_id, total=n.total)
                     for n in sorted(cell.nodes.values(), key=lambda n: n.node_id)),
         tasks=tuple(TaskSpec(id=t.task_id, required=t.required,
-                             used=t.used,
-                             migration_cost_mb=t.migration_cost_mb, priority=t.priority,
-                             production=t.production, constraints=t.constraints)
+                             migration_cost_mb=t.migration_cost_mb)
                     for t in sorted(cell.tasks.values(), key=lambda t: t.task_id)),
-        assignment=Assignment(assignment),
+        assignment=assignment,
     )
 
 
@@ -498,7 +491,7 @@ class TestBrokersAndNodeLoss:
             assert runner.cell.conservation_holds()
             assert_loads_match(runner.cell)
             if config.mode == "masb":
-                assert runner.engine.reservation_invariant_holds()
+                assert reservation_invariant_holds(runner.engine)
             if config.compaction_fraction:
                 assert len(runner.cell.nodes) == 6  # 2 of the 8 nodes left
             trees.append(output_tree(config))
@@ -510,7 +503,7 @@ class TestCrossProcessDeterminism:
     def test_output_ignores_hash_seed(self, tmp_path, mode):
         """Set iteration order follows PYTHONHASHSEED; no output may."""
         synth_path = tmp_path / "synth.json"
-        synth_config(node_count=30, duration_minutes=12.0).to_file(synth_path)
+        write_synth_config(synth_config(node_count=30, duration_minutes=12.0), synth_path)
         src = Path(__file__).resolve().parent.parent / "src"
         trees = []
         for hash_seed in ("1", "2"):
@@ -595,7 +588,7 @@ class TestErrorLog:
 class TestCli:
     def test_synth_then_replay_run(self, tmp_path):
         config_path = tmp_path / "synth.json"
-        synth_config().to_file(config_path)
+        write_synth_config(synth_config(), config_path)
         trace_dir = tmp_path / "trace"
         assert cli_main(["synth", "--config", str(config_path),
                          "--out", str(trace_dir)]) == 0
@@ -622,7 +615,7 @@ class TestCli:
         # the run names the profile; a synthetic config naming one is
         # rejected as having an unknown key
         config_path = tmp_path / "synth.json"
-        synth_config().to_file(config_path)
+        write_synth_config(synth_config(), config_path)
         if where == "synth":
             raw = json.loads(config_path.read_text())
             config_path.write_text(json.dumps({**raw, "migration_profile": "apache"}))
@@ -640,12 +633,34 @@ class TestCli:
                     if where == "synth" else "config error: unknown migration profile 'nope'")
         assert all(line.startswith(expected) for line in lines)
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--brokers", "0"], None),
+        (["--brokers", "-1"], None),
+        (["--synth-config", "missing.json"], "missing.json"),
+        (["--profile-file", "missing.json"], "missing.json"),
+        (["--profile-file", "profiles.json", "--migration-profile", "x"], "profiles.json"),
+    ], ids=["no-broker", "negative-brokers", "missing-synth-config", "missing-profile-file",
+            "profile-without-cmdt"])
+    def test_bad_run_input_is_config_error(self, tmp_path, capsys, flags, named):
+        # each is one config error line, not a traceback out of the run
+        write_synth_config(synth_config(), tmp_path / "synth.json")
+        (tmp_path / "profiles.json").write_text('{"x": {"af": 0.01}}')
+        flags = [str(tmp_path / flag) if flag.endswith(".json") else flag for flag in flags]
+        code = cli_main(["run", "--mode", "masb", "--seed", "1",
+                         "--synth-config", str(tmp_path / "synth.json"),
+                         "--out", str(tmp_path / "out"), "--ticks", "2", *flags])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        if named is not None:
+            assert str(tmp_path / named) in lines[0]
+
     def test_profile_file_reaches_synthetic_config(self, tmp_path):
         # a synthetic run's tasks are priced with the run's profile
         profile_path = tmp_path / "profiles.json"
         profile_path.write_text('{"custom": {"cmdt_mb": 50.0, "af": 0.0}}')
         config_path = tmp_path / "synth.json"
-        synth_config().to_file(config_path)
+        write_synth_config(synth_config(), config_path)
         config = run_config(tmp_path, synth=SynthConfig.from_file(config_path),
                             profile_file=profile_path, migration_profile="custom", ticks=2)
         runner = SimulationRunner(config)
@@ -685,10 +700,10 @@ class TestCli:
     def test_infeasible_exit_code(self, tmp_path):
         # one tiny node, service tasks demanding more than the cell holds
         config_path = tmp_path / "synth.json"
-        SynthConfig(seed=1, node_count=1, task_arrival_rate=30.0,
-                    duration_minutes=5.0, batch_fraction=0.0,
-                    service_required=(0.4, 0.4),
-                    node_capacity=(1.0, 1.0)).to_file(config_path)
+        write_synth_config(SynthConfig(seed=1, node_count=1, task_arrival_rate=30.0,
+                                       duration_minutes=5.0, batch_fraction=0.0,
+                                       service_required=(0.4, 0.4),
+                                       node_capacity=(1.0, 1.0)), config_path)
         code = cli_main(["run", "--mode", "metaheuristic", "--seed", "2",
                          "--synth-config", str(config_path),
                          "--out", str(tmp_path / "out"), "--ticks", "6"])

@@ -25,7 +25,6 @@ from cellsim.metaheuristics import (
     tabu_search,
 )
 from cellsim.model import (
-    Assignment,
     NodeSpec,
     ResourceTypeCatalog,
     SystemState,
@@ -33,7 +32,12 @@ from cellsim.model import (
     is_system_stable,
     transformation_cost,
 )
-from cellsim.metaheuristics.strategies import _neighbor_scan, _Run
+from cellsim.metaheuristics.strategies import (
+    GA_POPULATION,
+    SGA_POOL_FRACTION,
+    _neighbor_scan,
+    _Run,
+)
 from scan_oracle import neighbor_scan as oracle_neighbor_scan
 
 
@@ -63,11 +67,11 @@ def small_state(seed, max_nodes=4, max_tasks=10, dims=(2, 3, 4), leaf_cap=250_00
         nodes = [NodeSpec(f"n{i}", tuple(rng.uniform(5, 15) for _ in range(dim)))
                  for i in range(n_nodes)]
         tasks = [TaskSpec(id=f"t{i:02d}", required=tuple(rng.uniform(0.5, 6) for _ in range(dim)),
-                          used=(0.0,) * dim, migration_cost_mb=rng.choice([1, 2, 5, 7, 11, 20]))
+                          migration_cost_mb=rng.choice([1, 2, 5, 7, 11, 20]))
                  for i in range(n_tasks)]
         assignment = {t.id: rng.choice(nodes).id for t in tasks}
         return SystemState(catalog=catalog, nodes=tuple(nodes), tasks=tuple(tasks),
-                           assignment=Assignment(assignment))
+                           assignment=assignment)
 
 
 def verify_result(state, result: BalancerResult):
@@ -111,9 +115,9 @@ class TestRandomStableSolution:
     def test_infeasible_raises_not_loops(self):
         catalog = ResourceTypeCatalog(("cpu",))
         nodes = [NodeSpec("a", (1.0,)), NodeSpec("b", (1.0,))]
-        tasks = [TaskSpec(id="t", required=(5.0,), used=(0.0,), migration_cost_mb=1.0)]
+        tasks = [TaskSpec(id="t", required=(5.0,), migration_cost_mb=1.0)]
         state = SystemState(catalog=catalog, nodes=tuple(nodes), tasks=tuple(tasks),
-                            assignment=Assignment({"t": "a"}))
+                            assignment={"t": "a"})
         with pytest.raises(InfeasibleError):
             random_stable_solution(PackedProblem.from_state(state), random.Random(0), max_iters=50)
 
@@ -226,10 +230,10 @@ class TestFullScanOracle:
     def test_infeasible_by_pigeonhole(self):
         catalog = ResourceTypeCatalog(("cpu", "mem"))
         nodes = (NodeSpec("a", (1.0, 10.0)), NodeSpec("b", (1.0, 10.0)))
-        tasks = (TaskSpec(id="t1", required=(1.5, 1.0), used=(0.0, 0.0), migration_cost_mb=1.0),
-                 TaskSpec(id="t2", required=(1.0, 1.0), used=(0.0, 0.0), migration_cost_mb=1.0))
+        tasks = (TaskSpec(id="t1", required=(1.5, 1.0), migration_cost_mb=1.0),
+                 TaskSpec(id="t2", required=(1.0, 1.0), migration_cost_mb=1.0))
         state = SystemState(catalog=catalog, nodes=nodes, tasks=tasks,
-                            assignment=Assignment({"t1": "a", "t2": "b"}))
+                            assignment={"t1": "a", "t2": "b"})
         result = full_scan(state, StrategyConfig(seed=0))
         assert result.best is None and not result.stable
         assert result.stats.get("proven_infeasible")
@@ -255,7 +259,7 @@ STRATEGY_CASES = [
     ("tabu", lambda s, c: tabu_search(s, c)),
     ("sa", lambda s, c: simulated_annealing(s, c)),
     ("ga", lambda s, c: genetic(s, c)),
-    ("sga", lambda s, c: seeded_genetic(s, c, seeders=("tabu",))),
+    ("sga", lambda s, c: seeded_genetic(s, c)),
 ]
 
 
@@ -291,11 +295,11 @@ class TestStrategySoundness:
         # single-node-overload toy: 3 tasks, 2 nodes -> 8 assignments
         catalog = ResourceTypeCatalog(("cpu",))
         nodes = (NodeSpec("a", (2.0,)), NodeSpec("b", (2.0,)))
-        tasks = (TaskSpec(id="t1", required=(1.0,), used=(0.0,), migration_cost_mb=3.0),
-                 TaskSpec(id="t2", required=(1.0,), used=(0.0,), migration_cost_mb=5.0),
-                 TaskSpec(id="t3", required=(1.0,), used=(0.0,), migration_cost_mb=7.0))
+        tasks = (TaskSpec(id="t1", required=(1.0,), migration_cost_mb=3.0),
+                 TaskSpec(id="t2", required=(1.0,), migration_cost_mb=5.0),
+                 TaskSpec(id="t3", required=(1.0,), migration_cost_mb=7.0))
         state = SystemState(catalog=catalog, nodes=nodes, tasks=tasks,
-                            assignment=Assignment({"t1": "a", "t2": "a", "t3": "a"}))
+                            assignment={"t1": "a", "t2": "a", "t3": "a"})
         problem = PackedProblem.from_state(state)
         oracle_cost, _ = brute_force_optimum(problem)
         result = greedy(state, StrategyConfig(seed=4, max_candidates=2000))
@@ -309,9 +313,9 @@ class TestStrategySoundness:
     def test_unstable_never_reported_stable(self):
         catalog = ResourceTypeCatalog(("cpu",))
         nodes = (NodeSpec("a", (1.0,)), NodeSpec("b", (1.0,)))
-        tasks = (TaskSpec(id="t", required=(5.0,), used=(0.0,), migration_cost_mb=1.0),)
+        tasks = (TaskSpec(id="t", required=(5.0,), migration_cost_mb=1.0),)
         state = SystemState(catalog=catalog, nodes=nodes, tasks=tasks,
-                            assignment=Assignment({"t": "a"}))
+                            assignment={"t": "a"})
         for name, strategy in STRATEGY_CASES:
             result = strategy(state, StrategyConfig(seed=1, max_candidates=300))
             assert not result.stable
@@ -322,27 +326,26 @@ class TestSeededGenetic:
     def test_elitism_never_worse_than_best_seed(self):
         state = benchmark_state("test2")
         cfg = StrategyConfig(seed=17, max_candidates=6000)
-        result = seeded_genetic(state, cfg, seeders=("tabu", "greedy"))
+        result = seeded_genetic(state, cfg)
         verify_result(state, result)
         seed_only = tabu_search(state, StrategyConfig(seed=17, max_candidates=1500))
         # the seeded run had strictly more budget and inherits seed results
         assert result.stc_mb is not None
 
-    def test_empty_seeder_list_rejected(self):
-        with pytest.raises(ValueError):
-            seeded_genetic(benchmark_state("test1"), StrategyConfig(seed=1), seeders=())
+    def test_fallback_to_random_population(self, monkeypatch):
+        # at this budget tabu's first seed takes the whole budget, so no seed
+        # joins the population and it is drawn at random, past the budget
+        exhausted = []
+        random_stable = _Run.random_stable
 
-    def test_unknown_seeder_rejected(self):
-        with pytest.raises(ValueError):
-            seeded_genetic(benchmark_state("test1"), StrategyConfig(seed=1),
-                           seeders=("bogus",))
-
-    def test_fallback_to_random_population(self):
-        # tiny seeder budget forces the degenerate path but must still work
+        def counted(run):
+            exhausted.append(not run.budget_left())
+            return random_stable(run)
+        monkeypatch.setattr(_Run, "random_stable", counted)
         state = benchmark_state("test1")
-        result = seeded_genetic(state, StrategyConfig(seed=3, max_candidates=600),
-                                seeders=("sa",))
+        result = seeded_genetic(state, StrategyConfig(seed=3, max_candidates=600))
         assert result.best is not None
+        assert sum(exhausted) == max(2, round(GA_POPULATION * SGA_POOL_FRACTION))
 
 
 class TestGeneticDetails:

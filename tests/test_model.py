@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cellsim.metaheuristics import PackedProblem
 from cellsim.model import (
-    Assignment,
     NodeSpec,
     ResourceTypeCatalog,
     SystemState,
@@ -22,20 +21,18 @@ from cellsim.model import (
 CAT2 = ResourceTypeCatalog(("cpu", "memory"))
 
 
-def task(tid, required, used=None, cost=10.0, **kw):
-    return TaskSpec(id=tid, required=required, used=used or (0.0,) * len(required),
-                    migration_cost_mb=cost, **kw)
+def task(tid, required, cost=10.0):
+    return TaskSpec(id=tid, required=required, migration_cost_mb=cost)
 
 
 def build_state(nodes, tasks, assignment, catalog=CAT2):
     return SystemState(catalog=catalog, nodes=tuple(nodes), tasks=tuple(tasks),
-                       assignment=Assignment(assignment))
+                       assignment=assignment)
 
 
 def reassigned(state, moves):
     """The state with the listed (task, node) moves applied."""
-    mapping = {**state.assignment.mapping, **dict(moves)}
-    return dataclasses.replace(state, assignment=Assignment(mapping))
+    return dataclasses.replace(state, assignment={**state.assignment, **dict(moves)})
 
 
 # The two-node swap scenario: node A holds tasks 1-3 and sits at (11, -2)
@@ -82,9 +79,8 @@ class TestAvailableResources:
         with pytest.raises(UnknownIdError):
             available_resources(state, "nope")
 
-    def test_unstarted_task_counts_required_not_used(self):
-        t = task("t", (0.5, 0.5), unstarted=True)
-        state = build_state([NodeSpec("n", (1.0, 1.0))], [t], {"t": "n"})
+    def test_availability_counts_requirements(self):
+        state = build_state([NodeSpec("n", (1.0, 1.0))], [task("t", (0.5, 0.5))], {"t": "n"})
         assert available_resources(state, "n") == (0.5, 0.5)
 
 
@@ -122,14 +118,14 @@ class TestStability:
 
 class TestTransformationCost:
     def test_unmoved_task_costs_zero(self):
-        a = Assignment({"t": "x"})
+        a = {"t": "x"}
         assert migration_cost(task("t", (1.0, 1.0), cost=105.0), a, a) == 0.0
 
     def test_moved_task_costs_full(self):
         t2 = task("t2", (1.0, 1.0), cost=105.0)
         t5 = task("t5", (1.0, 1.0), cost=240.0)
-        before = Assignment({"t2": "A", "t5": "B"})
-        after = Assignment({"t2": "B", "t5": "A"})
+        before = {"t2": "A", "t5": "B"}
+        after = {"t2": "B", "t5": "A"}
         assert migration_cost(t2, before, after) == 105.0
         assert migration_cost(t5, before, after) == 240.0
 
@@ -145,13 +141,13 @@ class TestTransformationCost:
     def test_hand_sum(self):
         tasks = [task("a", (1.0, 1.0), cost=7.0), task("b", (1.0, 1.0), cost=11.0),
                  task("c", (1.0, 1.0), cost=99.0)]
-        before = Assignment({"a": "x", "b": "x", "c": "y"})
-        after = Assignment({"a": "y", "b": "z", "c": "y"})
+        before = {"a": "x", "b": "x", "c": "y"}
+        after = {"a": "y", "b": "z", "c": "y"}
         assert transformation_cost(before, after, tasks) == 18.0
 
     def test_missing_task_raises(self):
         with pytest.raises(UnknownIdError):
-            migration_cost(task("t", (1.0,), cost=1.0), Assignment({}), Assignment({"t": "a"}))
+            migration_cost(task("t", (1.0,), cost=1.0), {}, {"t": "a"})
 
 
 def random_state(rng, n_nodes, n_tasks, dim=2):
@@ -174,7 +170,7 @@ def test_incremental_matches_scratch(seed, n_nodes, n_tasks):
     state.tasks_by_node  # cached on the original, and not carried over
     moves = [(t.id, rng.choice(state.nodes).id) for t in state.tasks if rng.random() < 0.3]
     moved = reassigned(state, moves)
-    rebuilt = build_state(moved.nodes, moved.tasks, dict(moved.assignment.mapping))
+    rebuilt = build_state(moved.nodes, moved.tasks, dict(moved.assignment))
     for node in moved.nodes:
         assert available_resources(moved, node.id) == available_resources(rebuilt, node.id)
     assert is_system_stable(moved) == all(
@@ -217,14 +213,22 @@ def test_offcell_origin_is_not_in_cell():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        TaskSpec(id="t", required=(-1.0,), used=(0.0,), migration_cost_mb=1.0)
+        TaskSpec(id="t", required=(-1.0,), migration_cost_mb=1.0)
     with pytest.raises(ValueError):
-        TaskSpec(id="t", required=(1.0,), used=(0.0,), migration_cost_mb=0.0)
-    with pytest.raises(ValueError):
-        TaskSpec(id="t", required=(1.0,), used=(0.5,), migration_cost_mb=1.0, unstarted=True)
+        TaskSpec(id="t", required=(1.0,), migration_cost_mb=0.0)
     with pytest.raises(ValueError):
         NodeSpec(id="n", total=(-0.5,))
     with pytest.raises(ValueError):
         ResourceTypeCatalog(())
     with pytest.raises(ValueError):
         build_state([NodeSpec("n", (1.0, 1.0))], [task("t", (0.1, 0.1))], {})
+
+
+def test_state_copies_its_assignment():
+    mapping = {"t": "A"}
+    state = build_state([NodeSpec("A", (1.0, 1.0)), NodeSpec("B", (1.0, 1.0))],
+                        [task("t", (0.5, 0.5))], mapping)
+    mapping["t"] = "B"
+    assert state.assignment == {"t": "A"}
+    assert state.assignment is not mapping
+    assert available_resources(state, "A") == (0.5, 0.5)

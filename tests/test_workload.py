@@ -26,6 +26,7 @@ from cellsim.workload import (
 )
 from cellsim.workload import events as ev
 from cellsim.workload.parsers import GCD_TIME_SHIFT_US, open_trace_directory
+from support import write_synth_config
 from synth_oracle import eager_synth_events
 
 CAT2 = ResourceTypeCatalog(("cpu", "memory"))
@@ -497,7 +498,7 @@ class TestSynthGenerator:
     def test_config_file_roundtrip(self, tmp_path):
         config = SynthConfig(seed=3, node_count=7)
         path = tmp_path / "synth.json"
-        config.to_file(path)
+        write_synth_config(config, path)
         assert SynthConfig.from_file(path) == config
 
     def test_invalid_config_rejected(self):

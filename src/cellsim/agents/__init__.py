@@ -5,7 +5,6 @@ from .engine import (
     AgentEngine,
     AuditRecord,
     BrokerAgent,
-    BrokerCacheEntry,
     NodeAgent,
     TickMetrics,
 )
@@ -31,7 +30,7 @@ from .scoring import (
 from .selection import SelectionResult, select_candidate_services
 
 __all__ = [
-    "AgentConfig", "AgentEngine", "AuditRecord", "BrokerAgent", "BrokerCacheEntry",
+    "AgentConfig", "AgentEngine", "AuditRecord", "BrokerAgent",
     "NodeAgent", "TickMetrics",
     "FORCED_FITNESS", "Message", "MessageKind", "NodeStats", "Quote", "TaskSnapshot",
     "INITIAL_PARAMS", "REALLOC_PARAMS", "STA_CUTOFF", "AllocationClass",

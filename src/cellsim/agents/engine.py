@@ -12,7 +12,9 @@ Execution is deterministic: a seeded single-threaded scheduler splits each
 tick into rounds, delivering messages sent in one round at the start of the
 next, and processing agents in sorted-id order.  A round's messages are
 delivered by recipient id; each recipient takes its status reports first,
-then the rest, each group in send order.  A transfer takes one round.
+then the rest, each group in send order.  A broker answers a round's quote
+requests as one batch, from the cache its status reports have just fixed,
+and replies in request order.  A transfer takes one round.
 Wall-clock never enters the simulation.  Node and task vectors are the
 cell's float64 arrays, used without conversion.
 """
@@ -23,6 +25,8 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -48,6 +52,9 @@ RECOMMENDATION_COUNT = 15
 #: Cached nodes a broker scans per quote: initial placements, re-allocations.
 INITIAL_SCAN_LIMIT = 200
 REALLOC_SCAN_LIMIT = 2000
+#: Pool rows a broker scores in one batch: a round's quotes are drawn,
+#: scored and cut together, this many rows at a time.
+QUOTE_BATCH_ROWS = 4096
 #: Ticks a broker quote stays valid (a regular target is chosen three rounds on).
 RECOMMENDATION_TTL_TICKS = 3
 #: Rounds a negotiation waits for a reply (a quote takes two; 3 rounds = 30 s at 6 a tick).
@@ -71,15 +78,6 @@ class AgentConfig:
     #: Names in ``scoring.SCORERS``: initial sias(_gain), realloc sras(_gain).
     initial_scorer: str = "sias_gain"
     realloc_scorer: str = "sras"
-
-
-@dataclass(slots=True)
-class BrokerCacheEntry:
-    """A node's last reported availability (the cell holds the rest), kept
-    until the node leaves the cell: every node reports each tick."""
-
-    available: np.ndarray
-    last_update: int
 
 
 @dataclass(slots=True)
@@ -451,16 +449,81 @@ class NodeAgent:
         engine.send(Message(
             kind=MessageKind.GET_CANDIDATE_NODES_REQUEST, sender=self.id,
             recipient=broker, correlation_id=corr,
-            task=engine.snapshot_task(task_id), initial=False))
+            task=engine.snapshot_task(task_id)))
+
+
+def draw_pools(rng: np.random.Generator, counts: np.ndarray, limit: int) -> tuple:
+    """Each quote's pool as positions among its eligible nodes: row ``i``
+    holds ``min(limit, counts[i])`` distinct positions in ``[0, counts[i])``,
+    then zeros that ``valid`` masks out, a uniform sample without
+    replacement.  A count at or below the limit takes every position and
+    draws nothing.  From twice the limit up, the positions are drawn with
+    replacement, and every repeat of an earlier position in its row is
+    drawn again until the row is distinct (no step favours one position
+    over another).  In between, where repeats would be drawn again for
+    long, a row takes the positions of its ``limit`` smallest uniform keys."""
+    sizes = np.minimum(counts, limit)
+    columns = np.arange(int(sizes.max()))
+    valid = columns < sizes[:, None]
+    positions = np.where(valid, columns, 0)
+    sparse = np.flatnonzero(counts >= 2 * limit)
+    if len(sparse):
+        highs = counts[sparse]
+        # one bound for the whole draw when it can (numpy's faster path)
+        high = highs[0] if (highs == highs[0]).all() else highs[:, None]
+        sample = rng.integers(0, high, size=(len(sparse), limit))
+        column = np.arange(limit)
+        redo = np.arange(len(sparse))
+        while len(redo):
+            # distinct keys, sorted by position, then column: a repeat sorts
+            # right after the position's earlier occurrence
+            keys = np.sort(sample[redo] * limit + column, axis=1)
+            value = keys // limit
+            repeat_row, repeat_at = np.nonzero(value[:, 1:] == value[:, :-1])
+            if not len(repeat_row):
+                break
+            rows = redo[repeat_row]
+            sample[rows, keys[repeat_row, repeat_at + 1] % limit] = rng.integers(0, highs[rows])
+            again = np.zeros(len(redo), dtype=bool)
+            again[repeat_row] = True
+            redo = redo[again]
+        positions[sparse] = sample
+    dense = np.flatnonzero((counts > limit) & (counts < 2 * limit))
+    if len(dense):
+        keys = rng.random((len(dense), int(counts[dense].max())))
+        keys[np.arange(keys.shape[1]) >= counts[dense, None]] = np.inf
+        positions[dense] = keys.argpartition(limit - 1, axis=1)[:, :limit]
+    return positions, valid
+
+
+def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
+    """The columns of each row's ``count`` smallest keys (all of a narrower
+    row), in no particular order."""
+    if keys.shape[1] <= count:
+        return np.broadcast_to(np.arange(keys.shape[1]), keys.shape)
+    return keys.argpartition(count - 1, axis=1)[:, :count]
 
 
 class BrokerAgent:
-    """Caches reported node state; quotes candidates; places new tasks."""
+    """Caches reported node state; quotes candidates; places new tasks.
+
+    The cache is a set of arrays over a stable row per node: a report
+    writes its node's row in place, and a departing node's row takes the
+    last row's node.  Every broker adds and drops nodes at the same moments,
+    in the same order, so all brokers' rows name the same nodes."""
 
     def __init__(self, broker_id: str, engine: "AgentEngine"):
         self.id = broker_id
         self.engine = engine
-        self.cache: dict[str, BrokerCacheEntry] = {}
+        dim = engine.dimension
+        #: node id -> cache row, and row -> node id
+        self.cache: dict[str, int] = {}
+        self.node_ids: list[str] = []
+        #: each row's last reported total, availability and report time
+        self.totals = np.zeros((0, dim))
+        self.available = np.zeros((0, dim))
+        self.last_update = np.zeros(0, dtype=np.int64)
+        self._used: Optional[np.ndarray] = None  # the rows' loads, derived when quoting
         self.pending: deque[str] = deque()
         #: failed placements wait here until the next tick, so one stuck task
         #: cannot spin the whole per-round budget on itself
@@ -468,142 +531,236 @@ class BrokerAgent:
         self.in_flight: dict[int, PlacementFlow] = {}
         self.rng = random.Random(_stable_seed(engine.seed, "ba", broker_id))
         self.np_rng = np.random.Generator(np.random.PCG64(_stable_seed(engine.seed, "ba-np", broker_id)))
-        self._index_dirty = True
-        self._index: Optional[tuple] = None
-        self._matches: dict[tuple, np.ndarray] = {}  # constraints -> matching index entries
+        self._matches: dict[tuple, np.ndarray] = {}  # constraints -> matching rows, ascending
 
     # -- cache ------------------------------------------------------------------
 
     def update_cache(self, stats: NodeStats, now: int) -> None:
-        if stats.node_id not in self.engine.cell.nodes:
-            return  # a report delivered after its node left the cell
-        self.cache[stats.node_id] = BrokerCacheEntry(
-            available=stats.total - stats.used, last_update=now)
-        self._index_dirty = True
+        row = self.cache.get(stats.node_id)
+        if row is None:
+            if stats.node_id not in self.engine.cell.nodes:
+                return  # a report delivered after its node left the cell
+            row = self._add_row(stats.node_id)
+        self.totals[row] = stats.total
+        self.available[row] = stats.total - stats.used
+        self.last_update[row] = now
+        self._used = None
+
+    def _add_row(self, node_id: str) -> int:
+        row = len(self.node_ids)
+        if row == len(self.last_update):
+            grown = max(16, 2 * row)
+            self.totals = np.resize(self.totals, (grown, self.totals.shape[1]))
+            self.available = np.resize(self.available, (grown, self.available.shape[1]))
+            self.last_update = np.resize(self.last_update, grown)
+        self.node_ids.append(node_id)
+        self.cache[node_id] = row
+        self._matches.clear()
+        return row
+
+    def drop_node(self, node_id: str) -> None:
+        row = self.cache.pop(node_id, None)
+        if row is None:
+            return
+        last = len(self.node_ids) - 1
+        if row != last:
+            moved = self.node_ids[row] = self.node_ids[last]
+            self.cache[moved] = row
+            for values in (self.totals, self.available, self.last_update):
+                values[row] = values[last]
+        self.node_ids.pop()
+        self._matches.clear()
+        self._used = None
 
     def clear_matches(self) -> None:
         self._matches.clear()  # events between ticks may change node attributes
 
-    def _rebuild_index(self) -> None:
-        entries = sorted(self.cache.items())
-        ids = [node_id for node_id, _ in entries]
-        nodes = [self.engine.cell.nodes[node_id] for node_id in ids]
-        dim = self.engine.dimension
-        totals = np.array([node.total for node in nodes]).reshape(-1, dim)
-        avail = np.array([entry.available for _, entry in entries]).reshape(-1, dim)
-        attrs = [node.attributes for node in nodes]
-        id_pos = {node_id: i for i, node_id in enumerate(ids)}
-        self._index = (ids, totals, np.maximum(totals - avail, 0.0), attrs, id_pos)
-        self._matches.clear()
-        self._index_dirty = False
+    def _eligible(self, constraints: tuple) -> np.ndarray:
+        eligible = self._matches.get(constraints)
+        if eligible is None:
+            if constraints:
+                nodes = self.engine.cell.nodes
+                eligible = np.flatnonzero([matches_attributes(constraints, nodes[node_id].attributes)
+                                           for node_id in self.node_ids])
+            else:
+                eligible = np.arange(len(self.node_ids))
+            self._matches[constraints] = eligible
+        return eligible
 
     # -- quoting -----------------------------------------------------------------
 
-    def compute_recommendations(self, snapshot: TaskSnapshot, initial: bool,
-                                exclude: Optional[str]) -> Optional[Quote]:
-        """A quote of up to ``RECOMMENDATION_COUNT`` candidates for the
-        task, in three bands: nodes drawn by score from the scanned pool,
-        zero-score pool nodes with room (the quote's regular entries), then
-        forced nodes with the total capacity (pool nodes without the room,
-        then unscanned ones).  None if no cached node other than ``exclude``
-        matches the task's constraints.
+    def quote(self, requests: list, initial: bool) -> list:
+        """A quote (or None) per ``(snapshot, requester)`` request, in
+        request order, computed in batches of at most ``QUOTE_BATCH_ROWS``
+        pool rows."""
+        limit = INITIAL_SCAN_LIMIT if initial else REALLOC_SCAN_LIMIT
+        per_batch = max(1, QUOTE_BATCH_ROWS // max(1, min(limit, len(self.node_ids))))
+        quotes = []
+        for start in range(0, len(requests), per_batch):
+            quotes += self.compute_recommendations(requests[start:start + per_batch], initial)
+        return quotes
 
-        The pool is a uniform sample without replacement of the scan limit's
-        size from the eligible nodes (the constraint set's cached matches,
-        every cached node for no constraints, less ``exclude``), drawn as
-        positions so no per-quote array spans the cache.  The scored band
-        is a weighted sample without replacement: the nodes with the
-        smallest exponential-over-fitness keys.  Only the forced band reaches
-        the unscanned eligible nodes; they are shuffled when it does."""
+    def compute_recommendations(self, requests: list, initial: bool) -> list:
+        """One batch of quotes: for each ``(snapshot, requester)`` request, up
+        to ``RECOMMENDATION_COUNT`` candidates for the task in three bands,
+        or None if no cached node other than the requester matches the
+        task's constraints.  The bands are nodes drawn by score from the
+        scanned pool, zero-score pool nodes with room (the quote's regular
+        entries), then forced nodes with the total capacity (pool nodes
+        without the room, then unscanned ones).
+
+        A quote's pool is a uniform sample without replacement of the scan
+        limit's size from its eligible nodes (the constraint set's cached
+        matches, every cached node for no constraints, less the requester),
+        drawn as positions by ``draw_pools``.  The batch then draws one
+        exponential per pool row, scores every row in one call and cuts
+        every scored band at once: a weighted sample without replacement,
+        the rows with the smallest exponential-over-fitness keys, listed by
+        falling fitness, then cache row.  Zero-score and leftover pool rows
+        follow in the order of their draws, so pool order never matters.
+        Only the forced band reaches the unscanned eligible nodes, shuffled
+        when it does."""
         engine = self.engine
-        if self._index_dirty:
-            self._rebuild_index()
-        ids, totals, used, attrs, id_pos = self._index
-        eligible = self._matches.get(snapshot.constraints)
-        if eligible is None:
-            eligible = self._matches[snapshot.constraints] = np.flatnonzero(
-                [matches_attributes(snapshot.constraints, a) for a in attrs])
-        count = len(eligible)
-        gap = id_pos.get(exclude)  # the requester's position among the eligible
-        if gap is not None:
-            at = int(np.searchsorted(eligible, gap))
-            gap = at if at < count and eligible[at] == gap else None
-        if gap is not None:
-            count -= 1
-        if count <= 0:
-            return None
-
-        def entries(positions: np.ndarray) -> np.ndarray:
-            if gap is not None:
-                positions = positions + (positions >= gap)
-            return eligible[positions]
+        n = len(self.node_ids)
+        totals = self.totals[:n]
+        if self._used is None:
+            self._used = np.maximum(totals - self.available[:n], 0.0)
+        used = self._used
+        quotes: list[Optional[Quote]] = [None] * len(requests)
+        # per quote: its index in the batch, eligible rows, count and the
+        # requester's position among them (the count when it is not one)
+        live, eligibles, counts, gaps = [], [], [], []
+        for i, (snapshot, requester) in enumerate(requests):
+            eligible = self._eligible(snapshot.constraints)
+            count = gap = len(eligible)
+            row = self.cache.get(requester)
+            if row is not None:
+                at = int(np.searchsorted(eligible, row))
+                if at < count and eligible[at] == row:
+                    count, gap = count - 1, at
+            if count > 0:
+                live.append(i)
+                eligibles.append(eligible)
+                counts.append(count)
+                gaps.append(gap)
+        if not live:
+            return quotes
 
         limit = INITIAL_SCAN_LIMIT if initial else REALLOC_SCAN_LIMIT
-        drawn = self.np_rng.choice(count, size=min(limit, count), replace=False)
-        pool = entries(drawn)
-        required = snapshot.required
-        task_vec = required if initial else snapshot.used
-        pool_totals, pool_used = totals[pool], used[pool]
+        counts = np.array(counts)
+        positions, valid = draw_pools(self.np_rng, counts, limit)
+        draws = self.np_rng.standard_exponential(positions.shape)
+        # positions -> cache rows, through the batch's distinct eligible sets
+        # laid end to end, each position past the requester's moved up by one
+        distinct = {id(eligible): eligible for eligible in eligibles}
+        starts = dict(zip(distinct, np.cumsum([0] + [len(e) for e in distinct.values()]).tolist()))
+        offsets = np.array([starts[id(eligible)] for eligible in eligibles])
+        shifted = positions + (positions >= np.array(gaps)[:, None]) + offsets[:, None]
+        rows = np.concatenate(list(distinct.values())).take(shifted)
+
+        snapshots = [requests[i][0] for i in live]
+        task_vecs = np.array([s.required if initial else s.used for s in snapshots])
+        dim = totals.shape[1]
+        # ndarray.take, not fancy indexing: the same gather at a fraction of the cost
+        pool_totals, pool_used = totals.take(rows, axis=0), used.take(rows, axis=0)
         scorer = engine.config.initial_scorer if initial else engine.config.realloc_scorer
-        scores = score(scorer, pool_totals, pool_used, pool_used + task_vec)
+        scores = score(scorer, pool_totals.reshape(-1, dim), pool_used.reshape(-1, dim),
+                       (pool_used + task_vecs[:, None, :]).reshape(-1, dim)).reshape(rows.shape)
+        scores[~valid] = 0.0  # padding
         positive = scores > 0.0
-        scored, fitness = pool[positive], scores[positive]
-        if len(scored) > RECOMMENDATION_COUNT:
-            keys = self.np_rng.standard_exponential(len(scored)) / fitness
-            top = np.argpartition(keys, RECOMMENDATION_COUNT - 1)[:RECOMMENDATION_COUNT]
-            scored, fitness = scored[top], fitness[top]
-        order = np.lexsort((scored, -fitness))  # falling fitness, then id (index order)
-        chosen, fits = scored[order].tolist(), fitness[order].tolist()
-        forced = []
-        if len(chosen) < RECOMMENDATION_COUNT:
-            # zero-score nodes with room still beat any forced entry: a flat
+        # the scored band: the smallest draw-over-fitness keys, by falling
+        # fitness, then row (positive rows come first in every band)
+        keys = np.divide(draws, scores, out=np.full(rows.shape, np.inf), where=positive)
+        top = _smallest(keys, RECOMMENDATION_COUNT)
+        batch = np.arange(len(live))[:, None]
+        band_fit, band_rows = scores[batch, top], rows[batch, top]
+        order = np.lexsort((band_rows, -band_fit), axis=1)
+        band_fit, picked = band_fit[batch, order], band_rows[batch, order]
+        scored = positive.sum(axis=1)
+        in_band = np.minimum(scored, RECOMMENDATION_COUNT)
+        regular = in_band.copy()
+        short = np.flatnonzero(scored < RECOMMENDATION_COUNT)
+        if len(short):
+            # zero-score pool nodes with room follow, by their draws: a flat
             # score never justifies skipping availability checks
-            room = (pool_totals - pool_used >= task_vec).all(axis=1)
-            chosen += pool[~positive & room][:RECOMMENDATION_COUNT - len(chosen)].tolist()
-            fits += [ZERO_SCORE_FITNESS] * (len(chosen) - len(fits))
-            if len(chosen) < RECOMMENDATION_COUNT:
-                # last resort: the pool nodes left, then the unscanned
-                # eligible ones, that have the total capacity for the task
-                rest = pool[~positive & ~room]
-                if len(drawn) < count:
-                    unscanned = np.ones(count, dtype=bool)
-                    unscanned[drawn] = False
-                    unscanned = np.flatnonzero(unscanned)
-                    self.np_rng.shuffle(unscanned)
-                    rest = np.concatenate((rest, entries(unscanned)))
-                capable = rest[(required <= totals[rest]).all(axis=1)]
-                forced = capable[:RECOMMENDATION_COUNT - len(chosen)].tolist()
-        picked = chosen + forced
-        return Quote(node_ids=[ids[i] for i in picked], fitness=fits + [FORCED_FITNESS] * len(forced),
-                     available=totals[picked] - used[picked], regular=len(chosen),
-                     created_at=engine.now_us)
+            room = (pool_totals[short] - pool_used[short] >= task_vecs[short, None, :]).all(axis=2)
+            pad_keys = np.where(valid[short] & ~positive[short] & room, draws[short], np.inf)
+            sub = batch[:len(short)]
+            pad_top = _smallest(pad_keys, RECOMMENDATION_COUNT)
+            pad_top = pad_top[sub, pad_keys[sub, pad_top].argsort(axis=1, kind="stable")]
+            past = np.arange(picked.shape[1]) - scored[short, None]
+            picked[short] = np.where(past < 0, picked[short],
+                                     rows[short][sub, pad_top[sub, np.maximum(past, 0)]])
+            regular[short] = np.minimum(scored[short] + np.isfinite(pad_keys).sum(axis=1),
+                                        picked.shape[1])
+        available = totals.take(picked, axis=0) - used.take(picked, axis=0)
+
+        ids, now = self.node_ids, engine.now_us
+        fit_lists, picked_lists = band_fit.tolist(), picked.tolist()
+        for j, (i, count_regular, count_scored) in enumerate(zip(live, regular.tolist(),
+                                                                 in_band.tolist())):
+            node_rows = picked_lists[j][:count_regular]
+            fitness = (fit_lists[j][:count_scored]
+                       + [ZERO_SCORE_FITNESS] * (count_regular - count_scored))
+            if count_regular == RECOMMENDATION_COUNT:
+                quotes[i] = Quote(node_ids=[ids[r] for r in node_rows], fitness=fitness,
+                                  available=available[j], regular=count_regular, created_at=now)
+                continue
+            # last resort, rare: the pool nodes left, then the unscanned
+            # eligible ones, that have the total capacity for the task
+            has_room = (pool_totals[j] - pool_used[j] >= task_vecs[j]).all(axis=1)
+            by_draw = draws[j].argsort(kind="stable")
+            rest = rows[j][by_draw[(valid[j] & ~positive[j] & ~has_room)[by_draw]]]
+            if counts[j] > limit:
+                unscanned = np.ones(counts[j], dtype=bool)
+                unscanned[positions[j]] = False
+                unscanned = np.flatnonzero(unscanned)
+                self.np_rng.shuffle(unscanned)
+                rest = np.concatenate((rest, eligibles[j][unscanned + (unscanned >= gaps[j])]))
+            capable = rest[(snapshots[j].required <= totals.take(rest, axis=0)).all(axis=1)]
+            node_rows += capable[:RECOMMENDATION_COUNT - count_regular].tolist()
+            quotes[i] = Quote(node_ids=[ids[r] for r in node_rows],
+                              fitness=fitness + [FORCED_FITNESS] * (len(node_rows) - count_regular),
+                              available=totals.take(node_rows, axis=0) - used.take(node_rows, axis=0),
+                              regular=count_regular, created_at=now)
+        return quotes
 
     # -- protocol ------------------------------------------------------------------
 
-    def handle(self, message: Message) -> None:
-        kind = message.kind
-        if kind is MessageKind.STATUS_REPORT:
-            self.update_cache(message.node_stats, self.engine.now_us)
-        elif kind is MessageKind.GET_CANDIDATE_NODES_REQUEST:
-            quote = self.compute_recommendations(
-                message.task, initial=message.initial, exclude=message.sender)
-            self.engine.sample_quote(message, quote)
-            if quote is None:
-                self.engine.report_unschedulable(message.task.task_id)
-            self.engine.send(Message(
-                kind=MessageKind.GET_CANDIDATE_NODES_RESPONSE, sender=self.id,
-                recipient=message.sender, correlation_id=message.correlation_id,
-                task=message.task, quote=quote))
-        elif kind is MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE:
-            flow = self.in_flight.pop(message.correlation_id, None)
-            if flow is not None:
-                self.engine.commit_initial_placement(flow.task_id, message.sender)
-        elif kind is MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE:
-            flow = self.in_flight.pop(message.correlation_id, None)
-            if flow is not None:
-                self.engine.metrics.collisions += 1
-                flow.next_index += 1
-                self._try_placement(flow)
+    def deliver(self, mail: list) -> None:
+        """One round's messages to this broker, status reports first (the
+        delivery sort puts them there).  The reports fix the cache, so the
+        round's quote requests are answered together, from one batch; every
+        reply still goes out in the order of its request."""
+        engine = self.engine
+        requests = []
+        for message in mail:
+            if message.kind is MessageKind.STATUS_REPORT:
+                self.update_cache(message.node_stats, engine.now_us)
+            elif message.kind is MessageKind.GET_CANDIDATE_NODES_REQUEST:
+                requests.append((message.task, message.sender))
+        quotes = iter(self.quote(requests, initial=False))
+        for message in mail:
+            kind = message.kind
+            if kind is MessageKind.GET_CANDIDATE_NODES_REQUEST:
+                quote = next(quotes)
+                engine.sample_quote(message, quote)
+                if quote is None:
+                    engine.report_unschedulable(message.task.task_id)
+                engine.send(Message(
+                    kind=MessageKind.GET_CANDIDATE_NODES_RESPONSE, sender=self.id,
+                    recipient=message.sender, correlation_id=message.correlation_id,
+                    task=message.task, quote=quote))
+            elif kind is MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE:
+                flow = self.in_flight.pop(message.correlation_id, None)
+                if flow is not None:
+                    engine.commit_initial_placement(flow.task_id, message.sender)
+            elif kind is MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE:
+                flow = self.in_flight.pop(message.correlation_id, None)
+                if flow is not None:
+                    engine.metrics.collisions += 1
+                    flow.next_index += 1
+                    self._try_placement(flow)
 
     def enqueue_placement(self, task_id: str) -> None:
         self.pending.append(task_id)
@@ -613,19 +770,21 @@ class BrokerAgent:
         self.retry_queue.clear()
 
     def on_round(self, round_index: int) -> None:
-        served = 0
-        while self.pending and served < PLACEMENTS_PER_ROUND:
+        """Quote this round's share of the queue in one go, then start a
+        placement flow for each quoted task."""
+        engine = self.engine
+        cell = engine.cell
+        tasks = []
+        for _ in range(min(len(self.pending), PLACEMENTS_PER_ROUND)):
             task_id = self.pending.popleft()
-            served += 1
-            if task_id not in self.engine.cell.tasks:
-                continue
-            if task_id in self.engine.cell.placement:
-                continue
-            snapshot = self.engine.snapshot_task(task_id)
-            quote = self.compute_recommendations(snapshot, initial=True, exclude=None)
+            if task_id in cell.tasks and task_id not in cell.placement:
+                tasks.append(task_id)
+        quotes = self.quote([(engine.snapshot_task(task_id), None) for task_id in tasks],
+                            initial=True)
+        for task_id, quote in zip(tasks, quotes):
             if quote is None:
-                self.engine.report_unschedulable(task_id)
-                self.engine.retry_placement(task_id, self.rng)
+                engine.report_unschedulable(task_id)
+                engine.retry_placement(task_id, self.rng)
                 continue
             self._try_placement(PlacementFlow(task_id=task_id, quote=quote))
 
@@ -867,8 +1026,7 @@ class AgentEngine(Engine):
         # mail to the node is lost with it, even if a node of its id comes back
         self._outbox = [m for m in self._outbox if m.recipient != event.node_id]
         for broker in self.brokers.values():
-            if broker.cache.pop(event.node_id, None) is not None:
-                broker._index_dirty = True
+            broker.drop_node(event.node_id)
             # a placement requested of the node gets no answer: quote it afresh
             for corr, flow in list(broker.in_flight.items()):
                 if flow.quote.node_ids[flow.next_index] == event.node_id:
@@ -897,16 +1055,18 @@ class AgentEngine(Engine):
     def _gossip(self) -> None:
         if len(self.brokers) < 2:
             return
-        merged: dict[str, BrokerCacheEntry] = {}
+        # every broker's rows name the same nodes: keep each row's newest report
+        first, *others = self.brokers.values()
+        n = len(first.node_ids)
+        stamp, totals, available = first.last_update[:n], first.totals[:n], first.available[:n]
+        for broker in others:
+            newer = broker.last_update[:n] > stamp
+            stamp = np.where(newer, broker.last_update[:n], stamp)
+            totals = np.where(newer[:, None], broker.totals[:n], totals)
+            available = np.where(newer[:, None], broker.available[:n], available)
         for broker in self.brokers.values():
-            for node_id, entry in broker.cache.items():
-                current = merged.get(node_id)
-                if current is None or entry.last_update > current.last_update:
-                    merged[node_id] = entry
-        for broker in self.brokers.values():
-            for node_id, entry in merged.items():
-                broker.cache[node_id] = entry
-            broker._index_dirty = True
+            broker.last_update[:n], broker.totals[:n], broker.available[:n] = stamp, totals, available
+            broker._used = None
 
     def _run_round(self, round_index: int) -> None:
         self._complete_transfers()
@@ -914,10 +1074,15 @@ class AgentEngine(Engine):
         # before any request is answered, each in send order (a stable sort)
         outbox, self._outbox = self._outbox, []
         outbox.sort(key=lambda m: (m.recipient, m.kind is not MessageKind.STATUS_REPORT))
-        for message in outbox:
-            agent = self.brokers.get(message.recipient) or self.agents.get(message.recipient)
+        for recipient, mail in groupby(outbox, key=attrgetter("recipient")):
+            broker = self.brokers.get(recipient)
+            if broker is not None:
+                broker.deliver(list(mail))
+                continue
+            agent = self.agents.get(recipient)
             if agent is not None:
-                agent.handle(message)
+                for message in mail:
+                    agent.handle(message)
         for broker_id in self._broker_ids:
             self.brokers[broker_id].on_round(round_index)
         for node_id in self.agent_order():

@@ -96,7 +96,7 @@ class Message:
     quote: Optional[Quote] = None
     node_stats: Optional[NodeStats] = None
     forced: bool = False
-    #: For quote requests: True when quoting an initial placement.
+    #: For process requests: True when placing a new task.
     initial: bool = False
     #: For process requests: the age of the quote acted on.
     rec_age_us: int = 0

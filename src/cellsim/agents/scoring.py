@@ -56,29 +56,35 @@ def allocation_score_vec(params: ScoringParams, totals: np.ndarray,
                          used_after: np.ndarray) -> np.ndarray:
     """Score each row of (N, d) capacity/usage matrices, the usage being the
     node's load once the candidate task has landed (or left).  A single
-    (1, d) capacity row applies to every usage row."""
+    (1, d) capacity row applies to every usage row.
+
+    The rows are folded one resource column at a time: d passes over
+    contiguous (N,) columns cost less than reductions along the short axis
+    of (N, d) arrays, and the exponent is multiplied in column order, as
+    the scalar formula does."""
     totals = np.asarray(totals, dtype=np.float64)
     used_after = np.asarray(used_after, dtype=np.float64)
-    positive_cap = totals > 0.0
-    # ndarray methods, not the np.any/np.all/np.prod wrappers: the same
-    # reductions without the dispatch cost on these small arrays
-    zero_cap_demand = (~positive_cap & (used_after > 0.0)).any(axis=1)
-    cutoff = (positive_cap & (used_after >= STA_CUTOFF * totals)).any(axis=1)
-
-    deltas = used_after - params.f_bias * totals
-    masked = np.where(positive_cap, deltas, 1.0)
-    exponent = masked.prod(axis=1)
-    if params.low_biased:
-        far = (~positive_cap | (deltas > 0.0)).all(axis=1)
-    else:
-        far = (~positive_cap | (deltas < 0.0)).all(axis=1)
-    exponent = np.where(far, 0.0, exponent)
+    exponent = cut = far = None
+    for cap, use in zip(totals.T, used_after.T):
+        positive = cap > 0.0
+        delta = use - params.f_bias * cap
+        # demand on a zero capacity, or a load in the super-tight band
+        col_cut = np.where(positive, use >= STA_CUTOFF * cap, use > 0.0)
+        col_far = ~positive | (delta > 0.0 if params.low_biased else delta < 0.0)
+        factor = np.where(positive, delta, 1.0)
+        if exponent is None:
+            exponent, cut, far = factor, col_cut, col_far
+        else:
+            exponent = exponent * factor
+            cut |= col_cut
+            far &= col_far
+    exponent[far] = 0.0
 
     # cut-off rows score zero, and on an overloaded node their power overflows
-    keep = ~(zero_cap_demand | cutoff)
+    keep = ~cut
     scores = np.zeros(len(exponent))
     scores[keep] = np.power(params.f_steep, exponent[keep]) - params.f_floor
-    return np.maximum(scores, 0.0)
+    return np.maximum(scores, 0.0, out=scores)
 
 
 #: Scorer name -> (params, gain).  A gain scorer rates a move by how much it

@@ -18,6 +18,8 @@ TICKS_HEADER = [
     "migrations_attempted", "migrations_completed", "collisions",
     "cpu_used_ratio", "mem_used_ratio", "cpu_req_ratio", "mem_req_ratio",
     "stc_mb",
+    # appended after the first fifteen, so readers of those keep working
+    "placements", "unschedulable", "scs_runs", "rus_spikes", "san_restarts", "pending",
 ]
 AUDIT_HEADER = [f.name for f in fields(AuditRecord)]
 
@@ -48,6 +50,13 @@ class TickRecord:
     cpu_req_ratio: float = 0.0
     mem_req_ratio: float = 0.0
     stc_mb: float = 0.0
+    placements: int = 0
+    unschedulable: int = 0
+    scs_runs: int = 0
+    rus_spikes: int = 0
+    san_restarts: int = 0
+    #: tasks waiting for a node at the end of the tick
+    pending: int = 0
 
     def row(self) -> list[str]:
         return [
@@ -58,6 +67,8 @@ class TickRecord:
             f"{self.cpu_used_ratio:.6f}", f"{self.mem_used_ratio:.6f}",
             f"{self.cpu_req_ratio:.6f}", f"{self.mem_req_ratio:.6f}",
             f"{self.stc_mb:.3f}",
+            str(self.placements), str(self.unschedulable), str(self.scs_runs),
+            str(self.rus_spikes), str(self.san_restarts), str(self.pending),
         ]
 
 

@@ -29,7 +29,7 @@ from ..workload.anomalies import AnomalySink, filter_anomalies
 from ..workload.events import AddTaskEvent
 from ..workload.parsers import GCD_TIME_SHIFT_US, open_trace_directory
 from ..workload.state import CellState
-from ..workload.synth import synth_generate
+from ..workload.synth import RESOURCES, synth_generate
 from ..workload.window import WindowCollector
 from .config import ConfigError, RunConfig, read_config_file
 from .outputs import RunOutputs, TickRecord
@@ -129,7 +129,7 @@ class SimulationRunner:
     def __init__(self, config: RunConfig):
         config.validate()
         self.config = config
-        self.catalog = model.ResourceTypeCatalog(("cpu", "memory"))
+        self.catalog = model.ResourceTypeCatalog(RESOURCES)
         profiles = (read_config_file(ProfileCatalog.from_file, config.profile_file, "profile file")
                     if config.profile_file else ProfileCatalog())
         try:
@@ -229,6 +229,12 @@ class SimulationRunner:
             cpu_req_ratio=ratio(required_sum, 0),
             mem_req_ratio=ratio(required_sum, 1),
             stc_mb=metrics.stc_mb,
+            placements=metrics.placements,
+            unschedulable=metrics.unschedulable,
+            scs_runs=metrics.scs_runs,
+            rus_spikes=metrics.rus_spikes,
+            san_restarts=metrics.san_restarts,
+            pending=len(self.cell.pending),
         )
         return record, table, classes
 

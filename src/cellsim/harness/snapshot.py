@@ -15,10 +15,9 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 11: tasks and task snapshots carry no
-#: ``unstarted`` flag or recorded node, and the agent engine holds its quote
-#: lifetime.
-VERSION = 11
+#: version control log).  Version 12: a broker's cache is arrays over a
+#: stable row per node.
+VERSION = 12
 
 
 class SnapshotError(RuntimeError):

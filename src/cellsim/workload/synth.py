@@ -20,6 +20,24 @@ from . import events as ev
 from .constraints import ConstraintOperator, TaskConstraint
 
 MINUTE_US = 60 * 1_000_000
+#: The resources of a simulated cell, in vector order: the trace tables'
+#: two, and one ``node_capacity`` value each.
+RESOURCES = ("cpu", "memory")
+#: Fields by the type a config file must give them.
+WHOLE_FIELDS = ("seed", "node_count", "usage_ramp_updates", "attribute_groups")
+NUMBER_FIELDS = ("task_arrival_rate", "duration_minutes", "batch_fraction",
+                 "usage_interval_minutes", "production_fraction", "constraint_rate")
+RANGE_FIELDS = ("batch_duration_min", "service_duration_min", "batch_required",
+                "service_required", "usage_ratio")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, count: int) -> bool:
+    return (isinstance(value, (tuple, list)) and len(value) == count
+            and all(_is_number(v) for v in value))
 
 
 @dataclass
@@ -56,14 +74,32 @@ class SynthConfig:
     record_placements: bool = True
 
     def validate(self) -> None:
+        for name in WHOLE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+        for name in NUMBER_FIELDS:
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if self.arrival_window_minutes is not None and not _is_number(self.arrival_window_minutes):
+            raise ValueError(f"arrival_window_minutes must be a number, "
+                             f"got {self.arrival_window_minutes!r}")
+        for name in RANGE_FIELDS:
+            if not _numbers(getattr(self, name), 2):
+                raise ValueError(f"{name} must be a pair of numbers, got {getattr(self, name)!r}")
+        if not _numbers(self.node_capacity, len(RESOURCES)):
+            raise ValueError(f"node_capacity must hold one number per resource "
+                             f"({', '.join(RESOURCES)}), got {self.node_capacity!r}")
+        if not isinstance(self.record_placements, bool):
+            raise ValueError(f"record_placements must be true or false, "
+                             f"got {self.record_placements!r}")
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if self.task_arrival_rate < 0:
             raise ValueError("task_arrival_rate must be >= 0")
         if not (0 <= self.batch_fraction <= 1):
             raise ValueError("batch_fraction must be in [0, 1]")
-        for lo, hi in (self.batch_duration_min, self.service_duration_min,
-                       self.batch_required, self.service_required, self.usage_ratio):
+        for lo, hi in (getattr(self, name) for name in RANGE_FIELDS):
             if lo < 0 or hi < lo:
                 raise ValueError("distribution ranges must satisfy 0 <= lo <= hi")
         if not (0 <= self.constraint_rate <= 1):
@@ -82,8 +118,7 @@ class SynthConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        for key in ("batch_duration_min", "service_duration_min", "node_capacity",
-                    "batch_required", "service_required", "usage_ratio"):
+        for key in (*RANGE_FIELDS, "node_capacity"):
             if key in raw:
                 if not isinstance(raw[key], list):
                     raise ValueError(f"{key} must be a list")

@@ -1,11 +1,13 @@
 """Agent protocol behavior: quoting, admission, negotiation, safety."""
 
+import copy
 import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import quote_oracle
 import selection_oracle
 from cell_oracle import assert_loads_match
 from support import overloaded_count, place_directly, reservation_invariant_holds
@@ -17,6 +19,7 @@ from cellsim.agents import (
     Message,
     MessageKind,
     NodeAgent,
+    NodeStats,
     TaskSnapshot,
     select_candidate_services,
 )
@@ -64,6 +67,11 @@ def add_task(engine, task_id, required, used=None, production=False,
             except ValueError:
                 pass
         place_directly(engine, task_id, node)
+
+
+def quote_one(broker, snapshot, initial, exclude):
+    """The broker's quote for one request: a batch of one."""
+    return broker.quote([(snapshot, exclude)], initial)[0]
 
 
 def resident(task_id, used, migration_cost_mb, production):
@@ -235,7 +243,7 @@ class TestBrokerQuotes:
         snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False,
                                 (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
         broker = engine.brokers["broker-000"]
-        quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
+        quote = quote_one(broker, snapshot, True, None)
         assert quote.node_ids == ["n000"]
 
     def test_no_matching_node_is_unschedulable(self):
@@ -243,7 +251,7 @@ class TestBrokerQuotes:
         snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False,
                                 (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
         broker = engine.brokers["broker-000"]
-        assert broker.compute_recommendations(snapshot, initial=True, exclude=None) is None
+        assert quote_one(broker, snapshot, True, None) is None
 
     def test_quote_shape_scored_then_forced(self):
         # nodes almost full: some still score, others only fit by total capacity
@@ -254,7 +262,7 @@ class TestBrokerQuotes:
                      used=(0.88, 0.88), node=f"n{index:03d}")
         snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, (), 10.0)
         broker = engine.brokers["broker-000"]
-        quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
+        quote = quote_one(broker, snapshot, True, None)
         assert len(quote.node_ids) == len(quote.fitness) == len(quote.available) == 15
         assert quote.regular == 12  # the 12 nodes with room come first
         regular, forced = quote.node_ids[:12], quote.node_ids[12:]
@@ -271,7 +279,7 @@ class TestBrokerQuotes:
             engine = build_engine([(1.0, 1.0)] * 30, seed=77)
             snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, (), 10.0)
             broker = engine.brokers["broker-000"]
-            quote = broker.compute_recommendations(snapshot, initial=True, exclude=None)
+            quote = quote_one(broker, snapshot, True, None)
             return quote.node_ids, quote.fitness, quote.regular, quote.available.tolist()
 
         assert run() == run()
@@ -283,7 +291,7 @@ class TestBrokerQuotes:
         broker = engine.brokers["broker-000"]
 
         def quote():
-            return broker.compute_recommendations(snapshot, initial=True, exclude=None).node_ids
+            return quote_one(broker, snapshot, True, None).node_ids
 
         assert quote() == ["n000"]
         engine.apply_events([ev.RemoveNodeAttributesEvent(0, "n000", ("gpu",)),
@@ -295,7 +303,7 @@ class TestBrokerQuotes:
         engine = build_engine([(1.0, 1.0)] * 2)
         snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False, (), 10.0)
         broker = engine.brokers["broker-000"]
-        quote = broker.compute_recommendations(snapshot, initial=False, exclude="n000")
+        quote = quote_one(broker, snapshot, False, "n000")
         assert quote.node_ids == ["n001"]
 
 
@@ -329,8 +337,7 @@ def test_quote_bands(data):
     initial = data.draw(st.booleans())
     requester = data.draw(st.one_of(st.none(), st.integers(0, count - 1).map("n{:03d}".format)))
     snapshot = TaskSnapshot("t", required, used, False, constraints, 10.0)
-    quote = engine.brokers["broker-000"].compute_recommendations(
-        snapshot, initial=initial, exclude=requester)
+    quote = quote_one(engine.brokers["broker-000"], snapshot, initial, requester)
 
     nodes = engine.cell.nodes
     eligible = {node_id for node_id in nodes if node_id != requester
@@ -363,6 +370,125 @@ def test_quote_bands(data):
     if len(ids) < RECOMMENDATION_COUNT:
         capable = {n for n in eligible if np.all(np.asarray(required) <= nodes[n].total)}
         assert capable <= set(ids)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_batched_quotes_equal_the_scalar_oracle(data):
+    """Every quote of a batched round equals the scalar oracle's, fed the
+    quote's pool positions and its row of draws: node ids, fitness, room and
+    regular count.  The scan limit and the batch size are shrunk so that
+    eligible counts fall on both sides of the limit and a round splits into
+    several batches; loads up to 130% of a node give zero-score rows and
+    forced bands.  Each batch draws distinct in-range positions."""
+    count = data.draw(st.integers(1, 30))
+    limit = data.draw(st.integers(1, 12))
+    batch_rows = data.draw(st.integers(1, 40))
+    share = st.floats(0.0, 1.3, allow_nan=False)
+    totals = [data.draw(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
+              for _ in range(count)]
+    racks = {i: (("rack", rack),) for i in range(count)
+             if (rack := data.draw(st.sampled_from(["a", "b", "c", None]))) is not None}
+    scorers = sorted(SCORERS)
+    config = AgentConfig(initial_scorer=data.draw(st.sampled_from(scorers)),
+                         realloc_scorer=data.draw(st.sampled_from(scorers)))
+    engine = build_engine(totals, seed=data.draw(st.integers(0, 2**16)), config=config,
+                          attrs=racks)
+    for i, total in enumerate(totals):
+        load = tuple(t * data.draw(share) for t in total)
+        add_task(engine, f"load{i}", required=load, used=load, node=f"n{i:03d}")
+    initial = data.draw(st.booleans())
+    requests = []
+    for k in range(data.draw(st.integers(1, 8))):
+        required = data.draw(st.tuples(st.floats(0.01, 1.5), st.floats(0.01, 1.5)))
+        used = tuple(r * data.draw(st.floats(0.0, 1.0)) for r in required)
+        constraints = tuple(TaskConstraint(op, "rack", rack) for op, rack in data.draw(st.lists(
+            st.tuples(st.sampled_from([Op.EQUAL, Op.NOT_EQUAL]), st.sampled_from("abc")),
+            max_size=2)))
+        requester = data.draw(st.one_of(st.none(),
+                                        st.integers(0, count - 1).map("n{:03d}".format)))
+        requests.append((TaskSnapshot(f"t{k}", np.array(required), np.array(used), False,
+                                      constraints, 10.0), requester))
+
+    broker = engine.brokers["broker-000"]
+    batches = []
+    draw_pools = engine_module.draw_pools
+
+    def recorded(rng, counts, scan_limit):
+        positions, valid = draw_pools(rng, counts, scan_limit)
+        batches.append((counts.copy(), positions.copy(), copy.deepcopy(rng)))
+        return positions, valid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "draw_pools", recorded)
+        patch.setattr(engine_module, "INITIAL_SCAN_LIMIT", limit)
+        patch.setattr(engine_module, "REALLOC_SCAN_LIMIT", limit)
+        patch.setattr(engine_module, "QUOTE_BATCH_ROWS", batch_rows)
+        quotes = broker.quote(requests, initial)
+
+    n = len(broker.node_ids)
+    cache_totals = broker.totals[:n]
+    cache_used = np.maximum(cache_totals - broker.available[:n], 0.0)
+    nodes = engine.cell.nodes
+    scorer = config.initial_scorer if initial else config.realloc_scorer
+    per_batch = max(1, batch_rows // min(limit, n))
+    recorded_batches = iter(batches)
+    assert len(quotes) == len(requests)
+    for start in range(0, len(requests), per_batch):
+        eligibles = [[row for row, node_id in enumerate(broker.node_ids) if node_id != requester
+                      and matches_attributes(snapshot.constraints, nodes[node_id].attributes)]
+                     for snapshot, requester in requests[start:start + per_batch]]
+        live = [j for j, eligible in enumerate(eligibles) if eligible]
+        if not live:
+            assert quotes[start:start + per_batch] == [None] * len(eligibles)
+            continue
+        counts, positions, rng = next(recorded_batches)
+        assert counts.tolist() == [len(eligibles[j]) for j in live]
+        assert positions.size <= max(batch_rows, min(limit, n))
+        draws = rng.standard_exponential(positions.shape)
+        for j, (snapshot, requester) in enumerate(requests[start:start + per_batch]):
+            quote = quotes[start + j]
+            if j not in live:
+                assert quote is None
+                continue
+            row = live.index(j)
+            eligible = eligibles[j]
+            size = min(limit, len(eligible))
+            pool = positions[row, :size].tolist()
+            assert len(set(pool)) == size and all(0 <= p < len(eligible) for p in pool)
+            rows, fitness, regular = quote_oracle.quote(
+                scorer, cache_totals, cache_used, eligible, pool, draws[row, :size].tolist(),
+                snapshot.required, snapshot.required if initial else snapshot.used, rng)
+            assert quote.node_ids == [broker.node_ids[r] for r in rows]
+            assert requester not in quote.node_ids
+            assert quote.fitness == fitness
+            assert quote.regular == regular
+            assert np.array_equal(quote.available, cache_totals[rows] - cache_used[rows])
+    assert next(recorded_batches, None) is None
+
+
+def test_gossip_keeps_each_rows_newest_report():
+    """With several brokers every cache ends the merge with the same rows,
+    each holding the newest report any broker had of its node."""
+    engine = build_engine([(1.0, 1.0)] * 3, config=AgentConfig(broker_count=3))
+    first, second, third = engine.brokers.values()
+    total = np.array([1.0, 1.0])
+
+    def report(broker, node_id, load, now):
+        broker.update_cache(NodeStats(node_id, total, np.array([load, load]), total), now)
+
+    report(first, "n001", 0.5, 10)
+    report(second, "n001", 0.7, 20)
+    report(third, "n002", 0.3, 30)
+    report(first, "n002", 0.9, 5)
+    engine._gossip()
+    for broker in engine.brokers.values():
+        assert broker.node_ids == first.node_ids
+        available = dict(zip(broker.node_ids, broker.available[:3, 0].tolist()))
+        assert available == pytest.approx({"n000": 1.0, "n001": 0.3, "n002": 0.7})
+        quote = quote_one(broker, TaskSnapshot("t", (0.8, 0.8), (0.0, 0.0), False, (), 1.0),
+                          True, None)
+        assert quote.node_ids[:quote.regular] == ["n000"]  # the one node with room
 
 
 def big_cell(big_every=0):
@@ -406,7 +532,7 @@ def test_pool_above_scan_limit_samples_eligible_nodes(constraints, requester, mo
     snapshot = TaskSnapshot("t", (0.1, 0.1), (0.0, 0.0), False, constraints, 10.0)
     broker = engine.brokers["broker-000"]
     for _ in range(40):
-        broker.compute_recommendations(snapshot, initial=True, exclude=requester)
+        quote_one(broker, snapshot, True, requester)
     assert len(pools) == 40
     for pool in pools:
         assert len(pool) == len(set(pool)) == INITIAL_SCAN_LIMIT
@@ -424,7 +550,7 @@ def test_forced_band_reaches_unscanned_nodes(monkeypatch):
         add_task(engine, f"load{i}", required=load, used=load, node=node)
     pools = scanned_pools(monkeypatch)
     snapshot = TaskSnapshot("t", (1.5, 1.5), (0.0, 0.0), False, (), 10.0)
-    quote = engine.brokers["broker-000"].compute_recommendations(snapshot, initial=True, exclude=None)
+    quote = quote_one(engine.brokers["broker-000"], snapshot, True, None)
     capable = {f"n{i:03d}" for i in range(0, 500, 50)}
     assert quote.regular == 0  # every entry is forced
     assert quote.fitness == [FORCED_FITNESS] * len(capable)
@@ -476,9 +602,9 @@ def test_unschedulable_quote_is_answered_with_none():
     engine = build_engine([(1.0, 1.0)] * 2, attrs={0: (("gpu", "yes"),)})
     snapshot = TaskSnapshot("t", np.array([0.1, 0.1]), np.array([0.1, 0.1]), False,
                             (TaskConstraint(Op.EQUAL, "gpu", "yes"),), 10.0)
-    engine.brokers["broker-000"].handle(Message(
+    engine.brokers["broker-000"].deliver([Message(
         kind=MessageKind.GET_CANDIDATE_NODES_REQUEST, sender="n000", recipient="broker-000",
-        correlation_id=7, task=snapshot))
+        correlation_id=7, task=snapshot)])
     (reply,) = [m for m in engine._outbox if m.kind is MessageKind.GET_CANDIDATE_NODES_RESPONSE]
     assert (reply.recipient, reply.correlation_id, reply.quote) == ("n000", 7, None)
     assert engine.unschedulable == {"t"}

@@ -238,7 +238,12 @@ class TestMasbMode:
         audit = read_audit(config)
         assert [row for row in audit if row["initial"] == "0" and row["forced"] == "0"]
         assert {row["ttl_us"] for row in audit} == {str(3 * config.tick_length_us)}
-        assert read_ticks(config)[-1]["overloaded"] == "0"
+        # with quotes that outlive the tick, migrations keep overloads to a
+        # few of the 40 nodes in every tick (at most 1 for run seeds 1-5);
+        # with 3-minute quotes nothing migrates and 7-9 nodes end overloaded.
+        # A node that overloads in the last tick may still be overloaded at
+        # its end, so the check is not that none is.
+        assert max(int(row["overloaded"]) for row in read_ticks(config)) <= 3
 
 
 class TestScalingInvariance:
@@ -281,6 +286,45 @@ class TestStcAccounting:
         audit_total = sum(float(r["cost_mb"]) for r in migrations)
         assert csv_total == pytest.approx(audit_total, abs=0.0005 * (len(ticks) + len(migrations)))
         assert len(migrations) == sum(int(r["migrations_completed"]) for r in ticks)
+
+    def test_ticks_csv_carries_the_engine_counters(self, tmp_path):
+        # the engine's counters follow the first fifteen columns, which keep
+        # their order; each is the tick's own count, and pending is the
+        # cell's at the end of the tick
+        config = run_config(tmp_path, mode="masb", ticks=8, audit=True,
+                            synth=synth_config(node_count=6, task_arrival_rate=40.0,
+                                               service_required=(0.15, 0.3),
+                                               batch_fraction=0.3,
+                                               usage_ratio=(0.8, 1.1)))
+        runner = SimulationRunner(config)
+        assert runner.run() == 0
+        header = (Path(config.output_dir) / "logs" / "run-ticks.csv").read_text().splitlines()[0]
+        assert header.split(",")[15:] == ["placements", "unschedulable", "scs_runs",
+                                          "rus_spikes", "san_restarts", "pending"]
+        ticks, audit = read_ticks(config), read_audit(config)
+        placements = [row for row in audit if row["initial"] == "1"]
+        assert len(placements) == sum(int(r["placements"]) for r in ticks) > 0
+        assert sum(int(r["scs_runs"]) for r in ticks) > 0
+        log = (Path(config.output_dir) / "logs" / "run.log").read_text()
+        assert sum(int(r["unschedulable"]) for r in ticks) == log.count("unschedulable")
+        assert int(ticks[-1]["pending"]) == len(runner.cell.pending)
+
+    @pytest.mark.parametrize("override", [{"node_count": "5"}, {"node_capacity": [1.0]},
+                                          {"usage_ratio": [0.5]}, {"seed": 1.5}],
+                             ids=["text-count", "short-capacity", "short-range", "float-seed"])
+    def test_wrongly_typed_synth_config_is_config_error(self, tmp_path, capsys, override):
+        # a value of the wrong type or length is one config error line, not
+        # a traceback out of validation or out of the run
+        config_path = tmp_path / "synth.json"
+        write_synth_config(synth_config(node_count=5), config_path)
+        raw = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**raw, **override}))
+        code = cli_main(["run", "--mode", "masb", "--seed", "1", "--synth-config",
+                         str(config_path), "--out", str(tmp_path / "out"), "--ticks", "2"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        (key,) = override
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and key in lines[0]
 
     def test_audit_csv_format(self, tmp_path):
         config = run_config(tmp_path, mode="masb", ticks=4, audit=True)
@@ -468,12 +512,13 @@ class TestSnapshotRoundtrip:
 
 
 class TestBrokersAndNodeLoss:
-    """Runs with two brokers (cache gossip) or with a compaction that takes
+    """Runs with two or three brokers (cache gossip) or with a compaction that takes
     nodes away: repeatable to the byte, every task accounted for, and the
     cell's node loads equal to a recount afterwards."""
 
     CASES = {
         "masb-2-brokers": dict(mode="masb", broker_count=2),
+        "masb-3-brokers": dict(mode="masb", broker_count=3),
         "masb-compaction": dict(mode="masb", compaction_fraction=0.25, compaction_tick=3),
         "metaheuristic-compaction": dict(mode="metaheuristic", compaction_fraction=0.25,
                                          compaction_tick=3, strategy="greedy",

@@ -7,9 +7,11 @@ The scalar functions come from ``scoring_oracle``; the vectorized forms in
 import math
 import random
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellsim.agents.scoring import (
     INITIAL_PARAMS,
@@ -23,7 +25,7 @@ from cellsim.agents.scoring import (
     rus_fits,
     score,
 )
-from scoring_oracle import classify_allocation, score_gain, sias, sras
+from scoring_oracle import allocation_score, classify_allocation, score_gain, sias, sras
 
 MAX11 = (1.0, 1.0)
 
@@ -185,6 +187,34 @@ class TestGain:
         vec = score(name, np.ones_like(before), before, after)
         for i in range(len(before)):
             assert vec[i] == pytest.approx(scalar(MAX11, tuple(after[i])), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_column_wise_scorer_matches_scalar_oracle(data):
+    """Every scorer in ``SCORERS`` rates each row as the scalar formula
+    does, for 1, 2, 3 and 5 resources, with zero capacities and loads past
+    the cut-off.  To a relative 1e-12: numpy's vector power may differ from
+    Python's ``**`` in the last bit."""
+    d = data.draw(st.sampled_from([1, 2, 3, 5]))
+    rows = data.draw(st.integers(1, 20))
+
+    def matrix(values):
+        return np.array(data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                           min_size=rows, max_size=rows)))
+
+    totals = matrix(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+    before = matrix(st.one_of(st.just(0.0), st.floats(0.0, 2.5)))
+    after = before + matrix(st.floats(0.0, 0.5))
+    name = data.draw(st.sampled_from(sorted(SCORERS)))
+    params, gain = SCORERS[name]
+    level = partial(allocation_score, params)
+    scores = score(name, totals, before, after)
+    for i in range(rows):
+        total, used_before, used_after = totals[i].tolist(), before[i].tolist(), after[i].tolist()
+        expected = (score_gain(level, total, used_before, used_after) if gain
+                    else level(total, used_after))
+        assert scores[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestClassification:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, gt, itemgetter, sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,12 +86,12 @@ class PackedProblem:
         return len(self.node_ids)
 
     def loads(self, assign: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(self.capacity)
+        out = np.zeros(self.capacity.shape)
         np.add.at(out, assign, self.required)
         return out
 
     def is_stable(self, assign: np.ndarray) -> bool:
-        return bool(np.all(self.loads(assign) <= self.capacity))
+        return bool((self.loads(assign) <= self.capacity).all())
 
     def stc(self, assign: np.ndarray) -> float:
         return float(self.costs[assign != self.origin].sum())
@@ -111,17 +111,24 @@ class PackedProblem:
         return {self.task_ids[t]: self.node_ids[int(assign[t])] for t in range(self.task_count)}
 
     def key(self, assign: np.ndarray) -> bytes:
-        return assign.tobytes()
+        """The assignment's big-endian bytes: for node indices (never
+        negative) byte order is the lexicographic order of the indices."""
+        return assign.astype(">i8").tobytes()
 
 
 class CandidateSolution:
-    """One assignment with lazily derived stability, loads and origin cost."""
+    """One assignment with lazily derived stability, loads and origin cost.
 
-    __slots__ = ("problem", "assign", "_loads", "_stable", "_stc", "_moved")
+    ``key`` is the assignment's ``PackedProblem.key``; pass the one the
+    cache holds, so both share one bytes object."""
 
-    def __init__(self, problem: PackedProblem, assign: np.ndarray):
+    __slots__ = ("problem", "assign", "key", "_loads", "_stable", "_stc", "_moved")
+
+    def __init__(self, problem: PackedProblem, assign: np.ndarray,
+                 key: Optional[bytes] = None):
         self.problem = problem
         self.assign = assign
+        self.key = problem.key(assign) if key is None else key
         self._loads: Optional[np.ndarray] = None
         self._stable: Optional[bool] = None
         self._stc: Optional[float] = None
@@ -136,7 +143,7 @@ class CandidateSolution:
     @property
     def stable(self) -> bool:
         if self._stable is None:
-            self._stable = bool(np.all(self.loads <= self.problem.capacity))
+            self._stable = bool((self.loads <= self.problem.capacity).all())
         return self._stable
 
     @property
@@ -153,8 +160,7 @@ class CandidateSolution:
 
     def rank_key(self) -> tuple:
         """Stable-first ordering: lower cost, fewer moves, lexicographic."""
-        return (not self.stable, self.stc_from_origin, self.moved_count,
-                tuple(int(v) for v in self.assign))
+        return (not self.stable, self.stc_from_origin, self.moved_count, self.key)
 
     def to_assignment(self) -> dict[str, str]:
         return self.problem.assignment_of(self.assign)
@@ -200,31 +206,41 @@ def random_stable_solution(problem: PackedProblem, rng,
     """Draw a random assignment, then repeatedly re-home a tenth of the tasks
     sitting on overloaded nodes (at least one) until the system is stable.
 
-    Raises InfeasibleError when the iteration cap is hit, so callers never
-    loop forever on instances without a stable assignment.
+    The assignment, the node loads and the overloaded flags are Python
+    lists: a move subtracts the task's row from its old node's loads, adds
+    it to the new node's and re-tests those two nodes only.  Each draw is
+    made from the tasks on overloaded nodes listed in ascending order.
+
+    Raises InfeasibleError when the iteration cap is hit, or when the only
+    overloaded nodes hold no task, so callers never loop forever on
+    instances without a stable assignment.
     """
     n_nodes, n_tasks = problem.node_count, problem.task_count
     if n_nodes == 0:
         raise InfeasibleError("no nodes")
-    assign = np.array([rng.randrange(n_nodes) for _ in range(n_tasks)], dtype=np.int64)
+    assign = [rng.randrange(n_nodes) for _ in range(n_tasks)]
     if n_tasks == 0:
-        return assign
-    loads = problem.loads(assign)
+        return np.array(assign, dtype=np.int64)
+    required = problem.required.tolist()
+    capacity = problem.capacity.tolist()
+    loads = problem.loads(np.array(assign, dtype=np.int64)).tolist()
+    over = [any(map(gt, load, cap)) for load, cap in zip(loads, capacity)]
     for _ in range(max_iters):
-        overloaded = np.any(loads > problem.capacity, axis=1)
-        if not overloaded.any():
-            return assign
+        if not any(over):
+            return np.array(assign, dtype=np.int64)
         if n_nodes == 1:
             raise InfeasibleError("single overloaded node, nowhere to move")
-        over_tasks = np.flatnonzero(overloaded[assign])
-        count = max(1, len(over_tasks) // 10)
-        picked = rng.sample(list(over_tasks), count)
-        for t in picked:
-            old = int(assign[t])
+        over_tasks = [t for t, node in enumerate(assign) if over[node]]
+        if not over_tasks:
+            raise InfeasibleError("no task sits on an overloaded node")
+        for t in rng.sample(over_tasks, max(1, len(over_tasks) // 10)):
+            old = assign[t]
             new = rng.randrange(n_nodes - 1)
             if new >= old:
                 new += 1
             assign[t] = new
-            loads[old] -= problem.required[t]
-            loads[new] += problem.required[t]
+            loads[old] = list(map(sub, loads[old], required[t]))
+            loads[new] = list(map(add, loads[new], required[t]))
+            over[old] = any(map(gt, loads[old], capacity[old]))
+            over[new] = any(map(gt, loads[new], capacity[new]))
     raise InfeasibleError(f"no stable assignment found in {max_iters} iterations")

@@ -105,9 +105,9 @@ class _Run:
 
     def candidate(self, assign: np.ndarray) -> CandidateSolution:
         self.charge()
-        frozen = assign.copy()
+        key = self.problem.key(assign)
         return self.cache.lookup_or_insert(
-            self.problem.key(frozen), lambda: CandidateSolution(self.problem, frozen))
+            key, lambda: CandidateSolution(self.problem, assign.copy(), key))
 
     def offer(self, solution: CandidateSolution) -> None:
         if not solution.stable:
@@ -289,10 +289,11 @@ def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResu
         steps_at_t = 0
         while run.budget_left() and temperature > floor:
             neighbor = run.candidate(_mutate(run, current.assign))
-            delta = energy(neighbor) - current_energy
+            neighbor_energy = energy(neighbor)
+            delta = neighbor_energy - current_energy
             if delta <= 0 or run.rng.random() < math.exp(-delta / temperature):
                 current = neighbor
-                current_energy = energy(neighbor)
+                current_energy = neighbor_energy
                 run.offer(current)
             steps_at_t += 1
             if steps_at_t >= SA_STEPS_PER_TEMPERATURE:
@@ -302,8 +303,9 @@ def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResu
 
 
 def _crossover(run: _Run, a: CandidateSolution, b: CandidateSolution) -> np.ndarray:
-    mask = np.array([run.rng.random() < 0.5 for _ in range(run.problem.task_count)])
-    return np.where(mask, a.assign, b.assign).astype(np.int64)
+    draw = run.rng.random
+    mask = np.array([draw() < 0.5 for _ in range(run.problem.task_count)])
+    return np.where(mask, a.assign, b.assign)
 
 
 def _ga_loop(run: _Run, population: list[CandidateSolution],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,9 @@ RANGE_FIELDS = ("batch_duration_min", "service_duration_min", "batch_required",
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float (JSON's NaN and Infinity are not numbers here)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def _numbers(value, count: int) -> bool:
@@ -80,15 +83,16 @@ class SynthConfig:
                 raise ValueError(f"{name} must be a whole number, got {value!r}")
         for name in NUMBER_FIELDS:
             if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.arrival_window_minutes is not None and not _is_number(self.arrival_window_minutes):
-            raise ValueError(f"arrival_window_minutes must be a number, "
+            raise ValueError(f"arrival_window_minutes must be a finite number, "
                              f"got {self.arrival_window_minutes!r}")
         for name in RANGE_FIELDS:
             if not _numbers(getattr(self, name), 2):
-                raise ValueError(f"{name} must be a pair of numbers, got {getattr(self, name)!r}")
-        if not _numbers(self.node_capacity, len(RESOURCES)):
-            raise ValueError(f"node_capacity must hold one number per resource "
+                raise ValueError(f"{name} must be a pair of finite numbers, "
+                                 f"got {getattr(self, name)!r}")
+        if not _numbers(self.node_capacity, len(RESOURCES)) or min(self.node_capacity) <= 0:
+            raise ValueError(f"node_capacity must hold one positive finite number per resource "
                              f"({', '.join(RESOURCES)}), got {self.node_capacity!r}")
         if not isinstance(self.record_placements, bool):
             raise ValueError(f"record_placements must be true or false, "

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -310,11 +311,20 @@ class TestStcAccounting:
         assert int(ticks[-1]["pending"]) == len(runner.cell.pending)
 
     @pytest.mark.parametrize("override", [{"node_count": "5"}, {"node_capacity": [1.0]},
-                                          {"usage_ratio": [0.5]}, {"seed": 1.5}],
-                             ids=["text-count", "short-capacity", "short-range", "float-seed"])
+                                          {"usage_ratio": [0.5]}, {"seed": 1.5},
+                                          {"node_capacity": [math.nan, 1.0]},
+                                          {"node_capacity": [-1.0, 1.0]},
+                                          {"node_capacity": [1.0, 0]},
+                                          {"duration_minutes": math.inf},
+                                          {"usage_ratio": [0.5, math.nan]}],
+                             ids=["text-count", "short-capacity", "short-range", "float-seed",
+                                  "nan-capacity", "negative-capacity", "zero-capacity",
+                                  "infinite-duration", "nan-range"])
     def test_wrongly_typed_synth_config_is_config_error(self, tmp_path, capsys, override):
-        # a value of the wrong type or length is one config error line, not
-        # a traceback out of validation or out of the run
+        # a value of the wrong type, length or sign, or a NaN or infinity
+        # (which JSON config files may hold), is one config error line, not
+        # a traceback out of validation or out of the run, and not a run
+        # that places nothing
         config_path = tmp_path / "synth.json"
         write_synth_config(synth_config(node_count=5), config_path)
         raw = json.loads(config_path.read_text())

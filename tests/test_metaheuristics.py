@@ -38,6 +38,7 @@ from cellsim.metaheuristics.strategies import (
     _neighbor_scan,
     _Run,
 )
+from repair_oracle import random_stable_solution as oracle_random_stable_solution
 from scan_oracle import neighbor_scan as oracle_neighbor_scan
 
 
@@ -120,6 +121,95 @@ class TestRandomStableSolution:
                             assignment={"t": "a"})
         with pytest.raises(InfeasibleError):
             random_stable_solution(PackedProblem.from_state(state), random.Random(0), max_iters=50)
+
+    def test_overloaded_node_without_tasks_raises(self):
+        # node b is overloaded wherever the tasks go: once they have left it,
+        # no task can be moved to repair it
+        problem = PackedProblem(
+            task_ids=("t0", "t1"), node_ids=("a", "b"),
+            required=np.array([[1.0], [1.0]]), capacity=np.array([[10.0], [-0.5]]),
+            costs=np.array([1.0, 1.0]), origin=np.array([0, 0], dtype=np.int64))
+        for seed in range(20):
+            with pytest.raises(InfeasibleError):
+                random_stable_solution(problem, random.Random(seed))
+        for name, strategy in STRATEGY_CASES:
+            result = strategy(problem, StrategyConfig(seed=1, max_candidates=300))
+            assert not result.stable and result.best is None, name
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_repair_matches_array_oracle(data):
+    """The list-based repair loop returns the array oracle's assignment, or
+    raises its error, and leaves the generator in the same state: one node,
+    no tasks, loads in tenths (whose sums round) and negative capacities
+    (infeasible) with a small iteration cap included."""
+    dim = data.draw(st.integers(1, 5))
+    n_nodes = data.draw(st.integers(0, 6))
+    n_tasks = data.draw(st.integers(0, 45))
+    tenths = lambda rows, low, high: np.array(data.draw(st.lists(
+        st.lists(st.integers(low, high).map(lambda v: v / 10), min_size=dim, max_size=dim),
+        min_size=rows, max_size=rows)), dtype=np.float64).reshape(rows, dim)
+    # a node's mean demand is 2 * n_tasks / n_nodes: capacities from 1.5 to
+    # 4 times that are mostly feasible, from 0 or below mostly not
+    share = 10 * max(1, n_tasks) // max(1, n_nodes)
+    problem = PackedProblem(
+        task_ids=tuple(f"t{i}" for i in range(n_tasks)),
+        node_ids=tuple(f"n{i}" for i in range(n_nodes)),
+        required=tenths(n_tasks, 0, 40),
+        capacity=tenths(n_nodes, data.draw(st.sampled_from([3 * share, 0, -5])), 8 * share),
+        costs=np.ones(n_tasks),
+        origin=np.zeros(n_tasks, dtype=np.int64))
+    seed = data.draw(st.integers(0, 2**32))
+    max_iters = data.draw(st.one_of(st.integers(1, 8), st.just(300)))
+
+    def repair(fn):
+        rng = random.Random(seed)
+        try:
+            assign = fn(problem, rng, max_iters=max_iters)
+            out = (assign.dtype, assign.tolist())
+        except InfeasibleError as exc:
+            out = ("infeasible", str(exc))
+        return out, rng.getstate()
+
+    assert repair(random_stable_solution) == repair(oracle_random_stable_solution)
+
+
+#: Node indices on both sides of the one- and two-byte boundaries.
+BOUNDARY_NODES = (0, 1, 2, 254, 255, 256, 257, 65_534, 65_535, 65_536, 65_537)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rank_key_orders_like_the_index_tuple(data):
+    """Ranking by the big-endian key sorts candidates as ranking by the
+    tuple of node indices does, with index pairs that differ in any byte;
+    and a cached candidate's key is the cache's own bytes object."""
+    n_nodes = BOUNDARY_NODES[-1] + 1
+    n_tasks = data.draw(st.integers(0, 4))
+    nodes = st.one_of(st.sampled_from(BOUNDARY_NODES), st.integers(0, n_nodes - 1))
+    problem = PackedProblem(
+        task_ids=tuple(f"t{i}" for i in range(n_tasks)),
+        node_ids=tuple(f"n{i}" for i in range(n_nodes)),
+        required=np.ones((n_tasks, 1)),
+        # capacities 0, 1 and 2 in turn: some candidates are unstable
+        capacity=(np.arange(n_nodes) % 3).astype(np.float64).reshape(n_nodes, 1),
+        costs=np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]),
+                                          min_size=n_tasks, max_size=n_tasks))),
+        origin=np.array(data.draw(st.lists(nodes, min_size=n_tasks, max_size=n_tasks)),
+                        dtype=np.int64))
+    run = _Run(problem, StrategyConfig(seed=0))
+    assigns = data.draw(st.lists(st.lists(nodes, min_size=n_tasks, max_size=n_tasks),
+                                 min_size=1, max_size=12))
+    solutions = [run.candidate(np.array(a, dtype=np.int64)) for a in assigns]
+    cached = {key: key for key in run.cache._entries}
+    assert all(s.key is cached[s.key] for s in solutions)
+
+    def by_tuple(s):
+        return (not s.stable, s.stc_from_origin, s.moved_count, tuple(int(v) for v in s.assign))
+    order = range(len(solutions))
+    assert (sorted(order, key=lambda i: solutions[i].rank_key())
+            == sorted(order, key=lambda i: by_tuple(solutions[i])))
 
 
 class TestSolutionCache:

@@ -10,11 +10,13 @@ a task with restrictive constraints cannot starve.
 
 Execution is deterministic: a seeded single-threaded scheduler splits each
 tick into rounds, delivering messages sent in one round at the start of the
-next, and processing agents in sorted-id order.  A round's messages are
-delivered by recipient id; each recipient takes its status reports first,
-then the rest, each group in send order.  A broker answers a round's quote
-requests as one batch, from the cache its status reports have just fixed,
-and replies in request order.  A transfer takes one round.
+next, and processing agents in sorted-id order.  Each message goes into its
+recipient's mailbox as it is sent; a round delivers the mailboxes in
+recipient-id order, each in send order, and mail to a node that leaves the
+cell is dropped with its mailbox.  A broker applies all of a round's status
+reports before it answers any request: it answers the round's quote
+requests as one batch, from the cache the reports have just fixed, and
+replies in request order.  A transfer takes one round.
 Wall-clock never enters the simulation.  Node and task vectors are the
 cell's float64 arrays, used without conversion.
 """
@@ -25,8 +27,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from operator import add, gt, le
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -215,28 +216,34 @@ class NodeAgent:
     # -- admission checks ---------------------------------------------------------
 
     def admission_ok(self, snapshot: TaskSnapshot, forced: bool) -> bool:
-        # element by element: numpy's per-call cost dwarfs a few comparisons
+        # element by element on Python floats: numpy's per-call cost dwarfs
+        # a few comparisons.  Loads add up as (used + incoming) + task, and
+        # the RUS test is ``rus_fits``'s ``all(<=)``, NaN outcomes included.
         node = self.node
-        if not matches_attributes(snapshot.constraints, node.attributes):
+        if snapshot.constraints and not matches_attributes(snapshot.constraints, node.attributes):
             return False
         total = node.total.tolist()
-        if any(req > cap for req, cap in zip(snapshot.required, total)):
+        required = snapshot.required.tolist()
+        if any(map(gt, required, total)):
             return False  # total capacity must suffice even when forced
         if forced:
             return True
-        load = zip(node.used.tolist(), self.incoming_used.tolist(), snapshot.used, total)
-        if any(used + incoming + extra > cap for used, incoming, extra, cap in load):
+        load = map(add, map(add, node.used.tolist(), self.incoming_used.tolist()),
+                   snapshot.used.tolist())
+        if any(map(gt, load, total)):
             return False
-        prod = [p + i for p, i in zip(node.prod_required.tolist(), self.incoming_prod_req.tolist())]
+        prod = map(add, node.prod_required.tolist(), self.incoming_prod_req.tolist())
         if snapshot.production:
-            prod = [p + r for p, r in zip(prod, snapshot.required)]
-        return rus_fits(total, prod)
+            prod = map(add, prod, required)
+        return all(map(le, prod, total))
 
-    def stats(self) -> NodeStats:
-        # the fold updates the node's load sum in place: report a copy
+    def stats(self, projected: bool = False) -> NodeStats:
+        """The node's totals and one load: its used sum (a copy, as the fold
+        updates the sum in place), or when ``projected`` the used sum plus
+        the reservations of the transfers coming in."""
         node = self.node
-        return NodeStats(node_id=self.id, total=node.total, used=node.used.copy(),
-                         projected_used=node.used + self.incoming_used)
+        load = node.used + self.incoming_used if projected else node.used.copy()
+        return NodeStats(node_id=self.id, total=node.total, load=load)
 
     # -- protocol ------------------------------------------------------------------
 
@@ -258,13 +265,12 @@ class NodeAgent:
         # Acceptance only signals readiness; nothing is reserved yet.
         snapshot = message.task
         if self.admission_ok(snapshot, forced=False):
-            kind = MessageKind.TASK_MIGRATION_ACCEPTANCE_RESPONSE
+            kind, stats = MessageKind.TASK_MIGRATION_ACCEPTANCE_RESPONSE, self.stats(projected=True)
         else:
-            kind = MessageKind.TASK_MIGRATION_REJECTION_RESPONSE
+            kind, stats = MessageKind.TASK_MIGRATION_REJECTION_RESPONSE, None
         self.engine.send(Message(
             kind=kind, sender=self.id, recipient=message.sender,
-            correlation_id=message.correlation_id, task=snapshot,
-            node_stats=self.stats()))
+            correlation_id=message.correlation_id, task=snapshot, node_stats=stats))
 
     def _handle_process_request(self, message: Message) -> None:
         snapshot = message.task
@@ -336,7 +342,7 @@ class NodeAgent:
         choice: Optional[int] = None
         if regular:
             stats = [negotiation.accepted[quote.node_ids[i]] for i in regular]
-            before = np.stack([s.projected_used for s in stats])
+            before = np.stack([s.load for s in stats])
             weights = score(engine.config.realloc_scorer, np.stack([s.total for s in stats]),
                             before, before + snapshot.used).tolist()
             positive = [(i, w) for i, w in zip(regular, weights) if w > 0]
@@ -542,7 +548,7 @@ class BrokerAgent:
                 return  # a report delivered after its node left the cell
             row = self._add_row(stats.node_id)
         self.totals[row] = stats.total
-        self.available[row] = stats.total - stats.used
+        self.available[row] = stats.total - stats.load
         self.last_update[row] = now
         self._used = None
 
@@ -728,8 +734,8 @@ class BrokerAgent:
     # -- protocol ------------------------------------------------------------------
 
     def deliver(self, mail: list) -> None:
-        """One round's messages to this broker, status reports first (the
-        delivery sort puts them there).  The reports fix the cache, so the
+        """One round's messages to this broker, in send order.  The status
+        reports fix the cache before any request is answered, so the
         round's quote requests are answered together, from one batch; every
         reply still goes out in the order of its request."""
         engine = self.engine
@@ -849,7 +855,8 @@ class AgentEngine(Engine):
             broker_id = f"broker-{index:03d}"
             self.brokers[broker_id] = BrokerAgent(broker_id, self)
         self._broker_ids = sorted(self.brokers)
-        self._outbox: list[Message] = []
+        #: recipient -> the mail sent to it this round, in send order
+        self._mailboxes: dict[str, list[Message]] = {}
         self._correlation = 0
         #: (target, task) of the transfers started this round.  A transfer
         #: completes at the next round's start (the last round's at the tick's
@@ -891,7 +898,7 @@ class AgentEngine(Engine):
         return rng.choice(self._broker_ids)
 
     def send(self, message: Message) -> None:
-        self._outbox.append(message)
+        self._mailboxes.setdefault(message.recipient, []).append(message)
         if self.message_trace is not None:
             self.message_trace(message.trace_line(self.now_us))
 
@@ -1024,7 +1031,7 @@ class AgentEngine(Engine):
                     self.agents[reservation.source].task_left(task_id)
         cell.apply(event)
         # mail to the node is lost with it, even if a node of its id comes back
-        self._outbox = [m for m in self._outbox if m.recipient != event.node_id]
+        self._mailboxes.pop(event.node_id, None)
         for broker in self.brokers.values():
             broker.drop_node(event.node_id)
             # a placement requested of the node gets no answer: quote it afresh
@@ -1070,14 +1077,14 @@ class AgentEngine(Engine):
 
     def _run_round(self, round_index: int) -> None:
         self._complete_transfers()
-        # deliver everything sent last round: by recipient, monitoring data
-        # before any request is answered, each in send order (a stable sort)
-        outbox, self._outbox = self._outbox, []
-        outbox.sort(key=lambda m: (m.recipient, m.kind is not MessageKind.STATUS_REPORT))
-        for recipient, mail in groupby(outbox, key=attrgetter("recipient")):
+        # deliver everything sent last round: by recipient, each mailbox in
+        # send order
+        mailboxes, self._mailboxes = self._mailboxes, {}
+        for recipient in sorted(mailboxes):
+            mail = mailboxes[recipient]
             broker = self.brokers.get(recipient)
             if broker is not None:
-                broker.deliver(list(mail))
+                broker.deliver(mail)
                 continue
             agent = self.agents.get(recipient)
             if agent is not None:

@@ -4,9 +4,10 @@ All communication is point-to-point request/response; every response carries
 its request's correlation id.  Status reports are the monitoring channel
 from node agents to brokers and sit outside the negotiation protocol.
 Resource vectors travel as float64 arrays: the cell's own read-only ones,
-and a copy of a node's load sum, which the cell updates in place, so a
-message keeps its values whatever the cell does next.  A broker's quote is
-one record for all its candidate nodes, not one object per node.
+and fresh arrays for a node's load (the cell updates its load sums in
+place), so a message keeps its values whatever the cell does next.  A
+broker's quote is one record for all its candidate nodes, not one object
+per node.
 """
 
 from __future__ import annotations
@@ -77,12 +78,14 @@ class TaskSnapshot:
 
 @dataclass(slots=True)
 class NodeStats:
-    """Fresh node-side numbers carried on acceptance responses."""
+    """Fresh node-side numbers: the totals and the one load its reader
+    uses.  A status report carries a copy of the node's used sum; an
+    acceptance response carries the used sum plus the loads of the
+    transfers the node has reserved."""
 
     node_id: str
     total: np.ndarray
-    used: np.ndarray
-    projected_used: np.ndarray
+    load: np.ndarray
 
 
 @dataclass(slots=True)

@@ -14,6 +14,7 @@ continues bit-identically.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Iterable
 
@@ -166,7 +167,11 @@ class SimulationRunner:
             if not sources:
                 raise TraceError(f"no trace files found under {trace_dir}")
         else:
-            sources = [synth_generate(config.synth)]
+            synth = config.synth
+            if config.mode != "replay":
+                # only replay reads recorded placements: skip their first-fit scan
+                synth = dataclasses.replace(synth, record_placements=False)
+            sources = [synth_generate(synth)]
         if config.scale_factor > 1:
             sources = [scale_cell(src, config.scale_factor) for src in sources]
         return WindowCollector(sources, self.sink)

@@ -15,9 +15,9 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 12: a broker's cache is arrays over a
-#: stable row per node.
-VERSION = 12
+#: version control log).  Version 13: the agent engine's pending mail is
+#: one mailbox per recipient.
+VERSION = 13
 
 
 class SnapshotError(RuntimeError):

@@ -2,9 +2,10 @@
 
 Traces arrive as directories of (optionally gzipped) ``part-*.csv`` files
 in the public cluster-trace v2 table layout (``LAYOUT``); ``job_events``
-carries no per-task state and is not read.  Malformed lines are counted and
-skipped, and a part that cannot be read to its end is reported once and
-left there; a parser must never crash the simulation.
+carries no per-task state and is not read.  Malformed lines, and numbers
+that are NaN, infinite or negative, are counted and skipped, and a part
+that cannot be read to its end is reported once and left there; a parser
+must never crash the simulation.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import gzip
 import io
 import itertools
+import math
 import zlib
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
@@ -82,8 +84,15 @@ class Row:
         return int(self.require(name))
 
     def float_field(self, name: str, default: float) -> float:
+        """The field as a number; every numeric field read is a capacity,
+        request or usage, so a NaN, infinite or negative value is refused."""
         raw = self.get(name)
-        return float(raw) if raw else default
+        if not raw:
+            return default
+        value = float(raw)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"field {name!r} is not a finite non-negative number: {raw!r}")
+        return value
 
     def request(self) -> tuple[float, float]:
         return self.float_field("cpu_request", 0.0), self.float_field("memory_request", 0.0)

@@ -141,13 +141,18 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
     """Yield a reproducible, timestamp-sorted workload event stream.
 
     The stream is generated lazily.  All arrivals are drawn first; then each
-    task is built in arrival order and its events go onto a heap keyed
-    ``(timestamp, VARIANT_PRIORITY, sequence)``, the order ``sort_events``
-    gives the whole list.  Arrivals never decrease and a task's events are
-    never stamped before its arrival, so before each arrival every event
-    stamped earlier is final and is yielded.  Reading the first minutes of a
-    long horizon builds only the tasks arriving in them, and memory follows
-    the scheduled events, not the horizon.
+    task is built in arrival order.  A built task has at most one follow-up
+    event pending: its AddTask goes onto a heap with its first usage report
+    (or its removal), and each later follow-up is pushed only when the one
+    before it is yielded, always strictly later.  Heap keys are
+    ``(timestamp, VARIANT_PRIORITY, task index, step)``, the order
+    ``sort_events`` gives the whole list.  Arrivals never decrease and a
+    task's events are never stamped before its arrival, so before each
+    arrival every event stamped earlier is final and is yielded.  Reading
+    the first minutes of a long horizon builds only the tasks arriving in
+    them and only the follow-ups stamped in them, and memory follows the
+    live tasks, not the horizon.  Every task lasts at least 1 µs, so its
+    removal never sorts ahead of its AddTask.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -202,15 +207,41 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
     add_rank = ev.VARIANT_PRIORITY[ev.EventKind.ADD_TASK]
     used_rank = ev.VARIANT_PRIORITY[ev.EventKind.UPDATE_TASK_USED]
     remove_rank = ev.VARIANT_PRIORITY[ev.EventKind.REMOVE_TASK]
-    scheduled: list[tuple] = []  # heap of (timestamp, variant priority, sequence, event)
+    # heap of (timestamp, variant priority, task index, step, payload): an
+    # AddTask's payload is its event, a follow-up's the task's
+    # (task_id, usage, stop, end_us); no two entries tie on the first three
+    scheduled: list[tuple] = []
     push, pop = heapq.heappush, heapq.heappop
-    sequence = 0
     interval = int(config.usage_interval_minutes * MINUTE_US)
     ramp = max(1, config.usage_ramp_updates)
-    for seq, arrival in enumerate(arrivals):
+
+    def follow(report: int, index: int, step: int, task: tuple) -> None:
+        """Push the task's next follow-up: the usage report stamped
+        ``report`` while the task lives, then its removal, if it ends
+        within the horizon."""
+        _, _, stop, end_us = task
+        if report < stop:
+            push(scheduled, (report, used_rank, index, step, task))
+        elif end_us is not None:
+            push(scheduled, (end_us, remove_rank, index, step, task))
+
+    def release(entry: tuple) -> ev.WorkloadEvent:
+        """The entry's event; a usage report pushes the task's next follow-up."""
+        timestamp, rank, index, step, payload = entry
+        if rank == add_rank:
+            return payload
+        task_id, usage, _, _ = payload
+        if rank == remove_rank:
+            return ev.RemoveTaskEvent(timestamp=timestamp, task_id=task_id)
+        follow(timestamp + interval, index, step + 1, payload)
+        scale = min(1.0, step / ramp)
+        return ev.UpdateTaskUsedEvent(timestamp=timestamp, task_id=task_id,
+                                      used=tuple(u * scale for u in usage))
+
+    for index, arrival in enumerate(arrivals):
         while scheduled and scheduled[0][0] < arrival:
-            yield pop(scheduled)[3]
-        task_id = f"t{seq:07d}"
+            yield release(pop(scheduled))
+        task_id = f"t{index:07d}"
         is_batch = rng.random() < config.batch_fraction
         if is_batch:
             duration = rng.uniform(*config.batch_duration_min) * MINUTE_US
@@ -220,7 +251,7 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
             duration = rng.uniform(*config.service_duration_min) * MINUTE_US
             required = tuple(rng.uniform(*config.service_required) * cap
                              for cap in config.node_capacity)
-        end = arrival + int(duration)
+        end = arrival + max(1, int(duration))
         end_us = end if end < horizon_us else None
         usage = tuple(req * rng.uniform(*config.usage_ratio) for req in required)
         group: Optional[str] = None
@@ -232,12 +263,12 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
 
         recorded_node = None
         if config.record_placements:
-            index = record_placement(arrival, required, group)
-            if index is not None:
-                recorded_node = node_ids[index]
+            node = record_placement(arrival, required, group)
+            if node is not None:
+                recorded_node = node_ids[node]
                 if end_us is not None:
-                    heapq.heappush(running, (end_us, index, required))
-        push(scheduled, (arrival, add_rank, sequence, ev.AddTaskEvent(
+                    heapq.heappush(running, (end_us, node, required))
+        push(scheduled, (arrival, add_rank, index, 0, ev.AddTaskEvent(
             timestamp=arrival,
             task_id=task_id,
             required=required,
@@ -246,24 +277,8 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
             constraints=constraints,
             recorded_node=recorded_node,
         )))
-        sequence += 1
-        report = arrival + interval // 2
         stop = end_us if end_us is not None else horizon_us
-        step = 0
-        while report < stop:
-            step += 1
-            scale = min(1.0, step / ramp)
-            push(scheduled, (report, used_rank, sequence, ev.UpdateTaskUsedEvent(
-                timestamp=report,
-                task_id=task_id,
-                used=tuple(u * scale for u in usage),
-            )))
-            sequence += 1
-            report += interval
-        if end_us is not None:
-            push(scheduled, (end_us, remove_rank, sequence,
-                             ev.RemoveTaskEvent(timestamp=end_us, task_id=task_id)))
-            sequence += 1
+        follow(arrival + interval // 2, index, 1, (task_id, usage, stop, end_us))
 
     while scheduled:
-        yield pop(scheduled)[3]
+        yield release(pop(scheduled))

@@ -75,7 +75,7 @@ def eager_synth_events(config: SynthConfig) -> list[ev.WorkloadEvent]:
             duration = rng.uniform(*config.service_duration_min) * MINUTE_US
             required = tuple(rng.uniform(*config.service_required) * cap
                              for cap in config.node_capacity)
-        end = arrival + int(duration)
+        end = arrival + max(1, int(duration))
         end_us = end if end < horizon_us else None
         usage = tuple(req * rng.uniform(*config.usage_ratio) for req in required)
         group = None

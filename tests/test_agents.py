@@ -1,12 +1,15 @@
 """Agent protocol behavior: quoting, admission, negotiation, safety."""
 
 import copy
+import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import admission_oracle
 import quote_oracle
 import selection_oracle
 from cell_oracle import assert_loads_match
@@ -36,6 +39,18 @@ from scoring_oracle import allocation_score
 
 CAT2 = ResourceTypeCatalog(("cpu", "memory"))
 MIN_US = 60 * 1_000_000
+
+
+def snap(task_id, required, used, production=False, constraints=(), cost=10.0):
+    """A task snapshot with float64 vectors, as ``AgentEngine.snapshot_task``
+    builds them."""
+    return TaskSnapshot(task_id, np.array(required, dtype=float), np.array(used, dtype=float),
+                        production, tuple(constraints), cost)
+
+
+def pending_mail(engine):
+    """The messages queued for the next round, recipient by recipient."""
+    return [message for mailbox in engine._mailboxes.values() for message in mailbox]
 
 
 def build_engine(node_totals, seed=1, config=None, attrs=None, records=None):
@@ -475,7 +490,7 @@ def test_gossip_keeps_each_rows_newest_report():
     total = np.array([1.0, 1.0])
 
     def report(broker, node_id, load, now):
-        broker.update_cache(NodeStats(node_id, total, np.array([load, load]), total), now)
+        broker.update_cache(NodeStats(node_id, total, np.array([load, load])), now)
 
     report(first, "n001", 0.5, 10)
     report(second, "n001", 0.7, 20)
@@ -605,7 +620,8 @@ def test_unschedulable_quote_is_answered_with_none():
     engine.brokers["broker-000"].deliver([Message(
         kind=MessageKind.GET_CANDIDATE_NODES_REQUEST, sender="n000", recipient="broker-000",
         correlation_id=7, task=snapshot)])
-    (reply,) = [m for m in engine._outbox if m.kind is MessageKind.GET_CANDIDATE_NODES_RESPONSE]
+    (reply,) = [m for m in pending_mail(engine)
+                if m.kind is MessageKind.GET_CANDIDATE_NODES_RESPONSE]
     assert (reply.recipient, reply.correlation_id, reply.quote) == ("n000", 7, None)
     assert engine.unschedulable == {"t"}
 
@@ -614,22 +630,22 @@ class TestAdmission:
     def test_empty_node_accepts_small_task(self):
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
-        snapshot = TaskSnapshot("t", (0.2, 0.2), (0.1, 0.1), False, (), 10.0)
+        snapshot = snap("t", (0.2, 0.2), (0.1, 0.1))
         assert agent.admission_ok(snapshot, forced=False)
 
     def test_projected_overflow_rejects(self):
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
-        inflight = TaskSnapshot("a", (0.5, 0.5), (0.6, 0.6), False, (), 10.0)
+        inflight = snap("a", (0.5, 0.5), (0.6, 0.6))
         agent.reserve(inflight, source="elsewhere", forced=False, rec_age_us=0)
-        snapshot = TaskSnapshot("t", (0.2, 0.2), (0.5, 0.5), False, (), 10.0)
+        snapshot = snap("t", (0.2, 0.2), (0.5, 0.5))
         assert not agent.admission_ok(snapshot, forced=False)
 
     def test_constraint_mismatch_rejects_even_when_empty(self):
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
-        snapshot = TaskSnapshot("t", (0.1, 0.1), (0.1, 0.1), False,
-                                (TaskConstraint(Op.EQUAL, "zone", "eu"),), 10.0)
+        snapshot = snap("t", (0.1, 0.1), (0.1, 0.1),
+                        constraints=(TaskConstraint(Op.EQUAL, "zone", "eu"),))
         assert not agent.admission_ok(snapshot, forced=False)
         assert not agent.admission_ok(snapshot, forced=True)  # survives forcing
 
@@ -638,20 +654,97 @@ class TestAdmission:
         agent = engine.agents["n000"]
         add_task(engine, "prod1", required=(0.3, 0.1), used=(0.05, 0.05),
                  production=True, node="n000")
-        snapshot = TaskSnapshot("t", (0.25, 0.1), (0.01, 0.01), True, (), 10.0)
+        snapshot = snap("t", (0.25, 0.1), (0.01, 0.01), production=True)
         assert not agent.admission_ok(snapshot, forced=False)  # 0.55 > 0.5
-        non_prod = TaskSnapshot("t2", (0.25, 0.1), (0.01, 0.01), False, (), 10.0)
+        non_prod = snap("t2", (0.25, 0.1), (0.01, 0.01))
         assert agent.admission_ok(non_prod, forced=False)
 
     def test_forced_skips_availability_not_capacity(self):
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
         add_task(engine, "big", required=(0.2, 0.2), used=(0.95, 0.95), node="n000")
-        fits_total = TaskSnapshot("t", (0.3, 0.3), (0.2, 0.2), False, (), 10.0)
+        fits_total = snap("t", (0.3, 0.3), (0.2, 0.2))
         assert not agent.admission_ok(fits_total, forced=False)
         assert agent.admission_ok(fits_total, forced=True)
-        too_big = TaskSnapshot("t2", (1.5, 0.1), (0.2, 0.2), False, (), 10.0)
+        too_big = snap("t2", (1.5, 0.1), (0.2, 0.2))
         assert not agent.admission_ok(too_big, forced=True)
+
+
+#: Admission inputs: tenths and quarters (whose sums land exactly on a
+#: bound, or round past it), zero, NaN and infinity.
+ADMISSION_VALUES = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0,
+                                    math.nan, math.inf])
+
+
+def stub_agent(total, used, prod_required, incoming_used, incoming_prod_req, attributes=None):
+    """What ``NodeAgent.admission_ok`` reads of an agent and its node."""
+    return SimpleNamespace(
+        node=SimpleNamespace(total=total, used=used, prod_required=prod_required,
+                             attributes=attributes or {}),
+        incoming_used=incoming_used, incoming_prod_req=incoming_prod_req)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_admission_matches_generator_oracle(data):
+    dim = data.draw(st.integers(1, 3))
+
+    def vector():
+        return np.array(data.draw(st.lists(ADMISSION_VALUES, min_size=dim, max_size=dim)))
+
+    zone = TaskConstraint(Op.EQUAL, "zone", "eu")
+    agent = stub_agent(vector(), vector(), vector(), vector(), vector(),
+                       data.draw(st.sampled_from([{}, {"zone": "eu"}])))
+    snapshot = snap("t", vector(), vector(), production=data.draw(st.booleans()),
+                    constraints=data.draw(st.sampled_from([(), (zone,)])))
+    forced = data.draw(st.booleans())
+    assert (NodeAgent.admission_ok(agent, snapshot, forced)
+            is admission_oracle.admission_ok(agent, snapshot, forced))
+
+
+@pytest.mark.parametrize("first, second, third, total", [
+    (0.1, 0.2, 0.3, 0.6), (0.1, 0.1, 0.4, 0.6), (0.2, 0.4, 0.3, 0.9)])
+def test_admission_adds_in_the_oracles_order(first, second, third, total):
+    """``(first + second) + third`` rounds past the total where
+    ``first + (second + third)`` does not: the node's load, then the
+    incoming reservations, then the task, for both the used and the
+    production-required sums."""
+    assert (first + second) + third > total >= first + (second + third)
+    one = np.array
+    by_load = stub_agent(one([total]), one([first]), one([0.0]), one([second]), one([0.0]))
+    by_rus = stub_agent(one([total]), one([0.0]), one([first]), one([0.0]), one([second]))
+    for agent, snapshot in ((by_load, snap("t", [0.0], [third])),
+                            (by_rus, snap("t", [third], [0.0], production=True))):
+        assert not NodeAgent.admission_ok(agent, snapshot, False)
+        assert not admission_oracle.admission_ok(agent, snapshot, False)
+
+
+def test_mailboxes_deliver_in_send_order_and_drop_a_removed_nodes_mail():
+    """Each recipient gets its round's mail in send order (a broker's
+    status reports among its other mail); mail to a node that leaves the
+    cell is lost, even when a node of its id comes back."""
+    engine = build_engine([(1.0, 1.0)] * 3)
+    broker = engine.brokers["broker-000"]
+    delivered = []
+    broker.deliver = lambda mail: delivered.extend((broker.id, m.correlation_id) for m in mail)
+    for agent in engine.agents.values():
+        agent.handle = lambda message, node_id=agent.id: delivered.append(
+            (node_id, message.correlation_id))
+    kinds = {"broker-000": [MessageKind.GET_CANDIDATE_NODES_REQUEST, MessageKind.STATUS_REPORT,
+                            MessageKind.GET_CANDIDATE_NODES_REQUEST, MessageKind.STATUS_REPORT]}
+    sends = ["n002", "broker-000", "n001", "n000", "broker-000", "n002", "n001",
+             "broker-000", "n000", "broker-000", "n002"]
+    for corr, recipient in enumerate(sends):
+        kind = (kinds[recipient].pop(0) if recipient in kinds
+                else MessageKind.TASK_MIGRATION_REQUEST)
+        engine.send(Message(kind=kind, sender="n000", recipient=recipient, correlation_id=corr))
+    engine.apply_events([ev.RemoveNodeEvent(timestamp=0, node_id="n001"),
+                         ev.AddNodeEvent(timestamp=0, node_id="n001", total=(1.0, 1.0))])
+    engine.agents["n001"].handle = lambda message: delivered.append(("n001", message))
+    engine._run_round(1)
+    expected = [(recipient, corr) for recipient in sorted(set(sends)) if recipient != "n001"
+                for corr, to in enumerate(sends) if to == recipient]
+    assert delivered == expected
 
 
 def test_rus_spike_counts_jumps_above_a_tenth_of_capacity():
@@ -835,7 +928,7 @@ def test_placement_refused_after_its_task_ended_is_dropped():
                                          production=True) for i in range(3)])
     engine.run_tick()
     broker = engine.brokers["broker-000"]
-    refused = [m.task.task_id for m in engine._outbox
+    refused = [m.task.task_id for m in pending_mail(engine)
                if m.kind is MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE]
     assert refused
     engine.apply_events([ev.RemoveTaskEvent(timestamp=0, task_id=f"p{i}") for i in range(3)])
@@ -894,11 +987,15 @@ def test_placement_in_flight_to_a_departing_node_is_retried(rounds, readd):
 def test_agent_stats_keep_their_values():
     engine = build_engine([(1.0, 1.0)])
     add_task(engine, "t", required=(0.3, 0.3), used=(0.2, 0.1), node="n000")
-    stats = engine.agents["n000"].stats()
+    agent = engine.agents["n000"]
+    agent.reserve(snap("in", (0.1, 0.1), (0.25, 0.5)), source="elsewhere", forced=False,
+                  rec_age_us=0)
+    report, reply = agent.stats(), agent.stats(projected=True)
     engine.apply_events([ev.UpdateTaskUsedEvent(timestamp=0, task_id="t", used=(0.5, 0.4))])
+    agent.release_reservation("in")
     assert engine.cell.nodes["n000"].used.tolist() == [0.5, 0.4]
-    assert stats.used.tolist() == [0.2, 0.1]
-    assert stats.projected_used.tolist() == [0.2, 0.1]
+    assert report.load.tolist() == [0.2, 0.1]
+    assert reply.load.tolist() == [0.45, 0.6]
 
 
 def test_task_snapshot_keeps_its_usage():
@@ -921,7 +1018,7 @@ def check_agent_invariants(engine):
     for task_id, node_id in engine.reservation_target.items():
         assert task_id in engine.agents[node_id].in_migrations, (task_id, node_id)
     # between ticks every placement in flight awaits a queued request or answer
-    queued = {message.correlation_id for message in engine._outbox}
+    queued = {message.correlation_id for message in pending_mail(engine)}
     for broker in engine.brokers.values():
         assert set(broker.in_flight) <= queued, broker.id
     assert engine.cell.conservation_holds()

@@ -177,6 +177,19 @@ class TestReplayMode:
         assert all(r["overloaded"] == "0" for r in rows)
         assert runner.cell.conservation_holds()
 
+    @pytest.mark.parametrize("mode", ["replay", "masb", "metaheuristic"])
+    def test_only_replay_records_synthetic_placements(self, tmp_path, mode):
+        """The other modes read no recorded placement, so their synthetic
+        source skips the first-fit scan; the stream is otherwise the same."""
+        config = run_config(tmp_path, mode=mode)
+        runner = SimulationRunner(config)
+        events = list(runner.collector.collect_window(0, 10 * 60_000_000))
+        recorded = [e.recorded_node for e in events if isinstance(e, ev.AddTaskEvent)]
+        assert recorded and any(recorded) == (mode == "replay")
+        plain = dataclasses.replace(config.synth, record_placements=False)
+        assert [dataclasses.replace(e, recorded_node=None) if isinstance(e, ev.AddTaskEvent)
+                else e for e in events] == list(synth_generate(plain))
+
     def test_usage_dump_written(self, tmp_path):
         config = run_config(tmp_path, mode="replay", ticks=10, usage_dump_every=5)
         SimulationRunner(config).run()

@@ -110,8 +110,22 @@ class TestRandomStableSolution:
             assert is_system_stable(rebuilt)
 
     def test_min_one_task_moved_per_iteration(self):
-        # 5 tasks overload one node: 10% of 5 floors to 0, clamps to 1
-        assert max(1, 5 // 10) == 1
+        # every task is too big for any node, so all 5 sit on overloaded
+        # nodes: a tenth of 5 floors to 0, and the rule clamps it to 1
+        asked = []
+
+        class Recording(random.Random):
+            def sample(self, population, k, **kwargs):
+                asked.append((len(population), k))
+                return super().sample(population, k, **kwargs)
+
+        problem = PackedProblem(
+            task_ids=tuple(f"t{i}" for i in range(5)), node_ids=("a", "b"),
+            required=np.ones((5, 1)), capacity=np.array([[0.5], [0.5]]),
+            costs=np.ones(5), origin=np.zeros(5, dtype=np.int64))
+        with pytest.raises(InfeasibleError):
+            random_stable_solution(problem, Recording(3), max_iters=1)
+        assert asked == [(5, 1)]
 
     def test_infeasible_raises_not_loops(self):
         catalog = ResourceTypeCatalog(("cpu",))

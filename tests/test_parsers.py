@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from cellsim.harness.cli import main as cli_main
+from cellsim.harness.config import RunConfig
+from cellsim.harness.runner import SimulationRunner
 from cellsim.harness.tracewriter import write_synthetic_trace
 from cellsim.workload import AnomalyKind, AnomalySink, ConstraintOperator as Op
 from cellsim.workload import SynthConfig, synth_generate
@@ -66,6 +68,17 @@ class TestMachineEvents:
             "machine_events: unknown machine event code 99",
         ]
 
+    @pytest.mark.parametrize("cpus", ["nan", "inf", "-0.5"])
+    def test_capacity_that_is_no_finite_non_negative_number_is_corrupt(self, tmp_path, cpus):
+        path = write_csv(tmp_path / "m.csv", [
+            [0, "m1", 0, "p", cpus, 0.5],
+            [0, "m2", 0, "p", 0.5, 0.5],
+        ])
+        sink = AnomalySink()
+        assert [e.node_id for e in parse("machine_events", [path], sink=sink)] == ["m2"]
+        assert corrupt_details(sink) == [
+            f"machine_events: field 'cpus' is not a finite non-negative number: '{cpus}'"]
+
     def test_gzip_supported(self, tmp_path):
         path = tmp_path / "machine_events" / "part-00000-of-00001.csv.gz"
         path.parent.mkdir(parents=True)
@@ -97,6 +110,14 @@ class TestTaskEvents:
         assert event.task_id == "10-3"
         assert event.required == (0.25, 0.125)
         assert event.production is True  # priority 11 >= production band
+
+    def test_negative_request_is_corrupt(self, tmp_path):
+        sink = AnomalySink()
+        assert self._events(tmp_path, {
+            "timestamp": 5, "job_id": 10, "task_index": 3, "event_type": 0,
+            "cpu_request": 0.25, "memory_request": -0.125}, sink) == []
+        assert corrupt_details(sink) == [
+            "task_events: field 'memory_request' is not a finite non-negative number: '-0.125'"]
 
     def test_schedule_generates_nothing(self, tmp_path):
         sink = AnomalySink()
@@ -267,6 +288,31 @@ def test_run_over_an_unreadable_part_exits_0(tmp_path, case):
     lines = (out / "logs" / "run-error.log").read_text().splitlines()
     corrupt = [line for line in lines if line.startswith(AnomalyKind.CORRUPT_RECORD.value + "\t")]
     assert len(corrupt) == 1 and f"cannot read {bad} after " in corrupt[0]
+
+
+def test_machine_with_nan_capacity_is_left_out_of_the_cell(tmp_path):
+    """A NaN capacity is one CorruptRecord; the centralized balancer places
+    the tasks on the other three nodes (a NaN total would have made every
+    assignment unstable, so nothing would have been placed)."""
+    trace_dir = tmp_path / "trace"
+    write_synthetic_trace(SynthConfig(seed=1, node_count=4, task_arrival_rate=10.0,
+                                      duration_minutes=10.0), trace_dir)
+    [part] = (trace_dir / "machine_events").glob("part-*")
+    rows = part.read_text().splitlines()
+    cells = rows[0].split(",")
+    cells[LAYOUT["machine_events"].index("cpus")] = "nan"
+    part.write_text("\n".join([",".join(cells), *rows[1:]]) + "\n")
+    out = tmp_path / "out"
+    runner = SimulationRunner(RunConfig(mode="metaheuristic", seed=1, output_dir=out,
+                                        trace_dir=trace_dir, ticks=5, usage_dump_every=0))
+    assert runner.run() == 0
+    assert (out / "logs" / "run-error.log").read_text().splitlines() == [
+        f"{AnomalyKind.CORRUPT_RECORD.value}\t1\tmachine_events: field 'cpus' is not a "
+        f"finite non-negative number: 'nan'"]
+    cell = runner.cell
+    assert sorted(cell.nodes) == ["n00001", "n00002", "n00003"]
+    assert cell.placement and not cell.pending
+    assert set(cell.placement.values()) <= set(cell.nodes)
 
 
 def expected_tables(config):

@@ -468,6 +468,80 @@ class TestSynthGenerator:
     def test_lazy_stream_equals_eager_oracle(self, config):
         assert list(synth_generate(config)) == eager_synth_events(config)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lazy_stream_equals_eager_oracle_on_random_configs(self, data):
+        """Horizons of microseconds (arrivals that share a microsecond,
+        1-µs usage intervals, tasks of zero drawn length) and of minutes,
+        with ramps, arrival windows, constraints and recorded placements."""
+        horizon_us = data.draw(st.one_of(st.integers(1, 200), st.integers(MIN_US, 30 * MIN_US)))
+        tasks = data.draw(st.integers(0, 60))
+        # at most 200 reports per task, 1 µs apart on the shortest horizons
+        interval_us = max(1, horizon_us // data.draw(st.sampled_from([3, 10, 200])))
+
+        def minutes(us):
+            # a whole number of microseconds, whatever the float rounding
+            return (us + 0.5) / MIN_US
+
+        def durations():
+            lo = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+            hi = lo + data.draw(st.sampled_from([0.0, 0.2, 1.5]))
+            return (lo * horizon_us / MIN_US, hi * horizon_us / MIN_US)
+
+        window = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0, 2.0]))
+        config = SynthConfig(
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+            node_count=data.draw(st.integers(1, 6)),
+            task_arrival_rate=tasks / (horizon_us / MIN_US),
+            duration_minutes=minutes(horizon_us),
+            arrival_window_minutes=None if window is None else window * horizon_us / MIN_US,
+            batch_fraction=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+            batch_duration_min=durations(),
+            service_duration_min=durations(),
+            usage_interval_minutes=minutes(interval_us),
+            usage_ramp_updates=data.draw(st.integers(0, 4)),
+            constraint_rate=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+            attribute_groups=data.draw(st.integers(0, 3)),
+            record_placements=data.draw(st.booleans()),
+        )
+        assert list(synth_generate(config)) == eager_synth_events(config)
+
+    def test_zero_length_tasks_end(self):
+        """A task whose drawn duration rounds to 0 µs still lasts 1 µs: its
+        removal sorts after its AddTask, so the cell ends empty."""
+        config = SynthConfig(seed=5, node_count=4, task_arrival_rate=50.0, duration_minutes=10.0,
+                             batch_fraction=1.0, batch_duration_min=(0.0, 0.0))
+        cell = CellState(CAT2)
+        adds = 0
+        for event in synth_generate(config):
+            adds += isinstance(event, ev.AddTaskEvent)
+            cell.apply(event)
+        assert adds > 400
+        assert cell.tasks == {} and not cell.pending
+
+    def test_first_minutes_build_one_follow_up_per_task(self, monkeypatch):
+        """Reading the first 2 minutes of the burst cell builds at most one
+        usage report per task built: later follow-ups wait for their turn."""
+        config = SynthConfig(seed=101, node_count=10_000, task_arrival_rate=10_000.0,
+                             arrival_window_minutes=10.0, duration_minutes=60.0,
+                             batch_fraction=0.8, usage_ratio=(0.6, 1.0),
+                             usage_interval_minutes=5.0, service_required=(0.1, 0.3),
+                             batch_required=(0.005, 0.04), record_placements=False)
+        built = {"AddTaskEvent": 0, "UpdateTaskUsedEvent": 0}
+        for name in built:
+            real = getattr(ev, name)
+
+            def counting(real=real, name=name, **fields):
+                built[name] += 1
+                return real(**fields)
+
+            monkeypatch.setattr(ev, name, counting)
+        for event in synth_generate(config):
+            if event.timestamp >= 2 * MIN_US:
+                break
+        assert built["AddTaskEvent"] > 19_000
+        assert built["UpdateTaskUsedEvent"] <= built["AddTaskEvent"]
+
     def test_first_minute_builds_only_its_tasks(self, monkeypatch):
         """Reading the first minute of a 10k-arrivals-a-minute stream builds
         no task arriving after the first arrival at or after 60 s."""

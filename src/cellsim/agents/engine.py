@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from ..workload.anomalies import AnomalySink
 from ..workload.constraints import matches_attributes
 from ..workload.state import CellState, NodeRuntime
 from ..workload import events as ev
@@ -44,7 +45,7 @@ from .messages import (
     Quote,
     TaskSnapshot,
 )
-from .scoring import rus_fits, score
+from .scoring import own_scores, rus_fits, score
 from .selection import select_candidate_services
 
 MINUTE_US = 60 * 1_000_000
@@ -55,7 +56,7 @@ INITIAL_SCAN_LIMIT = 200
 REALLOC_SCAN_LIMIT = 2000
 #: Pool rows a broker scores in one batch: a round's quotes are drawn,
 #: scored and cut together, this many rows at a time.
-QUOTE_BATCH_ROWS = 4096
+QUOTE_BATCH_ROWS = 16_384
 #: Ticks a broker quote stays valid (a regular target is chosen three rounds on).
 RECOMMENDATION_TTL_TICKS = 3
 #: Rounds a negotiation waits for a reply (a quote takes two; 3 rounds = 30 s at 6 a tick).
@@ -132,18 +133,20 @@ class Engine:
     lets the engine act in ``run_tick``; every engine keeps its placements in
     the ``CellState`` it was given, so per-node loads are read from the cell
     (``CellState.node_table``), not from the engine.  ``log`` and
-    ``message_trace`` are the run's line writers and ``audit`` its record
-    writer, set by the runner; snapshots leave them out, since they write to
-    files open in this process only.
+    ``message_trace`` are the run's line writers, ``audit`` its record
+    writer and ``sink`` its anomaly sink, set by the runner; snapshots leave
+    them out, since they write to files open in this process only (the
+    runner keeps the sink's counts).
     """
 
     log: Optional[Callable[[str], None]] = None
     message_trace: Optional[Callable[[str], None]] = None
     audit: Optional[Callable[[AuditRecord], None]] = None
+    sink: Optional[AnomalySink] = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for writer in ("log", "message_trace", "audit"):
+        for writer in ("log", "message_trace", "audit", "sink"):
             state.pop(writer, None)
         return state
 
@@ -163,8 +166,10 @@ class NodeAgent:
 
     The node's totals, attributes, residents and load sums live in the cell
     (``self.node``); the agent keeps only its reservations, negotiations and
-    random stream.  A negotiation is only ever open for a task that sits on
-    this node.
+    random stream.  The stream is seeded on the agent's first draw, since
+    most agents never draw: an agent draws only to shed tasks or to pick
+    among several brokers.  A negotiation is only ever open for a task that
+    sits on this node.
     """
 
     def __init__(self, node_id: str, engine: "AgentEngine"):
@@ -175,7 +180,18 @@ class NodeAgent:
         self.incoming_used = np.zeros(dim)
         self.incoming_prod_req = np.zeros(dim)
         self.negotiations: dict[str, Negotiation] = {}
-        self.rng = random.Random(_stable_seed(engine.seed, "na", node_id))
+        self._rng: Optional[random.Random] = None
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(_stable_seed(self.engine.seed, "na", self.id))
+        return self._rng
+
+    def broker(self) -> str:
+        """The broker this agent writes to; a lone broker takes no draw."""
+        ids = self.engine._broker_ids
+        return ids[0] if len(ids) == 1 else self.engine.broker_for(self.rng)
 
     # -- node-side accounting ---------------------------------------------------
 
@@ -342,8 +358,9 @@ class NodeAgent:
         choice: Optional[int] = None
         if regular:
             stats = [negotiation.accepted[quote.node_ids[i]] for i in regular]
-            before = np.stack([s.load for s in stats])
-            weights = score(engine.config.realloc_scorer, np.stack([s.total for s in stats]),
+            # np.array, not np.stack: the same rows at a third of the cost
+            before = np.array([s.load for s in stats])
+            weights = score(engine.config.realloc_scorer, np.array([s.total for s in stats]),
                             before, before + snapshot.used).tolist()
             positive = [(i, w) for i, w in zip(regular, weights) if w > 0]
             if positive:
@@ -401,9 +418,8 @@ class NodeAgent:
 
     def _report_status(self) -> None:
         engine = self.engine
-        broker = engine.broker_for(self.rng)
         engine.send(Message(
-            kind=MessageKind.STATUS_REPORT, sender=self.id, recipient=broker,
+            kind=MessageKind.STATUS_REPORT, sender=self.id, recipient=self.broker(),
             correlation_id=engine.next_correlation(), node_stats=self.stats()))
 
     def _compulsory_tasks(self) -> list[str]:
@@ -451,10 +467,9 @@ class NodeAgent:
             task_id=task_id, state="quote", quote_corr=corr,
             deadline_us=engine.now_us + ACCEPTANCE_WAIT_ROUNDS * engine.round_us)
         self.negotiations[task_id] = negotiation
-        broker = engine.broker_for(self.rng)
         engine.send(Message(
             kind=MessageKind.GET_CANDIDATE_NODES_REQUEST, sender=self.id,
-            recipient=broker, correlation_id=corr,
+            recipient=self.broker(), correlation_id=corr,
             task=engine.snapshot_task(task_id)))
 
 
@@ -530,6 +545,8 @@ class BrokerAgent:
         self.available = np.zeros((0, dim))
         self.last_update = np.zeros(0, dtype=np.int64)
         self._used: Optional[np.ndarray] = None  # the rows' loads, derived when quoting
+        #: scorer -> each row's own score (``own_scores``), derived with ``_used``
+        self._own: dict[str, Optional[np.ndarray]] = {}
         self.pending: deque[str] = deque()
         #: failed placements wait here until the next tick, so one stuck task
         #: cannot spin the whole per-round budget on itself
@@ -631,6 +648,7 @@ class BrokerAgent:
         totals = self.totals[:n]
         if self._used is None:
             self._used = np.maximum(totals - self.available[:n], 0.0)
+            self._own = {}
         used = self._used
         quotes: list[Optional[Quote]] = [None] * len(requests)
         # per quote: its index in the batch, eligible rows, count and the
@@ -670,7 +688,13 @@ class BrokerAgent:
         # ndarray.take, not fancy indexing: the same gather at a fraction of the cost
         pool_totals, pool_used = totals.take(rows, axis=0), used.take(rows, axis=0)
         scorer = engine.config.initial_scorer if initial else engine.config.realloc_scorer
-        scores = score(scorer, pool_totals.reshape(-1, dim), pool_used.reshape(-1, dim),
+        # a gain scorer's before-scores: each cached node's own score, scored
+        # once per cache refresh, not once per pool it lands in
+        if scorer not in self._own:
+            self._own[scorer] = own_scores(scorer, totals, used)
+        own = self._own[scorer]
+        before = pool_used.reshape(-1, dim) if own is None else own.take(rows.ravel())
+        scores = score(scorer, pool_totals.reshape(-1, dim), before,
                        (pool_used + task_vecs[:, None, :]).reshape(-1, dim)).reshape(rows.shape)
         scores[~valid] = 0.0  # padding
         positive = scores > 0.0
@@ -785,16 +809,21 @@ class BrokerAgent:
             task_id = self.pending.popleft()
             if task_id in cell.tasks and task_id not in cell.placement:
                 tasks.append(task_id)
-        quotes = self.quote([(engine.snapshot_task(task_id), None) for task_id in tasks],
-                            initial=True)
-        for task_id, quote in zip(tasks, quotes):
+        snapshots = [engine.snapshot_task(task_id) for task_id in tasks]
+        quotes = self.quote([(snapshot, None) for snapshot in snapshots], initial=True)
+        for snapshot, quote in zip(snapshots, quotes):
             if quote is None:
-                engine.report_unschedulable(task_id)
-                engine.retry_placement(task_id, self.rng)
+                engine.report_unschedulable(snapshot.task_id)
+                engine.retry_placement(snapshot.task_id, self.rng)
                 continue
-            self._try_placement(PlacementFlow(task_id=task_id, quote=quote))
+            # the first request carries the quote's snapshot: nothing has
+            # changed the task since
+            self._try_placement(PlacementFlow(task_id=snapshot.task_id, quote=quote), snapshot)
 
-    def _try_placement(self, flow: PlacementFlow) -> None:
+    def _try_placement(self, flow: PlacementFlow,
+                       snapshot: Optional[TaskSnapshot] = None) -> None:
+        """Ask the flow's next live candidate to take the task, sending
+        ``snapshot`` if given (a retry snapshots the task afresh)."""
         engine = self.engine
         if flow.task_id not in engine.cell.tasks:
             return  # the task ended while a request for it was in flight
@@ -811,7 +840,8 @@ class BrokerAgent:
             engine.send(Message(
                 kind=MessageKind.TASK_MIGRATION_PROCESS_REQUEST, sender=self.id,
                 recipient=node_id, correlation_id=corr,
-                task=engine.snapshot_task(flow.task_id), forced=flow.next_index >= quote.regular,
+                task=snapshot or engine.snapshot_task(flow.task_id),
+                forced=flow.next_index >= quote.regular,
                 initial=True, rec_age_us=engine.now_us - quote.created_at))
             return
         # every candidate failed: back to the pending queue for fresh quotes

@@ -13,7 +13,10 @@ bias-point value when every resource sits on the far side of the bias from
 the function's target region, which keeps the peak where it belongs.  The
 gain variants (``sias_gain``, ``sras_gain``) score the improvement a move
 brings instead of the absolute level; ``SCORERS`` names all four and
-``score`` is the one dispatch the agent engine calls.
+``score`` is the one dispatch the agent engine calls.  A broker scoring
+many moves from the same cached nodes hands ``score`` each node's own
+score, from ``own_scores``, in place of scoring the node's load anew for
+every move.
 """
 
 from __future__ import annotations
@@ -68,22 +71,25 @@ def allocation_score_vec(params: ScoringParams, totals: np.ndarray,
     for cap, use in zip(totals.T, used_after.T):
         positive = cap > 0.0
         delta = use - params.f_bias * cap
-        # demand on a zero capacity, or a load in the super-tight band
-        col_cut = np.where(positive, use >= STA_CUTOFF * cap, use > 0.0)
-        col_far = ~positive | (delta > 0.0 if params.low_biased else delta < 0.0)
-        factor = np.where(positive, delta, 1.0)
+        col_cut = use >= STA_CUTOFF * cap  # a load in the super-tight band
+        col_far = delta > 0.0 if params.low_biased else delta < 0.0
+        if not positive.all():
+            # demand on a zero capacity is cut off, and the column is far
+            col_cut = np.where(positive, col_cut, use > 0.0)
+            col_far |= ~positive
+            delta = np.where(positive, delta, 1.0)
         if exponent is None:
-            exponent, cut, far = factor, col_cut, col_far
+            exponent, cut, far = delta, col_cut, col_far
         else:
-            exponent = exponent * factor
+            exponent = exponent * delta
             cut |= col_cut
             far &= col_far
-    exponent[far] = 0.0
 
-    # cut-off rows score zero, and on an overloaded node their power overflows
-    keep = ~cut
-    scores = np.zeros(len(exponent))
-    scores[keep] = np.power(params.f_steep, exponent[keep]) - params.f_floor
+    # cut-off rows score zero, and on an overloaded node their power
+    # overflows: they are raised to 0 and zeroed after
+    scores = np.power(params.f_steep, np.where(cut | far, 0.0, exponent))
+    scores -= params.f_floor
+    scores[cut] = 0.0
     return np.maximum(scores, 0.0, out=scores)
 
 
@@ -97,13 +103,26 @@ SCORERS = {
 }
 
 
+def own_scores(scorer: str, totals: np.ndarray, loads: np.ndarray):
+    """For a gain scorer, each row's score of its load as it stands: what
+    ``score`` takes as ``before`` in place of the loads, for a caller that
+    scores many moves from the same rows.  None for a level scorer, which
+    never reads the load before a move."""
+    params, gain = SCORERS[scorer]
+    return allocation_score_vec(params, totals, loads) if gain else None
+
+
 def score(scorer: str, totals: np.ndarray, before: np.ndarray,
           after: np.ndarray) -> np.ndarray:
     """Score each row's move from ``before`` to ``after`` with the named
-    scorer from ``SCORERS``."""
+    scorer from ``SCORERS``.  ``before`` holds the rows' loads, (N, d), or
+    for a gain scorer may hold their scores instead, (N,), as ``own_scores``
+    gives them."""
     params, gain = SCORERS[scorer]
     if not gain:
         return allocation_score_vec(params, totals, after)
+    if np.ndim(before) == 1:
+        return np.maximum(allocation_score_vec(params, totals, after) - before, 0.0)
     # after and before rows scored in one call: each row's score depends
     # on that row alone
     totals = np.asarray(totals, dtype=np.float64)

@@ -8,15 +8,23 @@ whose removal de-overloads the node while maximizing
 
 so cheap-to-move tasks whose departure most improves the node win.  The
 search is restart-based and shallow: a handful of toggle steps per restart,
-stopping early once restarts stop improving the best subset.
+stopping once ``STALL_LIMIT`` restarts in a row fail to improve the best
+subset.
 
-A toggle step ranks every probe from the current subset's load and cost
-plus or minus the toggled task's row, in one array pass, then re-sums the
-best-ranked probe from its mask and accepts it only if that exact fitness
-beats the current one.  Every accepted subset and reported fitness is thus
-the sum of that subset alone; rounding moves a decision only at a near tie
-between probes, or where a greedy start's running load sits within a few
-ulp of the capacity.
+The restarts run in lockstep waves.  A wave holds the restarts that run
+whatever it finds: ``STALL_LIMIT`` less the current stall, plus one before
+the first best (the first restart always sets it).  So a wave draws its
+greedy starts in the order a one-restart-at-a-time search would, and the
+search draws exactly what that search draws.  Each depth step ranks every
+live restart's probes in one array pass, each probe's load and cost being
+the restart's current sums plus or minus the toggled task's row, then
+re-sums each restart's best-ranked probe from its mask on its own, with
+``np.add.reduce``, and accepts it only if that exact fitness beats the
+restart's current one.  Every accepted subset and reported fitness is thus
+the sum of that subset alone: a batched sum (zero-padded masks, or
+``reduceat``) groups the additions differently and may round differently.
+Rounding moves a decision only at a near tie between probes, or where a
+greedy start's running load sits within a few ulp of the capacity.
 """
 
 from __future__ import annotations
@@ -91,70 +99,85 @@ def select_candidate_services(
         fitness = np.divide(scores, cost, out=np.full(len(cost), np.inf), where=cost > 0.0)
         return np.where((loads > total).any(axis=1), -1.0, fitness)
 
-    def exact(mask: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Load, cost and fitness of one removal mask, the subset summed on
-        its own, so they are bit for bit the sums of that subset alone."""
-        load = remaining - np.add.reduce(usages[mask])
-        cost = np.add.reduce(costs[mask])
-        return load, cost, float(fitness_of(load[None, :], np.array([cost]))[0])
+    def exact(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Loads, costs and fitness of removal masks, each subset summed on
+        its own with ``np.add.reduce`` (a batched sum rounds differently),
+        then all scored in one call."""
+        loads = np.array([remaining - np.add.reduce(usages[mask]) for mask in masks])
+        cost = np.array([np.add.reduce(costs[mask]) for mask in masks])
+        return loads, cost, fitness_of(loads, cost)
 
     # Everything-out is the feasibility ceiling: if even that overloads, no
     # subset works and the caller must be alerted.
-    all_mask = np.ones(n, dtype=bool)
-    if exact(all_mask)[2] < 0.0:
+    if exact(np.ones((1, n), dtype=bool))[2][0] < 0.0:
         fallback = compulsory + [c.task_id for c in pool if not c.production]
         return SelectionResult(task_ids=fallback, compulsory=compulsory,
                                fitness=0.0, feasible=False, alert=True)
 
     weights = usages.max(axis=1) / np.maximum(costs, 1e-9)
+    dim = len(total)
 
-    def greedy_start() -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Shed usage-heavy-per-MB tasks first, in randomized order, until a
-        running load stops overloading the node; returns the mask with its
-        exact load, cost and fitness."""
-        keys = -weights * np.array([rng.uniform(0.5, 1.5) for _ in range(n)])
-        order = np.argsort(keys, kind="stable")  # ties by index
-        fits = ~(remaining - np.cumsum(usages[order], axis=0) > total).any(axis=1)
-        count = int(fits.argmax()) + 1 if fits.any() else n
-        mask = np.zeros(n, dtype=bool)
-        mask[order[:count]] = True
-        load, cost, fit = exact(mask)
-        # the running load may round just under a boundary the exact sum
-        # crosses: shed on until the exact sum fits (at worst: all_mask)
-        while fit < 0.0:
-            mask[order[count]] = True
-            count += 1
-            load, cost, fit = exact(mask)
-        return mask, load, cost, fit
+    def greedy_starts(count: int) -> tuple[np.ndarray, ...]:
+        """``count`` restarts' starts: each sheds usage-heavy-per-MB tasks
+        first, in its own randomized order, until a running load stops
+        overloading the node.  Returns the masks with their exact loads,
+        costs and fitness."""
+        draws = np.array([rng.uniform(0.5, 1.5) for _ in range(count * n)]).reshape(count, n)
+        order = np.argsort(-weights * draws, axis=1, kind="stable")  # ties by index
+        fits = ~(remaining - np.cumsum(usages[order], axis=1) > total).any(axis=2)
+        shed = np.where(fits.any(axis=1), fits.argmax(axis=1) + 1, n)
+        masks = order.argsort(axis=1) < shed[:, None]  # each task's rank in its order
+        loads, cost, fitness = exact(masks)
+        # a running load may round just under a boundary the exact sum
+        # crosses: shed on until the exact sum fits (at worst: every task)
+        for i in np.flatnonzero(fitness < 0.0).tolist():
+            stop = int(shed[i])
+            while fitness[i] < 0.0:
+                masks[i, order[i, stop]] = True
+                stop += 1
+                loads[i], cost[i], fitness[i] = (x[0] for x in exact(masks[i:i + 1]))
+        return masks, loads, cost, fitness
 
     best_mask: Optional[np.ndarray] = None
     best_fitness = -1.0
-    stall = 0
-    for _ in range(RESTARTS):
-        if stall >= STALL_LIMIT:
-            break
-        local_best, load, cost, local_fit = greedy_start()
+    stall = done = 0
+    while done < RESTARTS and stall < STALL_LIMIT:
+        # the restarts that run whatever this wave finds: the search stops
+        # only after STALL_LIMIT restarts in a row without a better subset,
+        # and the first restart always finds one
+        wave = min(STALL_LIMIT - stall + (best_mask is None), RESTARTS - done)
+        done += wave
+        masks, loads, cost, fitness = greedy_starts(wave)
         # Each accepted step strictly raises the exact fitness, so a mask
-        # visited earlier in the restart scores below the current one and
-        # is never accepted again: no visited list is needed.
+        # visited earlier in a restart scores below the current one and is
+        # never accepted again: no visited list is needed.
+        live = np.arange(wave)
         for _ in range(DEPTH):
-            # the toggle neighbourhood: flip one task in or out of the
-            # subset, ranked from the current sums plus or minus its row
-            sign = np.where(local_best, -1.0, 1.0)
-            ranked = fitness_of(load - sign[:, None] * usages, cost + sign * costs)
-            step = int(np.argmax(ranked))  # first index of the maximum
-            probe = local_best.copy()
-            probe[step] = not probe[step]
+            # the toggle neighbourhood of every live restart: flip one task
+            # in or out of its subset, ranked from the current sums plus or
+            # minus the task's row, all restarts in one call
+            sign = np.where(masks[live], -1.0, 1.0)
+            ranked = fitness_of(
+                (loads[live, None, :] - sign[:, :, None] * usages).reshape(-1, dim),
+                (cost[live, None] + sign * costs).reshape(-1))
+            steps = ranked.reshape(len(live), n).argmax(axis=1)  # first index of each maximum
+            probes = masks[live]
+            probes[np.arange(len(live)), steps] ^= True
             # accepted on its exact sums, as a from-scratch search would
-            probe_load, probe_cost, probe_fit = exact(probe)
-            if not probe_fit > local_fit:
+            probe_loads, probe_cost, probe_fitness = exact(probes)
+            better = probe_fitness > fitness[live]
+            accepted = live[better]
+            masks[accepted], loads[accepted] = probes[better], probe_loads[better]
+            cost[accepted], fitness[accepted] = probe_cost[better], probe_fitness[better]
+            live = accepted
+            if not len(live):
                 break
-            local_best, load, cost, local_fit = probe, probe_load, probe_cost, probe_fit
-        if local_fit > best_fitness:
-            best_fitness, best_mask = local_fit, local_best
-            stall = 0
-        else:
-            stall += 1
+        for mask, local_fit in zip(masks, fitness.tolist()):
+            if local_fit > best_fitness:
+                best_fitness, best_mask = local_fit, mask
+                stall = 0
+            else:
+                stall += 1
 
     assert best_mask is not None
     selected = compulsory + [pool[i].task_id for i in range(n) if best_mask[i]]

@@ -26,7 +26,7 @@ from ..agents.scoring import asr_metrics, classify_vec
 from ..livemigration import ProfileCatalog
 from ..metaheuristics.problem import PackedProblem
 from ..metaheuristics.strategies import STRATEGIES
-from ..workload.anomalies import AnomalySink, filter_anomalies
+from ..workload.anomalies import AnomalyKind, AnomalySink, filter_anomalies
 from ..workload.events import AddTaskEvent
 from ..workload.parsers import GCD_TIME_SHIFT_US, open_trace_directory
 from ..workload.state import CellState
@@ -71,14 +71,22 @@ class CellEngine(Engine):
 
 
 class ReplayEngine(CellEngine):
-    """Mirrors recorded placements; does no scheduling of its own."""
+    """Mirrors recorded placements; does no scheduling of its own.  A task
+    whose recorded machine is not in the cell stays pending, and is
+    reported to the run's anomaly sink."""
 
     def apply_events(self, events: Iterable) -> None:
         cell = self.cell
         for event in events:
             cell.apply(event)
-            if isinstance(event, AddTaskEvent) and event.recorded_node in cell.nodes:
+            if not isinstance(event, AddTaskEvent) or event.recorded_node is None:
+                continue
+            if event.recorded_node in cell.nodes:
                 cell.place(event.task_id, event.recorded_node)
+            elif self.sink is not None:
+                self.sink.report(AnomalyKind.UNPLACEABLE_TASK,
+                                 f"task {event.task_id}: recorded machine "
+                                 f"{event.recorded_node} is not in the cell; left pending")
 
 
 class MetaheuristicEngine(CellEngine):
@@ -247,6 +255,7 @@ class SimulationRunner:
         config = self.config
         with RunOutputs(config.output_dir, config.run_name) as outputs:
             self.engine.log = outputs.log
+            self.engine.sink = self.sink
             if config.message_trace:
                 self.engine.message_trace = outputs.line_writer("-messages.log")
             if config.audit:

@@ -15,9 +15,10 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 13: the agent engine's pending mail is
-#: one mailbox per recipient.
-VERSION = 13
+#: version control log).  Version 14: a node agent's random stream is
+#: seeded on its first draw, and the anomaly counts have a kind for tasks
+#: replay cannot place.
+VERSION = 14
 
 
 class SnapshotError(RuntimeError):

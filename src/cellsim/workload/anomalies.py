@@ -4,7 +4,8 @@ Real traces contain corrupt records, tasks whose constraints no machine can
 ever satisfy, events that arrive after their window, and windows where
 reported global usage exceeds global capacity.  The first three are dropped
 and counted; over-usage windows are only flagged so metrics can exclude
-them, since the underlying events are real.
+them, since the underlying events are real.  Replay also reports each task
+whose recorded machine is not in the cell: the task stays pending.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ class AnomalyKind(enum.Enum):
     OVER_USAGE_WINDOW = "OverUsageWindow"
     CORRUPT_RECORD = "CorruptRecord"
     LATE_EVENT = "LateEvent"
+    UNPLACEABLE_TASK = "UnplaceableTask"
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
 """Scalar oracles for the vectorized scorer and classifier in
 ``cellsim.agents.scoring``.
 
-Each function evaluates one node with plain Python loops, written straight
-from the formula, so the tests can check the numpy forms against an
-independent implementation.
+Each function but one evaluates one node with plain Python loops, written
+straight from the formula, so the tests can check the numpy forms against
+an independent implementation.  ``masked_score_vec`` is an earlier numpy
+form of ``allocation_score_vec``, which raises only the rows that are not
+cut off, gathered and scattered back: the tests hold the scorer to it bit
+for bit, since a run's output depends on every bit of a score.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
+
+import numpy as np
 
 from cellsim.agents.scoring import (
     INITIAL_PARAMS,
@@ -84,3 +89,27 @@ def classify_allocation(node_total: Sequence[float], node_used: Sequence[float],
     if all(r < TIGHT_LOWER for r in ratios):
         return AllocationClass.PA
     return AllocationClass.DA
+
+
+def masked_score_vec(params: ScoringParams, totals: np.ndarray,
+                     used_after: np.ndarray) -> np.ndarray:
+    totals = np.asarray(totals, dtype=np.float64)
+    used_after = np.asarray(used_after, dtype=np.float64)
+    exponent = cut = far = None
+    for cap, use in zip(totals.T, used_after.T):
+        positive = cap > 0.0
+        delta = use - params.f_bias * cap
+        col_cut = np.where(positive, use >= STA_CUTOFF * cap, use > 0.0)
+        col_far = ~positive | (delta > 0.0 if params.low_biased else delta < 0.0)
+        factor = np.where(positive, delta, 1.0)
+        if exponent is None:
+            exponent, cut, far = factor, col_cut, col_far
+        else:
+            exponent = exponent * factor
+            cut |= col_cut
+            far &= col_far
+    exponent[far] = 0.0
+    keep = ~cut
+    scores = np.zeros(len(exponent))
+    scores[keep] = np.power(params.f_steep, exponent[keep]) - params.f_floor
+    return np.maximum(scores, 0.0, out=scores)

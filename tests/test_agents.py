@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import admission_oracle
 import quote_oracle
@@ -30,6 +30,7 @@ from cellsim.agents import engine as engine_module
 from cellsim.agents.engine import INITIAL_SCAN_LIMIT, RECOMMENDATION_COUNT
 from cellsim.agents.messages import ZERO_SCORE_FITNESS
 from cellsim.agents.scoring import SCORERS, score
+from cellsim.harness.snapshot import load_snapshot, save_snapshot
 from cellsim.model import ResourceTypeCatalog
 from cellsim.workload import CellState, ConstraintOperator as Op, TaskConstraint
 from cellsim.workload.constraints import matches_attributes
@@ -182,30 +183,39 @@ def test_selection_fitness_matches_scalar_oracle(data):
     assert result.fitness == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
-def assert_selection_matches_oracle(total, used, candidates, compulsory, seed):
-    """The search decides as the from-scratch oracle: the same subset,
-    fitness and flags, and the same random draws."""
+def assert_selection_matches_oracle(total, used, candidates, compulsory, seed,
+                                    oracle=selection_oracle.select_candidate_services):
+    """The search decides as the oracle: the same subset, fitness and flags,
+    and the same random draws.  Returns the result and, per restart, whether
+    it beat the best subset so far."""
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     result = select_candidate_services(
         total=total, used=used, removable=candidates, compulsory_ids=compulsory, rng=rng)
-    expected = selection_oracle.select_candidate_services(
-        total=total, used=used, removable=candidates, compulsory_ids=compulsory,
-        rng=oracle_rng)
+    improved = []
+    expected = oracle(total=total, used=used, removable=candidates, compulsory_ids=compulsory,
+                      rng=oracle_rng, improved=improved)
     assert result == expected, seed
     assert rng.getstate() == oracle_rng.getstate(), seed
-    return result
+    return result, improved
+
+
+def reset_inside_a_wave(improved):
+    """Whether a restart after a wave's first beat the best subset, so the
+    stall count restarts inside the wave."""
+    return any(any(wave[1:]) for wave in selection_oracle.waves(improved))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_selection_matches_from_scratch_oracle(data):
     """With usages in 64ths and whole-number costs every sum is exact, so
-    the search that ranks probes from the current subset plus or minus one
-    row decides as the one that sums every probe from scratch."""
-    count = data.draw(st.integers(2, 40))
+    the lockstep search that ranks probes from the current subset plus or
+    minus one row decides as the one-restart-at-a-time search that sums
+    every probe from scratch, up to 200 removable tasks."""
+    count = data.draw(st.integers(2, 40) | st.integers(150, 200))
     sixty_fourths = st.integers(0, 63).map(lambda k: k / 64)
     candidates = [resident(
-        task_id=f"t{i:02d}", used=np.array(data.draw(st.tuples(sixty_fourths, sixty_fourths))),
+        task_id=f"t{i:03d}", used=np.array(data.draw(st.tuples(sixty_fourths, sixty_fourths))),
         migration_cost_mb=float(data.draw(st.integers(0, 1000))),
         production=data.draw(st.booleans())) for i in range(count)]
     compulsory = [c.task_id for c in candidates if data.draw(st.integers(0, 7)) == 0]
@@ -213,25 +223,39 @@ def test_selection_matches_from_scratch_oracle(data):
     # load the node does not offer up: where it is large, nothing de-overloads
     pinned = np.array(data.draw(st.tuples(*[st.integers(0, 8 * count)] * 2))) / 64
     used = np.add.reduce([c.used for c in candidates]) + pinned
-    assert_selection_matches_oracle(total, used, candidates, compulsory,
-                                    data.draw(st.integers(0, 2**32)))
+    _, improved = assert_selection_matches_oracle(total, used, candidates, compulsory,
+                                                  data.draw(st.integers(0, 2**32)))
+    waves = selection_oracle.waves(improved)
+    event(f"waves: {min(len(waves), 3)}")
+    event(f"reset inside a wave: {reset_inside_a_wave(improved)}")
 
 
 def test_selection_accepts_on_exact_sums():
-    """With usages in tenths the sums round, and a probe's load derived from
-    the current subset's drifts from its own sum in the last bits: accepted
-    on its own sum, each step still decides as the from-scratch oracle."""
+    """With usages in tenths and costs in sevenths the sums round, and a
+    probe's load derived from the current subset's drifts from its own sum
+    in the last bits: accepted on its own sum, each step still decides as
+    the from-scratch oracle, and the lockstep waves decide bit for bit as
+    the one-restart-at-a-time search.  The cases reach a third wave, restart
+    the stall count inside a wave and hold up to 200 removable tasks."""
     draw = random.Random(11)
-    for seed in range(200):
-        count = draw.randint(2, 30)
+    many_waves = resets = large = 0
+    for seed in range(260):
+        count = draw.randint(2, 30) if seed < 200 else draw.randint(150, 200)
         candidates = [resident(
-            task_id=f"t{i:02d}", used=np.array([draw.randint(1, 9) / 10, draw.randint(1, 9) / 10]),
+            task_id=f"t{i:03d}", used=np.array([draw.randint(1, 9) / 10, draw.randint(1, 9) / 10]),
             migration_cost_mb=draw.randint(1, 999) / 7, production=draw.random() < 0.3)
             for i in range(count)]
         compulsory = [c.task_id for c in candidates if draw.random() < 0.1]
         total = np.array([draw.uniform(0.5, count / 3), draw.uniform(0.5, count / 3)])
         used = np.add.reduce([c.used for c in candidates])
-        assert_selection_matches_oracle(total, used, candidates, compulsory, seed)
+        if seed < 200:
+            assert_selection_matches_oracle(total, used, candidates, compulsory, seed)
+        result, improved = assert_selection_matches_oracle(
+            total, used, candidates, compulsory, seed, oracle=selection_oracle.sequential)
+        many_waves += len(selection_oracle.waves(improved)) >= 3
+        resets += reset_inside_a_wave(improved)
+        large += count >= 150 and len(result.task_ids) > 8
+    assert many_waves and resets and large, (many_waves, resets, large)
 
 
 def test_greedy_start_sheds_on_until_the_exact_sum_fits():
@@ -247,8 +271,9 @@ def test_greedy_start_sheds_on_until_the_exact_sum_fits():
         migration_cost_mb=first[i] * 4.0 ** rank[i], production=False) for i in range(7)]
     used = np.add.reduce([c.used for c in candidates])
     total = np.array([2.0999999999999996, 1.5])
-    result = assert_selection_matches_oracle(total, used, candidates, [], 0)
+    result, _ = assert_selection_matches_oracle(total, used, candidates, [], 0)
     assert result.task_ids == ["t0", "t1", "t4", "t5", "t6"]
+    assert_selection_matches_oracle(total, used, candidates, [], 0, oracle=selection_oracle.sequential)
 
 
 class TestBrokerQuotes:
@@ -425,7 +450,15 @@ def test_batched_quotes_equal_the_scalar_oracle(data):
         requests.append((TaskSnapshot(f"t{k}", np.array(required), np.array(used), False,
                                       constraints, 10.0), requester))
 
-    broker = engine.brokers["broker-000"]
+    assert_quotes_match_oracle(engine.brokers["broker-000"], requests, initial, limit, batch_rows)
+
+
+def assert_quotes_match_oracle(broker, requests, initial, limit, batch_rows):
+    """Quote ``requests`` as one round with the scan limit and batch size
+    given, and check every quote against the scalar oracle, fed its pool
+    positions and its row of draws."""
+    engine = broker.engine
+    config = engine.config
     batches = []
     draw_pools = engine_module.draw_pools
 
@@ -480,6 +513,39 @@ def test_batched_quotes_equal_the_scalar_oracle(data):
             assert quote.regular == regular
             assert np.array_equal(quote.available, cache_totals[rows] - cache_used[rows])
     assert next(recorded_batches, None) is None
+
+
+@pytest.mark.parametrize("scorer", ["sias_gain", "sras_gain"])
+def test_gain_quotes_follow_every_cache_change(scorer):
+    """A gain scorer's before-scores come from a table of each cached node's
+    own score, built once per cache refresh.  After each change to the cache
+    (a status report, gossip, a node added, a node dropped) every quote
+    still equals the scalar oracle, which scores each pool node's load
+    afresh.  Every node is in every pool, so a stale row would show."""
+    draw = random.Random(3)
+    totals = [(draw.uniform(0.5, 2.0), draw.uniform(0.5, 2.0)) for _ in range(12)]
+    engine = build_engine(totals, seed=5, config=AgentConfig(
+        initial_scorer=scorer, realloc_scorer=scorer, broker_count=2))
+    for i, total in enumerate(totals):
+        load = tuple(t * draw.uniform(0.0, 0.9) for t in total)
+        add_task(engine, f"load{i}", required=load, used=load, node=f"n{i:03d}")
+    broker, other = engine.brokers.values()
+    requests = [(snap(f"t{k}", (0.3, 0.2), (0.2, 0.1)), None) for k in range(6)]
+
+    def check():
+        for initial in (True, False):
+            assert_quotes_match_oracle(broker, requests, initial, limit=20, batch_rows=40)
+
+    check()
+    broker.update_cache(NodeStats("n003", np.array(totals[3]), np.zeros(2)), 1)
+    check()
+    other.update_cache(NodeStats("n004", np.array(totals[4]), np.array(totals[4]) * 0.5), 2)
+    engine._gossip()
+    check()
+    engine.apply_events([ev.AddNodeEvent(timestamp=0, node_id="n100", total=(1.5, 1.5))])
+    check()
+    engine.apply_events([ev.RemoveNodeEvent(timestamp=0, node_id="n002")])
+    check()
 
 
 def test_gossip_keeps_each_rows_newest_report():
@@ -1005,6 +1071,60 @@ def test_task_snapshot_keeps_its_usage():
     engine.apply_events([ev.UpdateTaskUsedEvent(timestamp=0, task_id="t", used=(0.5, 0.4))])
     assert engine.cell.tasks["t"].used.tolist() == [0.5, 0.4]
     assert snapshot.used.tolist() == [0.2, 0.1]
+
+
+def test_agent_stream_is_seeded_on_its_first_draw(tmp_path):
+    """An agent that never draws holds no generator: with one broker,
+    reporting takes no draw.  An agent that draws gets the stream an eager
+    generator of its seed gives, before and after a snapshot and resume."""
+    engine = build_engine([(1.0, 1.0)] * 3, seed=5)
+    add_task(engine, "t", required=(0.3, 0.3), used=(0.2, 0.2))
+    run_ticks(engine, 2)
+    assert engine.cell.placement and all(a._rng is None for a in engine.agents.values())
+
+    def eager(node_id):
+        return random.Random(engine_module._stable_seed(5, "na", node_id))
+
+    agent, stream = engine.agents["n001"], eager("n001")
+    assert [agent.rng.random() for _ in range(3)] == [stream.random() for _ in range(3)]
+    path = tmp_path / "engine.snapshot"
+    save_snapshot(path, engine)
+    resumed = load_snapshot(path)
+    assert resumed.agents["n000"]._rng is None
+    assert resumed.agents["n000"].rng.random() == eager("n000").random()
+    assert resumed.agents["n001"].rng.random() == agent.rng.random() == stream.random()
+
+
+def test_initial_placement_sends_its_quote_snapshot(monkeypatch):
+    """A task's first placement request carries the snapshot its quote was
+    made from; only a request after a refusal snapshots the task again."""
+    engine = build_engine([(1.0, 1.0)] * 2, seed=4)
+    for k in range(4):
+        add_task(engine, f"t{k}", required=(0.6, 0.6), used=(0.6, 0.6))
+    snapshots, requests = [], []
+    snapshot_task, send = engine.snapshot_task, engine.send
+
+    def recording_snapshot(task_id):
+        snapshots.append(snapshot_task(task_id))
+        return snapshots[-1]
+
+    def recording_send(message):
+        if message.kind is MessageKind.TASK_MIGRATION_PROCESS_REQUEST and message.initial:
+            requests.append(message.task)
+        send(message)
+
+    monkeypatch.setattr(engine, "snapshot_task", recording_snapshot)
+    monkeypatch.setattr(engine, "send", recording_send)
+    run_ticks(engine, 1)
+    first = {}
+    for task in requests:
+        first.setdefault(task.task_id, task)
+    retries = [task for task in requests if first[task.task_id] is not task]
+    assert len(first) == 4 and retries  # two tasks fit, so two were refused
+    # one snapshot per quote, whose first request sends it, one per retry
+    assert len(snapshots) == 4 + len(retries)
+    assert all(any(task is made for made in snapshots[:4]) for task in first.values())
+    assert all(not any(task is made for made in snapshots[:4]) for task in retries)
 
 
 def check_agent_invariants(engine):

@@ -190,6 +190,34 @@ class TestReplayMode:
         assert [dataclasses.replace(e, recorded_node=None) if isinstance(e, ev.AddTaskEvent)
                 else e for e in events] == list(synth_generate(plain))
 
+    def test_task_on_a_machine_not_in_the_cell_is_reported(self, tmp_path):
+        """A task whose recorded machine is not in the cell (its row was
+        corrupt) gets one UnplaceableTask line naming the task and the
+        machine, counted in the sink, and stays pending."""
+        trace_dir = tmp_path / "trace"
+        write_synthetic_trace(synth_config(node_count=4), trace_dir)
+        [part] = (trace_dir / "machine_events").glob("part-*")
+        rows = part.read_text().splitlines()
+        cells = rows[0].split(",")
+        cells[4] = "nan"  # the first machine's cpus
+        part.write_text("\n".join([",".join(cells), *rows[1:]]) + "\n")
+        config = run_config(tmp_path, mode="replay", synth=None, trace_dir=trace_dir, ticks=5)
+        runner = SimulationRunner(config)
+        assert runner.run() == 0
+        lines = (Path(config.output_dir) / "logs" / "run-error.log").read_text().splitlines()
+        kind = AnomalyKind.UNPLACEABLE_TASK
+        named = [re.fullmatch(rf"{kind.value}\t1\ttask (\S+): recorded machine n00000 is not "
+                              r"in the cell; left pending", line)
+                 for line in lines if line.startswith(kind.value + "\t")]
+        assert named and all(named)
+        tasks = [match.group(1) for match in named]
+        assert len(set(tasks)) == len(tasks) == runner.sink.count(kind)
+        cell = runner.cell
+        assert "n00000" not in cell.nodes
+        assert not set(tasks) & set(cell.placement)
+        assert set(cell.pending) == set(tasks) & set(cell.tasks)
+        assert cell.conservation_holds()
+
     def test_usage_dump_written(self, tmp_path):
         config = run_config(tmp_path, mode="replay", ticks=10, usage_dump_every=5)
         SimulationRunner(config).run()

@@ -22,10 +22,18 @@ from cellsim.agents.scoring import (
     allocation_score_vec,
     asr_metrics,
     classify_vec,
+    own_scores,
     rus_fits,
     score,
 )
-from scoring_oracle import allocation_score, classify_allocation, score_gain, sias, sras
+from scoring_oracle import (
+    allocation_score,
+    classify_allocation,
+    masked_score_vec,
+    score_gain,
+    sias,
+    sras,
+)
 
 MAX11 = (1.0, 1.0)
 
@@ -321,3 +329,45 @@ def test_params_validation():
         ScoringParams(f_bias=0.3, f_steep=1.0, f_floor=0.8, low_biased=True)
     with pytest.raises(ValueError):
         ScoringParams(f_bias=0.3, f_steep=350, f_floor=-0.1, low_biased=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gain_scores_from_own_scores_equal_scores_from_loads(data):
+    """A gain scorer handed the before rows' own scores gives, bit for bit,
+    what it gives when it scores the before loads itself."""
+    scorer = data.draw(st.sampled_from(["sias_gain", "sras_gain"]))
+    rows = data.draw(st.integers(1, 20))
+    unit = st.floats(0.0, 1.3, allow_nan=False)
+    totals = np.array([data.draw(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+                       for _ in range(rows)])
+    before = totals * np.array([data.draw(st.tuples(unit, unit)) for _ in range(rows)])
+    after = before + np.array([data.draw(st.tuples(unit, unit)) for _ in range(rows)])
+    own = own_scores(scorer, totals, before)
+    assert np.array_equal(score(scorer, totals, own, after), score(scorer, totals, before, after))
+    assert own_scores(scorer.removesuffix("_gain"), totals, before) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_vector_scorer_equals_the_masked_form_bit_for_bit(data):
+    """The scorer raises every row and zeroes the cut-off ones after; each
+    score is bit for bit the one the masked form gives, zero and NaN
+    capacities, NaN and infinite loads and a shared (1, d) capacity row
+    included."""
+    rows, dim = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 3))
+    value = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, -0.0, math.nan, math.inf]))
+    shared = data.draw(st.booleans())
+    totals = np.array(data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                                         min_size=1 if shared else rows,
+                                         max_size=1 if shared else rows)))
+    shares = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.5), min_size=dim,
+                                                  max_size=dim), min_size=rows, max_size=rows)))
+    bumped = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    bump = data.draw(value)
+    with np.errstate(all="ignore"):  # inf * 0 and overflowing powers
+        used = totals * shares
+        used[bumped] += bump
+        for params in (INITIAL_PARAMS, REALLOC_PARAMS):
+            assert (allocation_score_vec(params, totals, used).tobytes()
+                    == masked_score_vec(params, totals, used).tobytes())

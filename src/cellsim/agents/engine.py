@@ -6,7 +6,9 @@ shed, asks a broker for up to fifteen scored candidate nodes, negotiates
 acceptance directly with their agents, and commits the migration against a
 final suitability check at the target.  A quote's forced entries bypass
 the availability check (never the constraint or total-capacity checks) so
-a task with restrictive constraints cannot starve.
+a task with restrictive constraints cannot starve.  Which nodes a
+constraint set admits is the cell's to say: brokers read its rows
+(``CellState.eligible``), node agents ask about one node (``admits``).
 
 Execution is deterministic: a seeded single-threaded scheduler splits each
 tick into rounds, delivering messages sent in one round at the start of the
@@ -33,7 +35,6 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from ..workload.anomalies import AnomalySink
-from ..workload.constraints import matches_attributes
 from ..workload.state import CellState, NodeRuntime
 from ..workload import events as ev
 from .messages import (
@@ -88,10 +89,6 @@ class InMigration:
     source: Optional[str]
     forced: bool
     rec_age_us: int
-    #: What the admission check established; audited against these because
-    #: task attributes may legitimately change while the transfer runs.
-    constraints_ok: bool = True
-    capacity_ok: bool = True
 
 
 @dataclass(slots=True)
@@ -210,10 +207,7 @@ class NodeAgent:
     def reserve(self, snapshot: TaskSnapshot, source: Optional[str], forced: bool,
                 rec_age_us: int) -> None:
         self.in_migrations[snapshot.task_id] = InMigration(
-            snapshot=snapshot, source=source, forced=forced, rec_age_us=rec_age_us,
-            constraints_ok=matches_attributes(snapshot.constraints, self.node.attributes),
-            capacity_ok=all(req <= cap for req, cap in zip(snapshot.required,
-                                                          self.node.total.tolist())))
+            snapshot=snapshot, source=source, forced=forced, rec_age_us=rec_age_us)
         self.engine.reservation_target[snapshot.task_id] = self.id
         self.incoming_used += snapshot.used
         if snapshot.production:
@@ -236,7 +230,7 @@ class NodeAgent:
         # a few comparisons.  Loads add up as (used + incoming) + task, and
         # the RUS test is ``rus_fits``'s ``all(<=)``, NaN outcomes included.
         node = self.node
-        if snapshot.constraints and not matches_attributes(snapshot.constraints, node.attributes):
+        if snapshot.constraints and not self.engine.cell.admits(snapshot.constraints, self.id):
             return False
         total = node.total.tolist()
         required = snapshot.required.tolist()
@@ -424,11 +418,12 @@ class NodeAgent:
 
     def _compulsory_tasks(self) -> list[str]:
         out = []
+        cell = self.engine.cell
         node = self.node
         total = node.total.tolist()
         for task_id in node.residents:
-            task = self.engine.cell.tasks[task_id]
-            if task.constraints and not matches_attributes(task.constraints, node.attributes):
+            task = cell.tasks[task_id]
+            if task.constraints and not cell.admits(task.constraints, self.id):
                 out.append(task_id)
             elif any(req > cap for req, cap in zip(task.required.tolist(), total)):
                 out.append(task_id)
@@ -554,7 +549,8 @@ class BrokerAgent:
         self.in_flight: dict[int, PlacementFlow] = {}
         self.rng = random.Random(_stable_seed(engine.seed, "ba", broker_id))
         self.np_rng = np.random.Generator(np.random.PCG64(_stable_seed(engine.seed, "ba-np", broker_id)))
-        self._matches: dict[tuple, np.ndarray] = {}  # constraints -> matching rows, ascending
+        #: each row's position in ``CellState.node_index``, until a row is added or dropped
+        self._cell_pos: Optional[np.ndarray] = None
 
     # -- cache ------------------------------------------------------------------
 
@@ -578,7 +574,7 @@ class BrokerAgent:
             self.last_update = np.resize(self.last_update, grown)
         self.node_ids.append(node_id)
         self.cache[node_id] = row
-        self._matches.clear()
+        self._cell_pos = None
         return row
 
     def drop_node(self, node_id: str) -> None:
@@ -592,23 +588,15 @@ class BrokerAgent:
             for values in (self.totals, self.available, self.last_update):
                 values[row] = values[last]
         self.node_ids.pop()
-        self._matches.clear()
-        self._used = None
+        self._used = self._cell_pos = None
 
-    def clear_matches(self) -> None:
-        self._matches.clear()  # events between ticks may change node attributes
-
-    def _eligible(self, constraints: tuple) -> np.ndarray:
-        eligible = self._matches.get(constraints)
-        if eligible is None:
-            if constraints:
-                nodes = self.engine.cell.nodes
-                eligible = np.flatnonzero([matches_attributes(constraints, nodes[node_id].attributes)
-                                           for node_id in self.node_ids])
-            else:
-                eligible = np.arange(len(self.node_ids))
-            self._matches[constraints] = eligible
-        return eligible
+    def eligible_rows(self, constraints: tuple) -> np.ndarray:
+        """The constraint set's eligible cache rows, ascending: the cell's
+        row for the set, taken at each cache row's position in the cell."""
+        if self._cell_pos is None:
+            index = self.engine.cell.node_index()
+            self._cell_pos = np.array([index[node_id] for node_id in self.node_ids], dtype=np.intp)
+        return np.flatnonzero(self.engine.cell.eligible(constraints).take(self._cell_pos))
 
     # -- quoting -----------------------------------------------------------------
 
@@ -654,8 +642,11 @@ class BrokerAgent:
         # per quote: its index in the batch, eligible rows, count and the
         # requester's position among them (the count when it is not one)
         live, eligibles, counts, gaps = [], [], [], []
+        by_set: dict[tuple, np.ndarray] = {}  # one eligible array per constraint set
         for i, (snapshot, requester) in enumerate(requests):
-            eligible = self._eligible(snapshot.constraints)
+            eligible = by_set.get(snapshot.constraints)
+            if eligible is None:
+                eligible = by_set[snapshot.constraints] = self.eligible_rows(snapshot.constraints)
             count = gap = len(eligible)
             row = self.cache.get(requester)
             if row is not None:
@@ -783,8 +774,8 @@ class BrokerAgent:
                     task=message.task, quote=quote))
             elif kind is MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE:
                 flow = self.in_flight.pop(message.correlation_id, None)
-                if flow is not None:
-                    engine.commit_initial_placement(flow.task_id, message.sender)
+                if flow is not None and not engine.commit_initial_placement(flow.task_id, message.sender):
+                    engine.retry_placement(flow.task_id, self.rng)
             elif kind is MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE:
                 flow = self.in_flight.pop(message.correlation_id, None)
                 if flow is not None:
@@ -850,8 +841,9 @@ class BrokerAgent:
 
 @dataclass(slots=True)
 class AuditRecord:
-    """One committed placement or completed migration, as the protocol's
-    safety checks see it (``--audit`` writes it to ``<run>-audit.csv``)."""
+    """One committed placement or completed migration, with the protocol's
+    safety checks read from the cell at the commit (``--audit`` writes it
+    to ``<run>-audit.csv``)."""
 
     task_id: str
     source: Optional[str]
@@ -899,15 +891,9 @@ class AgentEngine(Engine):
         self._sample_counters = dict.fromkeys(SAMPLE_RATES, 0)
         #: task -> the node holding its reservation, so task removal is O(1)
         self.reservation_target: dict[str, str] = {}
-        self._agent_order: Optional[list[str]] = None
-        for node_id in sorted(cell.nodes):
+        for node_id in cell.node_index():
             self.agents[node_id] = NodeAgent(node_id, self)
             self._report_to_brokers(node_id)
-
-    def agent_order(self) -> list[str]:
-        if self._agent_order is None:
-            self._agent_order = sorted(self.agents)
-        return self._agent_order
 
     def _report_to_brokers(self, node_id: str) -> None:
         # A joining node (or a direct placement) reaches the broker caches
@@ -956,15 +942,23 @@ class AgentEngine(Engine):
 
     # -- state transitions -------------------------------------------------------
 
-    def commit_initial_placement(self, task_id: str, node_id: str) -> None:
+    def commit_initial_placement(self, task_id: str, node_id: str) -> bool:
+        """Place the task on the node that confirmed it, or return False (to
+        quote it afresh) if the window applied since (a confirmation sent in
+        a tick's last round arrives in the next tick) made the node unfit."""
         agent = self.agents.get(node_id)
         if agent is None or task_id not in self.cell.tasks:
-            return
+            return True
         reservation = agent.release_reservation(task_id)
+        task = self.cell.tasks[task_id]
+        if ((task.constraints and not self.cell.admits(task.constraints, node_id))
+                or any(map(gt, task.required.tolist(), agent.node.total.tolist()))):
+            return False
         self.cell.place(task_id, node_id)
         self.metrics.placements += 1
         if self.audit is not None:
             self._audit(task_id, None, agent, reservation, initial=True)
+        return True
 
     def _complete_transfers(self) -> None:
         transfers, self.transfers = sorted(self.transfers), []
@@ -984,20 +978,21 @@ class AgentEngine(Engine):
 
     def _audit(self, task_id: str, source: Optional[str], target: NodeAgent,
                reservation: Optional[InMigration], initial: bool) -> None:
-        forced = reservation.forced if reservation is not None else False
+        task = self.cell.tasks[task_id]
+        total = target.node.total
         self.audit(AuditRecord(
             task_id=task_id,
             source=source,
             target=target.id,
-            forced=forced,
+            forced=reservation.forced if reservation is not None else False,
             initial=initial,
-            constraints_ok=reservation.constraints_ok if reservation is not None else True,
-            capacity_ok=reservation.capacity_ok if reservation is not None else True,
+            constraints_ok=self.cell.admits(task.constraints, target.id),
+            capacity_ok=all(map(le, task.required.tolist(), total.tolist())),
             stable_after=not target.overloaded(),
-            rus_after=rus_fits(target.node.total, target.node.prod_required),
+            rus_after=rus_fits(total, target.node.prod_required),
             rec_age_us=reservation.rec_age_us if reservation is not None else 0,
             ttl_us=self.quote_ttl_us,
-            cost_mb=0.0 if initial else self.cell.tasks[task_id].migration_cost_mb,
+            cost_mb=0.0 if initial else task.migration_cost_mb,
         ))
 
     # -- workload events -----------------------------------------------------------
@@ -1014,7 +1009,6 @@ class AgentEngine(Engine):
             # a node added again keeps its agent, and so its reservations
             if event.node_id not in self.agents:
                 self.agents[event.node_id] = NodeAgent(event.node_id, self)
-                self._agent_order = None
             self._report_to_brokers(event.node_id)
         elif kind is ev.EventKind.REMOVE_NODE:
             self._remove_node(event)
@@ -1050,7 +1044,6 @@ class AgentEngine(Engine):
     def _remove_node(self, event) -> None:
         cell = self.cell
         agent = self.agents.pop(event.node_id, None)
-        self._agent_order = None
         displaced: list[str] = []
         if agent is not None:
             displaced = sorted(agent.node.residents)
@@ -1080,7 +1073,6 @@ class AgentEngine(Engine):
         """Advance one tick (events must have been applied by the caller)."""
         self.metrics = TickMetrics()
         for broker in self.brokers.values():
-            broker.clear_matches()
             broker.flush_retries()
         self._gossip()
         for round_index in range(self.config.rounds_per_tick):
@@ -1122,7 +1114,8 @@ class AgentEngine(Engine):
                     agent.handle(message)
         for broker_id in self._broker_ids:
             self.brokers[broker_id].on_round(round_index)
-        for node_id in self.agent_order():
+        # every node of the cell has its agent: run them in the cell's node order
+        for node_id in self.cell.node_index():
             agent = self.agents.get(node_id)
             if agent is not None:
                 agent.on_round(round_index)

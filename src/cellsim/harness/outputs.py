@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..agents.engine import AuditRecord
+from ..agents.engine import AuditRecord, TickMetrics
 
 TICKS_HEADER = [
     "tick", "idle", "sta", "ta", "pa", "da", "overloaded",
@@ -35,40 +35,27 @@ def _audit_value(value) -> str:
 
 @dataclass
 class TickRecord:
+    """One ``ticks.csv`` row: the engine's metrics for the tick, and the
+    cell at its end (node classes, cell-wide load ratios, pending tasks)."""
+
     tick: int
-    idle: int = 0
-    sta: int = 0
-    ta: int = 0
-    pa: int = 0
-    da: int = 0
-    overloaded: int = 0
-    migrations_attempted: int = 0
-    migrations_completed: int = 0
-    collisions: int = 0
-    cpu_used_ratio: float = 0.0
-    mem_used_ratio: float = 0.0
-    cpu_req_ratio: float = 0.0
-    mem_req_ratio: float = 0.0
-    stc_mb: float = 0.0
-    placements: int = 0
-    unschedulable: int = 0
-    scs_runs: int = 0
-    rus_spikes: int = 0
-    san_restarts: int = 0
+    metrics: TickMetrics
+    #: nodes per allocation class, by the class's value (``asr_metrics``' counts)
+    classes: dict[str, int]
+    #: the cell's cpu and memory used, then required, over its capacity
+    ratios: tuple[float, float, float, float]
     #: tasks waiting for a node at the end of the tick
-    pending: int = 0
+    pending: int
 
     def row(self) -> list[str]:
+        m = self.metrics
         return [
-            str(self.tick), str(self.idle), str(self.sta), str(self.ta),
-            str(self.pa), str(self.da), str(self.overloaded),
-            str(self.migrations_attempted), str(self.migrations_completed),
-            str(self.collisions),
-            f"{self.cpu_used_ratio:.6f}", f"{self.mem_used_ratio:.6f}",
-            f"{self.cpu_req_ratio:.6f}", f"{self.mem_req_ratio:.6f}",
-            f"{self.stc_mb:.3f}",
-            str(self.placements), str(self.unschedulable), str(self.scs_runs),
-            str(self.rus_spikes), str(self.san_restarts), str(self.pending),
+            str(self.tick), *(str(self.classes[name]) for name in TICKS_HEADER[1:7]),
+            str(m.migrations_attempted), str(m.migrations_completed), str(m.collisions),
+            *(f"{ratio:.6f}" for ratio in self.ratios),
+            f"{m.stc_mb:.3f}",
+            str(m.placements), str(m.unschedulable), str(m.scs_runs),
+            str(m.rus_spikes), str(m.san_restarts), str(self.pending),
         ]
 
 

@@ -220,7 +220,6 @@ class SimulationRunner:
         table = self.cell.node_table()
         node_ids, totals, used, required, counts = table
         classes = list(classify_vec(totals, used, counts)) if len(node_ids) else []
-        tally = asr_metrics(classes)["counts"]
         capacity, used_sum, required_sum = totals.sum(axis=0), used.sum(axis=0), required.sum(axis=0)
 
         def ratio(values, index):
@@ -228,25 +227,9 @@ class SimulationRunner:
 
         record = TickRecord(
             tick=self.tick,
-            idle=tally["idle"],
-            sta=tally["sta"],
-            ta=tally["ta"],
-            pa=tally["pa"],
-            da=tally["da"],
-            overloaded=tally["overloaded"],
-            migrations_attempted=metrics.migrations_attempted,
-            migrations_completed=metrics.migrations_completed,
-            collisions=metrics.collisions,
-            cpu_used_ratio=ratio(used_sum, 0),
-            mem_used_ratio=ratio(used_sum, 1),
-            cpu_req_ratio=ratio(required_sum, 0),
-            mem_req_ratio=ratio(required_sum, 1),
-            stc_mb=metrics.stc_mb,
-            placements=metrics.placements,
-            unschedulable=metrics.unschedulable,
-            scs_runs=metrics.scs_runs,
-            rus_spikes=metrics.rus_spikes,
-            san_restarts=metrics.san_restarts,
+            metrics=metrics,
+            classes=asr_metrics(classes)["counts"],
+            ratios=tuple(ratio(values, i) for values in (used_sum, required_sum) for i in (0, 1)),
             pending=len(self.cell.pending),
         )
         return record, table, classes

@@ -15,10 +15,10 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 14: a node agent's random stream is
-#: seeded on its first draw, and the anomaly counts have a kind for tasks
-#: replay cannot place.
-VERSION = 14
+#: version control log).  Version 15: the cell keeps its constraint rows and
+#: node positions, a broker its rows' positions in the cell (no match memo),
+#: and a reservation no longer carries the admission check's outcome.
+VERSION = 15
 
 
 class SnapshotError(RuntimeError):

@@ -12,7 +12,11 @@ task events keep those sums current, so this is the one place a node's load
 is defined: the agents read it, ``node_table`` stacks it for ``ticks.csv``
 and the usage dumps, and the centralized balancer packs the cell into arrays
 (``PackedProblem.from_cell``) every tick.  It is also the one place a task's
-migration cost is derived, from its used memory, whatever the event source.
+migration cost is derived, from its used memory, whatever the event source,
+and the one place constraints meet node attributes: one boolean row over
+the sorted node ids per distinct constraint tuple (``eligible``), built on
+first ask and dropped by the node events that can make it stale (or when
+they fill ``ROW_CELLS``); ``admits`` answers for one node without building one.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .. import model
 from ..livemigration import BUILTIN_PROFILES, MigrationProfile, lmdt_estimate, memory_mb
-from .constraints import TaskConstraint
+from .constraints import TaskConstraint, matches_attributes
 from . import events as ev
 
 
@@ -95,6 +99,9 @@ class CellState:
     until its first usage event.
     """
 
+    #: The booleans ``eligible``'s rows may hold (16 MB) before they are all dropped.
+    ROW_CELLS = 1 << 24
+
     def __init__(self, catalog: model.ResourceTypeCatalog,
                  profile: MigrationProfile = BUILTIN_PROFILES["apache"]):
         self.catalog = catalog
@@ -105,6 +112,9 @@ class CellState:
         self.pending: dict[str, None] = {}
         self.counters = Counters()
         self._memory_index = catalog.index("memory") if "memory" in catalog.names else None
+        #: ``node_index`` and ``eligible``'s rows, each built on first ask
+        self._node_index: dict[str, int] | None = None
+        self._rows: dict[tuple, np.ndarray] = {}
 
     # -- placement bookkeeping -------------------------------------------------
 
@@ -129,10 +139,42 @@ class CellState:
         if task_id in self.tasks:
             self.pending[task_id] = None
 
+    # -- constraint classes --------------------------------------------------------
+
+    def node_index(self) -> dict[str, int]:
+        """Each node's position among the sorted node ids, in that order:
+        the axis of ``eligible``'s rows, ``node_table`` and ``PackedProblem``."""
+        if self._node_index is None:
+            self._node_index = {node_id: i for i, node_id in enumerate(sorted(self.nodes))}
+        return self._node_index
+
+    def eligible(self, constraints: tuple) -> np.ndarray:
+        """The constraint set's row: a read-only boolean per node, over
+        ``node_index``, true where the node's attributes admit the set (all
+        true for the empty set)."""
+        row = self._rows.get(constraints)
+        if row is None:
+            index, nodes = self.node_index(), self.nodes
+            if len(self._rows) * len(index) >= self.ROW_CELLS:
+                self._rows.clear()  # many distinct sets and no node event
+            row = np.fromiter((matches_attributes(constraints, nodes[node_id].attributes)
+                               for node_id in index), dtype=bool, count=len(index))
+            row.flags.writeable = False
+            self._rows[constraints] = row
+        return row
+
+    def admits(self, constraints: tuple, node_id: str) -> bool:
+        """Whether the node admits the set: its cell of a built row, else
+        that node's own match (a one-node question builds no row)."""
+        row = self._rows.get(constraints)
+        if row is None:
+            return matches_attributes(constraints, self.nodes[node_id].attributes)
+        return bool(row[self.node_index()[node_id]])
+
     def node_table(self) -> tuple:
         """Sorted node ids, then per-node totals, used and required (float64
         arrays of shape (N, d)) and resident task counts."""
-        node_ids = sorted(self.nodes)
+        node_ids = list(self.node_index())
         nodes = [self.nodes[node_id] for node_id in node_ids]
 
         def stack(rows: list) -> np.ndarray:
@@ -153,6 +195,9 @@ class CellState:
         kind = event.kind
         if kind is ev.EventKind.ADD_NODE:
             total = frozen_vector(event.total)
+            if event.node_id not in self.nodes:
+                self._node_index = None
+            self._rows.clear()  # the node's attributes are replaced
             node = self.nodes.setdefault(event.node_id, NodeRuntime(event.node_id, total))
             # a node added again keeps what sits on it
             node.total, node.attributes = total, dict(event.attributes)
@@ -160,6 +205,8 @@ class CellState:
         elif kind is ev.EventKind.REMOVE_NODE:
             removed = self.nodes.pop(event.node_id, None)
             if removed is not None:
+                self._node_index = None
+                self._rows.clear()
                 self.counters.nodes_removed += 1
                 for task_id in sorted(removed.residents):
                     del self.placement[task_id]
@@ -171,10 +218,12 @@ class CellState:
         elif kind is ev.EventKind.ADD_NODE_ATTRIBUTES:
             node = self.nodes.get(event.node_id)
             if node is not None:
+                self._rows.clear()
                 node.attributes.update(dict(event.attributes))
         elif kind is ev.EventKind.REMOVE_NODE_ATTRIBUTES:
             node = self.nodes.get(event.node_id)
             if node is not None:
+                self._rows.clear()
                 for name in event.attribute_names:
                     node.attributes.pop(name, None)
         elif kind is ev.EventKind.ADD_TASK:

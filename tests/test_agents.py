@@ -336,7 +336,6 @@ class TestBrokerQuotes:
         assert quote() == ["n000"]
         engine.apply_events([ev.RemoveNodeAttributesEvent(0, "n000", ("gpu",)),
                              ev.AddNodeAttributesEvent(0, "n001", (("gpu", "yes"),))])
-        broker.clear_matches()  # what every tick starts with
         assert quote() == ["n001"]
 
     def test_exclude_source(self):
@@ -345,6 +344,74 @@ class TestBrokerQuotes:
         broker = engine.brokers["broker-000"]
         quote = quote_one(broker, snapshot, False, "n000")
         assert quote.node_ids == ["n001"]
+
+
+#: The table test's attributes: names, values (integers for the numeric
+#: operators, a word they cannot parse, the empty string) and the numeric
+#: operators' bounds.
+ATTRIBUTE_NAMES = ("rack", "size", "zone")
+ATTRIBUTE_VALUES = ("1", "3", "5", "x", "")
+BOUNDS = ("2", "4")
+#: Every one-constraint set: all four operators, on every name and value.
+SINGLE_CONSTRAINTS = [(TaskConstraint(op, name, value),) for name in ATTRIBUTE_NAMES
+                      for op, values in ((Op.EQUAL, ATTRIBUTE_VALUES), (Op.NOT_EQUAL, ATTRIBUTE_VALUES),
+                                         (Op.LESS_THAN, BOUNDS), (Op.GREATER_THAN, BOUNDS))
+                      for value in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_constraint_table_follows_node_events(data):
+    """After every node event (nodes added, added again and removed,
+    attributes added and removed, on nodes present or not) each of the
+    cell's rows equals ``matches_attributes`` node by node, and every
+    broker's eligible rows equal its cache rows' matches, ascending.  The
+    sets are every one-constraint set (absent attributes and the empty
+    ``EQUAL`` value among them), random conjunctions and the empty set."""
+    names, values = st.sampled_from(ATTRIBUTE_NAMES), st.sampled_from(ATTRIBUTE_VALUES)
+    attributes = st.lists(st.tuples(names, values), max_size=3).map(tuple)
+    node_ids = st.integers(0, 4).map("n{:03d}".format)
+    engine = build_engine([(1.0, 1.0)] * data.draw(st.integers(0, 4)),
+                          config=AgentConfig(broker_count=data.draw(st.integers(1, 2))),
+                          attrs={i: data.draw(attributes) for i in range(4)})
+    conjunctions = st.lists(st.sampled_from(SINGLE_CONSTRAINTS), min_size=2, max_size=3).map(
+        lambda sets: sum(sets, ()))
+    sets = SINGLE_CONSTRAINTS + data.draw(st.lists(conjunctions, max_size=3)) + [()]
+    events = st.one_of(
+        st.builds(ev.AddNodeEvent, st.just(0), node_ids, st.just((1.0, 1.0)), attributes),
+        st.builds(ev.RemoveNodeEvent, st.just(0), node_ids),
+        st.builds(ev.AddNodeAttributesEvent, st.just(0), node_ids, attributes),
+        st.builds(ev.RemoveNodeAttributesEvent, st.just(0), node_ids,
+                  st.lists(names, min_size=1, max_size=2).map(tuple)))
+    cell = engine.cell
+    for event in [None] + data.draw(st.lists(events, max_size=12)):
+        if event is not None:
+            engine.apply_events([event])
+        nodes = cell.nodes
+        for constraints in sets:
+            matches = [matches_attributes(constraints, nodes[node_id].attributes)
+                       for node_id in sorted(nodes)]
+            # one node's answer, before its row is built (after a node event) and after
+            assert [cell.admits(constraints, node_id) for node_id in sorted(nodes)] == matches
+            row = cell.eligible(constraints)
+            assert row.tolist() == matches
+            assert [cell.admits(constraints, node_id) for node_id in sorted(nodes)] == matches
+            for broker in engine.brokers.values():
+                old = np.flatnonzero([matches_attributes(constraints, nodes[node_id].attributes)
+                                      for node_id in broker.node_ids])
+                eligible = broker.eligible_rows(constraints)
+                assert eligible.dtype == old.dtype and eligible.tolist() == old.tolist()
+
+
+def test_constraint_table_is_bounded():
+    """Past ``ROW_CELLS`` booleans the rows are dropped, and rebuilt equal."""
+    engine = build_engine([(1.0, 1.0)] * 4, attrs={i: (("rack", str(i)),) for i in range(4)})
+    cell = engine.cell
+    cell.ROW_CELLS = 8
+    for rack in "0123" * 2:
+        row = cell.eligible((TaskConstraint(Op.EQUAL, "rack", rack),))
+        assert row.tolist() == [node_id == f"n00{rack}" for node_id in sorted(cell.nodes)]
+        assert len(cell._rows) <= 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -743,11 +810,14 @@ ADMISSION_VALUES = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 0.75, 1.
 
 
 def stub_agent(total, used, prod_required, incoming_used, incoming_prod_req, attributes=None):
-    """What ``NodeAgent.admission_ok`` reads of an agent and its node."""
-    return SimpleNamespace(
-        node=SimpleNamespace(total=total, used=used, prod_required=prod_required,
-                             attributes=attributes or {}),
-        incoming_used=incoming_used, incoming_prod_req=incoming_prod_req)
+    """What ``NodeAgent.admission_ok`` reads of an agent: its node, the one
+    node of a cell, given these loads and attributes, and its reservations."""
+    cell = CellState(ResourceTypeCatalog(tuple(f"r{i}" for i in range(len(total)))))
+    cell.apply(ev.AddNodeEvent(0, "n", total, tuple((attributes or {}).items())))
+    node = cell.nodes["n"]
+    node.used, node.prod_required = used, prod_required
+    return SimpleNamespace(id="n", node=node, engine=SimpleNamespace(cell=cell),
+                           incoming_used=incoming_used, incoming_prod_req=incoming_prod_req)
 
 
 @settings(max_examples=500, deadline=None)
@@ -872,6 +942,33 @@ class TestEndToEnd:
             assert record.constraints_ok
             assert record.capacity_ok
             assert record.rec_age_us <= record.ttl_us
+
+    def test_commit_rechecks_the_cell(self):
+        """At one round a tick, an initial placement is admitted and
+        reserved in one tick and committed in the next.  Events between the
+        two take the node's attribute away from one task and make the other
+        too big for its node: neither commits there, both reservations are
+        released, and both tasks are quoted afresh and placed on a node
+        that admits them, which the audit reads at the commit."""
+        records = []
+        engine = build_engine([(1.0, 1.0)] * 2, config=AgentConfig(rounds_per_tick=1),
+                              attrs={0: (("gpu", "yes"),), 1: (("zone", "b"),)}, records=records)
+        engine.apply_events([
+            ev.AddTaskEvent(0, "gpu", (0.1, 0.1), constraints=(TaskConstraint(Op.EQUAL, "gpu", "yes"),)),
+            ev.AddTaskEvent(0, "zone", (0.1, 0.1), constraints=(TaskConstraint(Op.EQUAL, "zone", "b"),))])
+        run_ticks(engine, 2)  # requests sent, then admitted and reserved
+        assert records == [] and engine.reservation_target == {"gpu": "n000", "zone": "n001"}
+        engine.apply_events([ev.RemoveNodeAttributesEvent(0, "n000", ("gpu",)),
+                             ev.UpdateTaskRequiredEvent(0, "zone", (1.5, 0.1)),
+                             ev.AddNodeEvent(0, "n002", (2.0, 2.0), (("gpu", "yes"), ("zone", "b")))])
+        run_ticks(engine, 1)
+        assert records == [] and engine.reservation_target == {}
+        assert not engine.cell.placement
+        assert all(agent.incoming_used.tolist() == [0.0, 0.0] for agent in engine.agents.values())
+        run_ticks(engine, 3)
+        audit = {r.task_id: (r.target, r.constraints_ok, r.capacity_ok) for r in records}
+        assert audit == {"gpu": ("n002", True, True), "zone": ("n002", True, True)}
+        assert engine.cell.placement == {"gpu": "n002", "zone": "n002"}
 
     def test_deterministic_trace(self):
         def run():

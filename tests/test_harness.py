@@ -483,12 +483,16 @@ class TestSnapshotRoundtrip:
         with pytest.raises(SnapshotError):
             load_snapshot(path)
 
-    @pytest.mark.parametrize("mode", ["replay", "masb", "metaheuristic"])
+    @pytest.mark.parametrize("mode", ["replay", "masb", "masb-constrained", "metaheuristic"])
     def test_resume_reproduces_run(self, tmp_path, mode):
         # masb also traces messages and audits, so the engine's writers must
-        # survive being left out of the snapshot
+        # survive being left out of the snapshot; its constrained run
+        # snapshots the cell's eligibility rows too
         extra = {"masb": dict(message_trace=True, audit=True),
+                 "masb-constrained": dict(message_trace=True, audit=True, synth=synth_config(
+                     constraint_rate=0.3, attribute_groups=4)),
                  "metaheuristic": dict(strategy="greedy", strategy_budget=4000)}.get(mode, {})
+        mode = mode.removesuffix("-constrained")
         full_config = run_config(tmp_path / "full", mode=mode, ticks=8,
                                  snapshot_every=None, **extra)
         SimulationRunner(full_config).run()

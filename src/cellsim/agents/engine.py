@@ -18,7 +18,9 @@ recipient-id order, each in send order, and mail to a node that leaves the
 cell is dropped with its mailbox.  A broker applies all of a round's status
 reports before it answers any request: it answers the round's quote
 requests as one batch, from the cache the reports have just fixed, and
-replies in request order.  A transfer takes one round.
+replies in request order.  A transfer takes one round, an initial
+placement's as a migration's: each commits at the next round's start (the
+last round's at the tick's end), so no reservation outlives its tick.
 Wall-clock never enters the simulation.  Node and task vectors are the
 cell's float64 arrays, used without conversion.
 """
@@ -208,19 +210,15 @@ class NodeAgent:
                 rec_age_us: int) -> None:
         self.in_migrations[snapshot.task_id] = InMigration(
             snapshot=snapshot, source=source, forced=forced, rec_age_us=rec_age_us)
-        self.engine.reservation_target[snapshot.task_id] = self.id
         self.incoming_used += snapshot.used
         if snapshot.production:
             self.incoming_prod_req += snapshot.required
 
-    def release_reservation(self, task_id: str) -> Optional[InMigration]:
-        reservation = self.in_migrations.pop(task_id, None)
-        if reservation is not None:
-            if self.engine.reservation_target.get(task_id) == self.id:
-                self.engine.reservation_target.pop(task_id, None)
-            self.incoming_used -= reservation.snapshot.used
-            if reservation.snapshot.production:
-                self.incoming_prod_req -= reservation.snapshot.required
+    def release_reservation(self, task_id: str) -> InMigration:
+        reservation = self.in_migrations.pop(task_id)
+        self.incoming_used -= reservation.snapshot.used
+        if reservation.snapshot.production:
+            self.incoming_prod_req -= reservation.snapshot.required
         return reservation
 
     # -- admission checks ---------------------------------------------------------
@@ -297,9 +295,7 @@ class NodeAgent:
         # Final check passed: resources are reserved and the transfer starts.
         source = None if message.initial else message.sender
         self.reserve(snapshot, source=source, forced=message.forced, rec_age_us=message.rec_age_us)
-        if source is not None:
-            # an initial placement commits when its broker gets the confirmation
-            engine.transfers.append((self.id, snapshot.task_id))
+        engine.transfers.append((self.id, snapshot.task_id))
         engine.send(Message(
             kind=MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE,
             sender=self.id, recipient=message.sender,
@@ -592,7 +588,10 @@ class BrokerAgent:
 
     def eligible_rows(self, constraints: tuple) -> np.ndarray:
         """The constraint set's eligible cache rows, ascending: the cell's
-        row for the set, taken at each cache row's position in the cell."""
+        row for the set, taken at each cache row's position in the cell.
+        Every cached node is in the cell, so the empty set takes every row."""
+        if not constraints:
+            return np.arange(len(self.node_ids), dtype=np.intp)
         if self._cell_pos is None:
             index = self.engine.cell.node_index()
             self._cell_pos = np.array([index[node_id] for node_id in self.node_ids], dtype=np.intp)
@@ -773,9 +772,8 @@ class BrokerAgent:
                     recipient=message.sender, correlation_id=message.correlation_id,
                     task=message.task, quote=quote))
             elif kind is MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE:
-                flow = self.in_flight.pop(message.correlation_id, None)
-                if flow is not None and not engine.commit_initial_placement(flow.task_id, message.sender):
-                    engine.retry_placement(flow.task_id, self.rng)
+                # the placement has committed with its transfer
+                self.in_flight.pop(message.correlation_id, None)
             elif kind is MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE:
                 flow = self.in_flight.pop(message.correlation_id, None)
                 if flow is not None:
@@ -880,17 +878,16 @@ class AgentEngine(Engine):
         #: recipient -> the mail sent to it this round, in send order
         self._mailboxes: dict[str, list[Message]] = {}
         self._correlation = 0
-        #: (target, task) of the transfers started this round.  A transfer
-        #: completes at the next round's start (the last round's at the tick's
-        #: end), so ``task_left`` closes the source's negotiation before the
-        #: source hears of it, and no transfer is open between ticks.
+        #: (target, task) of the transfers started this round, initial
+        #: placements among them.  A transfer completes at the next round's
+        #: start (the last round's at the tick's end), so ``task_left`` closes
+        #: the source's negotiation before the source hears of it, and no
+        #: transfer or reservation is open between ticks.
         self.transfers: list[tuple[str, str]] = []
         self.metrics = TickMetrics()
         #: live tasks reported unschedulable, so each gets one ERROR line
         self.unschedulable: set[str] = set()
         self._sample_counters = dict.fromkeys(SAMPLE_RATES, 0)
-        #: task -> the node holding its reservation, so task removal is O(1)
-        self.reservation_target: dict[str, str] = {}
         for node_id in cell.node_index():
             self.agents[node_id] = NodeAgent(node_id, self)
             self._report_to_brokers(node_id)
@@ -942,55 +939,39 @@ class AgentEngine(Engine):
 
     # -- state transitions -------------------------------------------------------
 
-    def commit_initial_placement(self, task_id: str, node_id: str) -> bool:
-        """Place the task on the node that confirmed it, or return False (to
-        quote it afresh) if the window applied since (a confirmation sent in
-        a tick's last round arrives in the next tick) made the node unfit."""
-        agent = self.agents.get(node_id)
-        if agent is None or task_id not in self.cell.tasks:
-            return True
-        reservation = agent.release_reservation(task_id)
-        task = self.cell.tasks[task_id]
-        if ((task.constraints and not self.cell.admits(task.constraints, node_id))
-                or any(map(gt, task.required.tolist(), agent.node.total.tolist()))):
-            return False
-        self.cell.place(task_id, node_id)
-        self.metrics.placements += 1
-        if self.audit is not None:
-            self._audit(task_id, None, agent, reservation, initial=True)
-        return True
-
     def _complete_transfers(self) -> None:
         transfers, self.transfers = sorted(self.transfers), []
         for node_id, task_id in transfers:
-            # nodes, tasks and reservations only leave between ticks
+            # nodes and tasks only leave between ticks, when no transfer is open
             target = self.agents[node_id]
             reservation = target.release_reservation(task_id)
             source = self.agents.get(reservation.source)
             if source is not None and task_id in source.node.residents:
                 source.task_left(task_id)
             self.cell.place(task_id, node_id)
-            task = self.cell.tasks[task_id]
-            self.metrics.migrations_completed += 1
-            self.metrics.stc_mb += task.migration_cost_mb
+            if reservation.source is None:
+                self.metrics.placements += 1
+            else:
+                self.metrics.migrations_completed += 1
+                self.metrics.stc_mb += self.cell.tasks[task_id].migration_cost_mb
             if self.audit is not None:
-                self._audit(task_id, reservation.source, target, reservation, initial=False)
+                self._audit(task_id, target, reservation)
 
-    def _audit(self, task_id: str, source: Optional[str], target: NodeAgent,
-               reservation: Optional[InMigration], initial: bool) -> None:
+    def _audit(self, task_id: str, target: NodeAgent, reservation: InMigration) -> None:
         task = self.cell.tasks[task_id]
         total = target.node.total
+        initial = reservation.source is None
         self.audit(AuditRecord(
             task_id=task_id,
-            source=source,
+            source=reservation.source,
             target=target.id,
-            forced=reservation.forced if reservation is not None else False,
+            forced=reservation.forced,
             initial=initial,
             constraints_ok=self.cell.admits(task.constraints, target.id),
             capacity_ok=all(map(le, task.required.tolist(), total.tolist())),
             stable_after=not target.overloaded(),
             rus_after=rus_fits(total, target.node.prod_required),
-            rec_age_us=reservation.rec_age_us if reservation is not None else 0,
+            rec_age_us=reservation.rec_age_us,
             ttl_us=self.quote_ttl_us,
             cost_mb=0.0 if initial else task.migration_cost_mb,
         ))
@@ -1006,7 +987,7 @@ class AgentEngine(Engine):
         kind = event.kind
         if kind is ev.EventKind.ADD_NODE:
             cell.apply(event)
-            # a node added again keeps its agent, and so its reservations
+            # a node added again keeps its agent, and the cell its residents
             if event.node_id not in self.agents:
                 self.agents[event.node_id] = NodeAgent(event.node_id, self)
             self._report_to_brokers(event.node_id)
@@ -1023,9 +1004,6 @@ class AgentEngine(Engine):
             owner = self.agents.get(cell.placement.get(task_id))
             if owner is not None:
                 owner.task_left(task_id)
-            target = self.agents.get(self.reservation_target.get(task_id))
-            if target is not None:
-                target.release_reservation(task_id)
             cell.apply(event)
         elif kind is ev.EventKind.UPDATE_TASK_USED:
             task = cell.tasks.get(event.task_id)
@@ -1044,28 +1022,23 @@ class AgentEngine(Engine):
     def _remove_node(self, event) -> None:
         cell = self.cell
         agent = self.agents.pop(event.node_id, None)
-        displaced: list[str] = []
-        if agent is not None:
-            displaced = sorted(agent.node.residents)
-            # inbound reservations die with the node; their sources retry
-            for task_id in list(agent.in_migrations):
-                reservation = agent.release_reservation(task_id)
-                if reservation and reservation.source in self.agents:
-                    self.agents[reservation.source].task_left(task_id)
+        displaced = set(agent.node.residents) if agent is not None else set()
         cell.apply(event)
         # mail to the node is lost with it, even if a node of its id comes back
         self._mailboxes.pop(event.node_id, None)
         for broker in self.brokers.values():
             broker.drop_node(event.node_id)
-            # a placement requested of the node gets no answer: quote it afresh
+            # a placement requested of the node gets no answer: quote it
+            # afresh, unless it committed at the tick's end and its task is
+            # one of the node's, which come back below
             for corr, flow in list(broker.in_flight.items()):
                 if flow.quote.node_ids[flow.next_index] == event.node_id:
                     del broker.in_flight[corr]
-                    broker.retry_queue.append(flow.task_id)
-        # displaced tasks re-enter scheduling unless already mid-migration
-        for task_id in displaced:
-            if task_id in cell.tasks and task_id not in self.reservation_target:
-                self.brokers[self.broker_for(self.rng)].enqueue_placement(task_id)
+                    if flow.task_id not in displaced:
+                        broker.retry_queue.append(flow.task_id)
+        # the node's tasks re-enter scheduling
+        for task_id in sorted(displaced):
+            self.brokers[self.broker_for(self.rng)].enqueue_placement(task_id)
 
     # -- scheduler -------------------------------------------------------------------
 

@@ -15,10 +15,10 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 15: the cell keeps its constraint rows and
-#: node positions, a broker its rows' positions in the cell (no match memo),
-#: and a reservation no longer carries the admission check's outcome.
-VERSION = 15
+#: version control log).  Version 16: the agent engine keeps no task ->
+#: reservation index, since an initial placement commits with the transfers
+#: and no reservation is open between ticks.
+VERSION = 16
 
 
 class SnapshotError(RuntimeError):

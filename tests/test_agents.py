@@ -365,7 +365,8 @@ def test_constraint_table_follows_node_events(data):
     """After every node event (nodes added, added again and removed,
     attributes added and removed, on nodes present or not) each of the
     cell's rows equals ``matches_attributes`` node by node, and every
-    broker's eligible rows equal its cache rows' matches, ascending.  The
+    broker's eligible rows equal its cache rows' matches, ascending, and
+    the general path's (the empty set takes a path of its own).  The
     sets are every one-constraint set (absent attributes and the empty
     ``EQUAL`` value among them), random conjunctions and the empty set."""
     names, values = st.sampled_from(ATTRIBUTE_NAMES), st.sampled_from(ATTRIBUTE_VALUES)
@@ -396,11 +397,16 @@ def test_constraint_table_follows_node_events(data):
             row = cell.eligible(constraints)
             assert row.tolist() == matches
             assert [cell.admits(constraints, node_id) for node_id in sorted(nodes)] == matches
+            index = cell.node_index()
             for broker in engine.brokers.values():
                 old = np.flatnonzero([matches_attributes(constraints, nodes[node_id].attributes)
                                       for node_id in broker.node_ids])
+                # the general path, which the empty set skips: the set's row
+                # at the cache rows' positions in the cell
+                general = np.flatnonzero(row.take([index[node_id] for node_id in broker.node_ids]))
                 eligible = broker.eligible_rows(constraints)
-                assert eligible.dtype == old.dtype and eligible.tolist() == old.tolist()
+                assert eligible.dtype == old.dtype == general.dtype
+                assert eligible.tolist() == old.tolist() == general.tolist()
 
 
 def test_constraint_table_is_bounded():
@@ -943,32 +949,31 @@ class TestEndToEnd:
             assert record.capacity_ok
             assert record.rec_age_us <= record.ttl_us
 
-    def test_commit_rechecks_the_cell(self):
-        """At one round a tick, an initial placement is admitted and
-        reserved in one tick and committed in the next.  Events between the
-        two take the node's attribute away from one task and make the other
-        too big for its node: neither commits there, both reservations are
-        released, and both tasks are quoted afresh and placed on a node
-        that admits them, which the audit reads at the commit."""
+    def test_last_round_placement_commits_by_the_tick_end(self):
+        """At one round a tick, a constrained placement is requested in one
+        tick and admitted in the next, whose only round is its last: it is
+        placed by that tick's end, and the audit reads its constraints as
+        met.  The next window takes the node's attribute away, so the task
+        must leave, and it migrates to the one node that admits it."""
         records = []
+        gpu = (TaskConstraint(Op.EQUAL, "gpu", "yes"),)
         engine = build_engine([(1.0, 1.0)] * 2, config=AgentConfig(rounds_per_tick=1),
-                              attrs={0: (("gpu", "yes"),), 1: (("zone", "b"),)}, records=records)
-        engine.apply_events([
-            ev.AddTaskEvent(0, "gpu", (0.1, 0.1), constraints=(TaskConstraint(Op.EQUAL, "gpu", "yes"),)),
-            ev.AddTaskEvent(0, "zone", (0.1, 0.1), constraints=(TaskConstraint(Op.EQUAL, "zone", "b"),))])
-        run_ticks(engine, 2)  # requests sent, then admitted and reserved
-        assert records == [] and engine.reservation_target == {"gpu": "n000", "zone": "n001"}
+                              attrs={0: (("gpu", "yes"),)}, records=records)
+        add_task(engine, "t", required=(0.1, 0.1), used=(0.1, 0.1), constraints=gpu)
+        engine.run_tick()  # quoted, and the request sent
+        assert records == [] and "t" not in engine.cell.placement
+        engine.run_tick()  # admitted, reserved and committed
+        assert engine.cell.placement == {"t": "n000"}
+        (record,) = records
+        assert (record.source, record.target, record.initial) == (None, "n000", True)
+        assert record.constraints_ok and record.capacity_ok and record.cost_mb == 0.0
+        check_agent_invariants(engine)
         engine.apply_events([ev.RemoveNodeAttributesEvent(0, "n000", ("gpu",)),
-                             ev.UpdateTaskRequiredEvent(0, "zone", (1.5, 0.1)),
-                             ev.AddNodeEvent(0, "n002", (2.0, 2.0), (("gpu", "yes"), ("zone", "b")))])
-        run_ticks(engine, 1)
-        assert records == [] and engine.reservation_target == {}
-        assert not engine.cell.placement
-        assert all(agent.incoming_used.tolist() == [0.0, 0.0] for agent in engine.agents.values())
-        run_ticks(engine, 3)
-        audit = {r.task_id: (r.target, r.constraints_ok, r.capacity_ok) for r in records}
-        assert audit == {"gpu": ("n002", True, True), "zone": ("n002", True, True)}
-        assert engine.cell.placement == {"gpu": "n002", "zone": "n002"}
+                             ev.AddNodeAttributesEvent(0, "n001", (("gpu", "yes"),))])
+        run_ticks(engine, 8)
+        assert engine.cell.placement == {"t": "n001"}
+        moves = [(r.source, r.target, r.initial, r.constraints_ok) for r in records[1:]]
+        assert moves == [("n000", "n001", False, True)]
 
     def test_deterministic_trace(self):
         def run():
@@ -1054,28 +1059,51 @@ def test_status_messages_flow_every_tick():
     assert len(status_lines) == 3  # one per node
 
 
-def test_node_added_again_keeps_its_reservations():
-    # with two rounds a tick, a placement reserved in the last round is
-    # committed when the confirmation lands next tick
+def test_node_added_again_keeps_its_agent_and_residents():
+    # with two rounds a tick, a placement reserved in the last round commits
+    # at the tick's end, so a window that adds the node again finds the task
+    # on it and no reservation open
     engine = build_engine([(1.0, 1.0)] * 2, seed=4,
                           config=AgentConfig(rounds_per_tick=2))
     add_task(engine, "big", required=(0.9, 0.9), used=(0.9, 0.9), node="n000")
     engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.3, 0.3))])
     engine.run_tick()
     agent = engine.agents["n001"]
-    assert "t" in agent.in_migrations and engine.reservation_target == {"t": "n001"}
+    assert engine.cell.placement["t"] == "n001" and not agent.in_migrations
     engine.apply_events([ev.AddNodeEvent(timestamp=0, node_id="n001", total=(1.0, 1.0))])
-    assert engine.agents["n001"] is agent and "t" in agent.in_migrations
+    assert engine.agents["n001"] is agent and agent.node.residents == {"t"}
     engine.run_tick()
     assert engine.cell.placement["t"] == "n001"
-    assert engine.reservation_target == {} and not agent.in_migrations
-    # the node leaves: its task must be placed again, not wait for a
-    # reservation that no agent holds
+    check_agent_invariants(engine)
+    # the node leaves: its task is placed again
     engine.apply_events([ev.RemoveTaskEvent(timestamp=0, task_id="big"),
                          ev.RemoveNodeEvent(timestamp=0, node_id="n001")])
     run_ticks(engine, 3)
     assert engine.cell.placement == {"t": "n000"}
     assert engine.cell.conservation_holds()
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_placement_committed_on_a_departing_node_is_placed_once_more(seed):
+    """At two rounds a tick, a placement admitted in the last round commits
+    at the tick's end while its confirmation is still queued for the
+    broker.  The next window removes the target: the task comes back as
+    one of the node's, and its flow must not be retried as well, or the
+    task is quoted twice and placed twice (the second a free move)."""
+    records = []
+    engine = build_engine([(1.0, 1.0)] * 4, seed=seed,
+                          config=AgentConfig(rounds_per_tick=2), records=records)
+    engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.2, 0.2))])
+    engine.run_tick()
+    (broker,) = engine.brokers.values()
+    (flow,) = broker.in_flight.values()
+    target = flow.quote.node_ids[flow.next_index]
+    assert engine.cell.placement == {"t": target}
+    engine.apply_events([ev.RemoveNodeEvent(timestamp=0, node_id=target)])
+    run_ticks(engine, 4)
+    assert [(r.source, r.initial) for r in records] == [(None, True)] * 2
+    assert records[0].target == target and engine.cell.placement == {"t": records[1].target}
+    check_agent_invariants(engine)
 
 
 def test_placement_refused_after_its_task_ended_is_dropped():
@@ -1122,10 +1150,10 @@ def test_status_report_from_a_removed_node_is_ignored():
                          ids=["request-queued", "confirmation-queued", "node-readded"])
 def test_placement_in_flight_to_a_departing_node_is_retried(rounds, readd):
     # the tick ends with a placement request (one round a tick) or its
-    # confirmation (two rounds a tick) still queued, and the next window
-    # removes the target: the task must be placed on the other node.  A node
-    # of the same id that comes back in the window never sees the request,
-    # so it holds no reservation that no flow will commit.
+    # confirmation (two rounds a tick, the placement committed) still
+    # queued, and the next window removes the target: the task must be
+    # placed on the other node.  A node of the same id that comes back in
+    # the window never sees the request.
     engine = build_engine([(1.0, 1.0)] * 2, seed=1,
                           config=AgentConfig(rounds_per_tick=rounds))
     engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.2, 0.2))])
@@ -1232,8 +1260,9 @@ def check_agent_invariants(engine):
         assert set(agent.negotiations) <= agent.node.residents, node_id
     assert engine.agents.keys() == engine.cell.nodes.keys()
     assert reservation_invariant_holds(engine)
-    for task_id, node_id in engine.reservation_target.items():
-        assert task_id in engine.agents[node_id].in_migrations, (task_id, node_id)
+    # every transfer, a placement's too, completes within its tick
+    assert not engine.transfers
+    assert all(not agent.in_migrations for agent in engine.agents.values())
     # between ticks every placement in flight awaits a queued request or answer
     queued = {message.correlation_id for message in pending_mail(engine)}
     for broker in engine.brokers.values():

@@ -113,24 +113,23 @@ class MetaheuristicEngine(CellEngine):
                 f"capacity {problem.capacity.sum(axis=0).tolist()}")
         cfg = self.config.strategy_config(seed=self.config.seed * 1_000_003 + self.tick_index)
         result = STRATEGIES[self.config.strategy](problem, cfg)
+        if result.stable:
+            assign = result.best.assign
+            # task indices follow task-id order, so tasks are placed in that order
+            for t in np.flatnonzero(assign != problem.origin):
+                self.cell.place(problem.task_ids[t], problem.node_ids[assign[t]])
+                if problem.origin[t] >= 0:
+                    # a true migration, not an initial placement
+                    metrics.migrations_attempted += 1
+                    metrics.migrations_completed += 1
+                    metrics.stc_mb += float(problem.costs[t])
+                else:
+                    metrics.placements += 1
         if self.log is not None:  # without elapsed_s, so the run log stays byte-identical
             stats = " ".join(f"{k}={v}" for k, v in sorted(result.stats.items()) if k != "elapsed_s")
             self.log(f"strategy tick {self.tick_index - 1} {self.config.strategy}: "
-                     f"stable={result.stable} moves={result.best.moved_count if result.stable else 0} "
-                     f"stc_mb={result.stc_mb} {stats}")
-        if not result.stable:
-            return metrics
-        assign = result.best.assign
-        # task indices follow task-id order, so tasks are placed in that order
-        for t in np.flatnonzero(assign != problem.origin):
-            self.cell.place(problem.task_ids[t], problem.node_ids[assign[t]])
-            if problem.origin[t] >= 0:
-                # a true migration, not an initial placement
-                metrics.migrations_attempted += 1
-                metrics.migrations_completed += 1
-                metrics.stc_mb += float(problem.costs[t])
-            else:
-                metrics.placements += 1
+                     f"stable={result.stable} migrations={metrics.migrations_completed} "
+                     f"placements={metrics.placements} stc_mb={result.stc_mb} {stats}")
         return metrics
 
 

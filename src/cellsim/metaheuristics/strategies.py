@@ -3,10 +3,12 @@
 All strategies share the same contract: stability is a hard constraint, the
 objective is the transformation cost from the origin assignment, and among
 equal-cost stable solutions ties break by fewest migrated tasks then by
-lexicographic assignment encoding.  An already-stable origin is optimal by
-definition (cost zero) and is returned immediately.  Strategies never report
-an unstable assignment as stable; if the budget runs out before a stable
-solution appears, the result says so.
+lexicographic assignment encoding.  Every call first tries the origin with
+each pending task (origin -1) first-fitted onto the lowest-index node with
+room: when that is stable it is optimal and is returned at once, charged as
+one candidate (``_origin_shortcut``).  Strategies never report an unstable
+assignment as stable; if the budget runs out before a stable solution
+appears, the result says so.
 
 Every candidate evaluation is metered against ``max_candidates``, which
 makes cross-strategy comparisons budget-fair and keeps results
@@ -54,6 +56,9 @@ SGA_POOL_FRACTION = 0.25
 TABU_DULL_MOVE_LIMIT = 25
 SGA_SEED_DULL_MOVE_LIMIT = 3
 FULL_SCAN_NODE_CAP = 50_000_000
+#: Nodes in a first-fit pick's first array test (``_first_fit``).  On the
+#: 10k-node Criterion-12 cell the median pick passes 1,400 to 1,750 nodes.
+FIRST_FIT_CHUNK = 2048
 
 
 class SearchSpaceCapExceeded(RuntimeError):
@@ -136,15 +141,82 @@ class _Run:
         return BalancerResult(best=self.best, stable=self.best is not None, stats=stats)
 
 
+def _first_fit(loads: np.ndarray, capacity: np.ndarray, demand: np.ndarray,
+               start: int) -> int:
+    """The lowest node index from ``start`` whose load plus ``demand`` fits
+    its capacity, or the node count when none does.  ``loads`` and
+    ``capacity`` are (d, N): one contiguous row per resource, so a chunk of
+    nodes is tested with a few flat array operations.  Chunks double from
+    ``FIRST_FIT_CHUNK`` nodes."""
+    n_nodes, size = capacity.shape[1], FIRST_FIT_CHUNK
+    while start < n_nodes:
+        stop = min(start + size, n_nodes)
+        fits = loads[0, start:stop] + demand[0] <= capacity[0, start:stop]
+        for k in range(1, len(demand)):
+            fits &= loads[k, start:stop] + demand[k] <= capacity[k, start:stop]
+        first = int(fits.argmax())
+        if fits[first]:
+            return start + first
+        start, size = stop, 2 * size
+    return n_nodes
+
+
+def _first_fit_pending(problem: PackedProblem) -> Optional[np.ndarray]:
+    """The origin with each pending task (origin -1), in task order, on the
+    lowest-index node with room; None when a task finds none, or when the
+    placed tasks already overload a node."""
+    assign = problem.origin.copy()
+    pending = np.flatnonzero(assign < 0)
+    if not len(pending):
+        return assign
+    required = problem.required
+    placed = assign >= 0
+    loads = np.zeros(problem.capacity.shape)
+    np.add.at(loads, assign[placed], required[placed])
+    if not (loads <= problem.capacity).all():
+        return None
+    loads, capacity = np.ascontiguousarray(loads.T), np.ascontiguousarray(problem.capacity.T)
+    # Loads only grow, so a node too full for the componentwise smallest
+    # pending demand is too full for every pending task from then on.
+    smallest = required[pending].min(axis=0)
+    start = _first_fit(loads, capacity, smallest, 0)
+    for t in pending.tolist():
+        node = _first_fit(loads, capacity, required[t], start)
+        if node == problem.node_count:
+            return None
+        loads[:, node] += required[t]
+        assign[t] = node
+        if node == start:
+            start = _first_fit(loads, capacity, smallest, start)
+    return assign
+
+
 def _origin_shortcut(run: _Run) -> Optional[BalancerResult]:
-    """A stable, fully in-cell origin has cost zero: optimal by definition."""
+    """The origin with its pending tasks first-fitted, when it is stable:
+    the call's answer, charged as one candidate.
+
+    It is optimal.  Every candidate pays each pending task's cost, and
+    moving a placed task off its origin only adds cost and moves, so no
+    stable candidate has a smaller ``(stc, moved)``.  Among the stable
+    candidates that have it (placed tasks home, pending ones anywhere),
+    first-fit's is the smallest key: a node too full for a task, given the
+    tasks placed before it, stays too full in every completion, since
+    loads only grow.
+
+    A completion that fails or is unstable charges, caches and draws
+    nothing, so the search then runs as it would without it.  An origin
+    with nothing pending is charged and cached even when unstable, as
+    every call always did.
+    """
     problem = run.problem
-    if problem.origin_in_cell():
-        origin = run.candidate(problem.origin.copy())
-        if origin.stable:
-            run.offer(origin)
-            return run.result()
-    return None
+    assign = _first_fit_pending(problem)
+    if assign is None or not (problem.origin_in_cell() or problem.is_stable(assign)):
+        return None
+    solution = run.candidate(assign)
+    if not solution.stable:
+        return None
+    run.offer(solution)
+    return run.result()
 
 
 def _neighbor_scan(run: _Run, current: CandidateSolution,

@@ -409,6 +409,24 @@ class TestMetaheuristicMode:
         rows = read_ticks(config)
         assert all(r["overloaded"] == "0" for r in rows[1:])
 
+    @pytest.mark.parametrize("strategy", ["tabu", "sa"])
+    def test_cold_cell_places_without_migrating(self, tmp_path, strategy):
+        """On a cell no node of which overloads, every pending task is
+        first-fitted and no running task moves; each strategy line counts
+        the tick's migrations and placements as ticks.csv does."""
+        config = run_config(tmp_path, mode="metaheuristic", ticks=8, strategy=strategy,
+                            strategy_budget=4000, synth=synth_config(node_count=20))
+        runner = SimulationRunner(config)
+        assert runner.run() == 0 and list(runner.cell.pending) == []
+        rows = read_ticks(config)
+        assert [r["migrations_completed"] for r in rows] == ["0"] * 8
+        assert all(r["overloaded"] == "0" for r in rows)
+        log = (Path(config.output_dir) / "logs" / "run.log").read_text()
+        logged = {int(tick): (migrations, placements) for tick, migrations, placements in re.findall(
+            r"^strategy tick (\d+) \w+: stable=True migrations=(\d+) placements=(\d+) ", log, re.M)}
+        assert logged and logged == {int(r["tick"]): ("0", r["placements"])
+                                     for r in rows if r["placements"] != "0"}
+
     def test_every_strategy_call_is_logged(self, tmp_path, monkeypatch):
         calls = []
 

@@ -32,10 +32,14 @@ from cellsim.model import (
     is_system_stable,
     transformation_cost,
 )
+from cellsim.metaheuristics import strategies
 from cellsim.metaheuristics.strategies import (
+    FIRST_FIT_CHUNK,
     GA_POPULATION,
     SGA_POOL_FRACTION,
+    _first_fit_pending,
     _neighbor_scan,
+    _origin_shortcut,
     _Run,
 )
 from repair_oracle import random_stable_solution as oracle_random_stable_solution
@@ -459,3 +463,122 @@ class TestGeneticDetails:
         state = benchmark_state("test1")
         result = genetic(state, StrategyConfig(seed=8, max_candidates=2500))
         verify_result(state, result)
+
+
+def brute_force_best_key(problem: PackedProblem):
+    """The smallest ``rank_key`` over every stable assignment, or None:
+    every |nodes|^|tasks| assignment is enumerated as one array, in
+    lexicographic order, so among equal (cost, moves) the first is the
+    smallest key.  Costs must be integers, so the sums are exact."""
+    grid = np.array(list(itertools.product(range(problem.node_count), repeat=problem.task_count)),
+                    dtype=np.int64).reshape(-1, problem.task_count)
+    on = grid[:, :, None] == np.arange(problem.node_count)  # (K, T, N)
+    loads = np.einsum("ktn,td->knd", on, problem.required)
+    stable = (loads <= problem.capacity).all(axis=(1, 2))
+    moved = grid != problem.origin
+    stc, count = moved @ problem.costs, moved.sum(axis=1)
+    candidates = np.flatnonzero(stable)
+    if not len(candidates):
+        return None
+    best = candidates[np.lexsort((candidates, count[candidates], stc[candidates]))[0]]
+    return CandidateSolution(problem, grid[best]).rank_key()
+
+
+def pending_problem(rng: random.Random) -> PackedProblem:
+    """At most 6 tasks on at most 4 nodes, each task pending (origin -1)
+    with probability 0.4, integer costs."""
+    n_nodes, n_tasks, dim = rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 2)
+    return PackedProblem(
+        task_ids=tuple(f"t{i}" for i in range(n_tasks)),
+        node_ids=tuple(f"n{i}" for i in range(n_nodes)),
+        required=np.array([[rng.uniform(0.5, 6) for _ in range(dim)] for _ in range(n_tasks)]),
+        capacity=np.array([[rng.uniform(3, 15) for _ in range(dim)] for _ in range(n_nodes)]),
+        costs=np.array([float(rng.choice([0, 1, 2, 5, 7])) for _ in range(n_tasks)]),
+        origin=np.array([-1 if rng.random() < 0.4 else rng.randrange(n_nodes)
+                         for _ in range(n_tasks)], dtype=np.int64))
+
+
+class TestPendingShortcut:
+    """Every call first first-fits the pending tasks around the placed ones."""
+
+    def test_answer_is_the_brute_force_minimum(self):
+        """Whenever the shortcut answers, its key is the smallest over every
+        stable assignment, and every strategy returns it, ``full_scan`` as
+        proven optimal; when it does not answer, it charged, cached and drew
+        nothing (unless nothing was pending: the origin is charged then)."""
+        answered = 0
+        for seed in range(300):
+            problem = pending_problem(random.Random(seed))
+            oracle = brute_force_best_key(problem)
+            run = _Run(problem, StrategyConfig(seed=seed))
+            shortcut = _origin_shortcut(run)
+            if shortcut is None:
+                charged = int(problem.origin_in_cell())
+                assert run.examined == len(run.cache) == charged, seed
+                assert run.rng.getstate() == random.Random(seed).getstate(), seed
+                continue
+            answered += 1
+            assert oracle is not None and shortcut.best.rank_key() == oracle, seed
+            assert shortcut.stats["candidates_examined"] == 1 and len(run.cache) == 1
+            cfg = StrategyConfig(seed=seed, max_candidates=500)
+            for name, strategy in STRATEGY_CASES + [("full_scan", full_scan)]:
+                result = strategy(problem, cfg)
+                assert result.best.rank_key() == oracle, (seed, name)
+                assert result.stats["candidates_examined"] == 1, (seed, name)
+            assert full_scan(problem, cfg).stats.get("proven_optimal")
+        assert answered >= 60
+
+    def test_failed_completion_leaves_the_search_as_it_was(self, monkeypatch):
+        """Where first-fit fails or its completion is unstable, each call's
+        result, stats and cache contents equal those of a run whose
+        shortcut answers only a stable in-cell origin."""
+        def origin_only(run):
+            problem = run.problem
+            if problem.origin_in_cell():
+                origin = run.candidate(problem.origin.copy())
+                if origin.stable:
+                    run.offer(origin)
+                    return run.result()
+            return None
+
+        runs = []
+
+        class Recorded(_Run):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        def traced(instance, strategy, seed):
+            runs.clear()
+            result = strategy(instance, StrategyConfig(seed=seed, max_candidates=400))
+            stats = {k: v for k, v in result.stats.items() if k != "elapsed_s"}
+            return (result.best.rank_key() if result.best else None, stats,
+                    [list(run.cache._entries) for run in runs])
+
+        instances = [benchmark_state(name) for name in ("test1", "test2", "test3")]
+        # feasible ones: on the others a random start repairs until its cap
+        instances += [problem for problem in map(pending_problem, map(random.Random, range(300)))
+                      if not problem.origin_in_cell() and brute_force_best_key(problem)
+                      and _origin_shortcut(_Run(problem, StrategyConfig(seed=0))) is None][:10]
+        assert len(instances) == 13
+        monkeypatch.setattr(strategies, "_Run", Recorded)
+        for i, instance in enumerate(instances):
+            for name, strategy in STRATEGY_CASES:
+                with monkeypatch.context() as patched:
+                    patched.setattr(strategies, "_origin_shortcut", origin_only)
+                    expected = traced(instance, strategy, i)
+                assert traced(instance, strategy, i) == expected, (i, name)
+
+    def test_first_fit_scans_past_full_chunks(self):
+        """A pick crosses whole chunks of nodes without room."""
+        n_nodes = 5 * FIRST_FIT_CHUNK
+        capacity = np.full((n_nodes, 1), 1.0)
+        capacity[-3:] = 4.0
+        problem = PackedProblem(
+            task_ids=("a", "b", "c", "d"), node_ids=tuple(f"n{i:04d}" for i in range(n_nodes)),
+            required=np.array([[3.0], [0.5], [3.5], [0.5]]), capacity=capacity,
+            costs=np.ones(4), origin=np.full(4, -1, dtype=np.int64))
+        assert _first_fit_pending(problem).tolist() == [n_nodes - 3, 0, n_nodes - 2, 0]
+        result = tabu_search(problem, StrategyConfig(seed=0))
+        assert result.best.assign.tolist() == [n_nodes - 3, 0, n_nodes - 2, 0]
+        assert result.stats["candidates_examined"] == 1

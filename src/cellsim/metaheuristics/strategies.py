@@ -59,6 +59,11 @@ FULL_SCAN_NODE_CAP = 50_000_000
 #: Nodes in a first-fit pick's first array test (``_first_fit``).  On the
 #: 10k-node Criterion-12 cell the median pick passes 1,400 to 1,750 nodes.
 FIRST_FIT_CHUNK = 2048
+#: Relative band around a capacity inside which a first-fit test is decided
+#: by summing the node's tasks in task order, as ``PackedProblem.loads``
+#: does; outside it the two summation orders cannot disagree (they differ
+#: by at most about 2.2e-16 times the task count, relative).
+FIRST_FIT_SLACK = 1e-9
 
 
 class SearchSpaceCapExceeded(RuntimeError):
@@ -161,33 +166,55 @@ def _first_fit(loads: np.ndarray, capacity: np.ndarray, demand: np.ndarray,
     return n_nodes
 
 
+def _fits_in_task_order(problem: PackedProblem, assign: np.ndarray, t: int, node: int) -> bool:
+    """Whether task ``t`` fits on ``node`` beside the tasks ``assign`` puts
+    there, their demands summed in task order with ``np.add.at``, so the
+    sum is the one ``PackedProblem.loads`` makes of that set."""
+    members = np.flatnonzero(assign == node)
+    members = np.insert(members, np.searchsorted(members, t), t)
+    total = np.zeros((1, problem.required.shape[1]))
+    np.add.at(total, np.zeros(len(members), dtype=np.intp), problem.required[members])
+    return bool((total[0] <= problem.capacity[node]).all())
+
+
 def _first_fit_pending(problem: PackedProblem) -> Optional[np.ndarray]:
     """The origin with each pending task (origin -1), in task order, on the
     lowest-index node with room; None when a task finds none, or when the
-    placed tasks already overload a node."""
+    placed tasks already overload a node.
+
+    Running loads add the pending tasks after the placed ones, an order
+    other than ``PackedProblem.loads``'s, so a test that lands within
+    ``FIRST_FIT_SLACK`` of a capacity is decided in task order: the
+    answer is then what ``loads`` says of the node's tasks so far."""
     assign = problem.origin.copy()
     pending = np.flatnonzero(assign < 0)
     if not len(pending):
         return assign
-    required = problem.required
+    required, capacity = problem.required, problem.capacity
     placed = assign >= 0
-    loads = np.zeros(problem.capacity.shape)
+    loads = np.zeros(capacity.shape)
     np.add.at(loads, assign[placed], required[placed])
-    if not (loads <= problem.capacity).all():
+    if not (loads <= capacity).all():
         return None
-    loads, capacity = np.ascontiguousarray(loads.T), np.ascontiguousarray(problem.capacity.T)
+    slack = FIRST_FIT_SLACK * capacity
+    loads, upper, lower = (np.ascontiguousarray(a.T) for a in (loads, capacity + slack, capacity - slack))
     # Loads only grow, so a node too full for the componentwise smallest
     # pending demand is too full for every pending task from then on.
     smallest = required[pending].min(axis=0)
-    start = _first_fit(loads, capacity, smallest, 0)
+    start = _first_fit(loads, upper, smallest, 0)
     for t in pending.tolist():
-        node = _first_fit(loads, capacity, required[t], start)
+        demand = required[t]
+        node = _first_fit(loads, upper, demand, start)
+        while node < problem.node_count and not (
+                (loads[:, node] + demand <= lower[:, node]).all()
+                or _fits_in_task_order(problem, assign, t, node)):
+            node = _first_fit(loads, upper, demand, node + 1)
         if node == problem.node_count:
             return None
-        loads[:, node] += required[t]
+        loads[:, node] += demand
         assign[t] = node
         if node == start:
-            start = _first_fit(loads, capacity, smallest, start)
+            start = _first_fit(loads, upper, smallest, start)
     return assign
 
 
@@ -201,7 +228,9 @@ def _origin_shortcut(run: _Run) -> Optional[BalancerResult]:
     candidates that have it (placed tasks home, pending ones anywhere),
     first-fit's is the smallest key: a node too full for a task, given the
     tasks placed before it, stays too full in every completion, since
-    loads only grow.
+    loads only grow.  That holds in floating point too, as first-fit
+    decides each close call in ``loads``'s task order, and a rounded sum of
+    nonnegative terms in a fixed order never shrinks when a term joins it.
 
     A completion that fails or is unstable charges, caches and draws
     nothing, so the search then runs as it would without it.  An origin

@@ -15,9 +15,8 @@ and the usage dumps, and the centralized balancer packs the cell into arrays
 migration cost is derived, from its used memory, whatever the event source,
 and the one place constraints meet node attributes: one boolean row over
 the sorted node ids per distinct constraint tuple (``eligible``), built on
-first ask, dropped when a node is added or removed (or when they fill
-``ROW_CELLS``), and rewritten in the one changed cell by an attribute event;
-``admits`` answers for one node without building one.
+first ask and dropped by the node events that can make it stale (or when
+they fill ``ROW_CELLS``); ``admits`` answers for one node without building one.
 """
 
 from __future__ import annotations
@@ -164,19 +163,6 @@ class CellState:
             self._rows[constraints] = row
         return row
 
-    def _rematch(self, node_id: str) -> None:
-        """Rewrite the node's cell in each built row after its attributes
-        changed: one match per row.  A row whose cell changes is replaced
-        by an edited copy, since callers may hold the old one."""
-        i, attributes = self.node_index()[node_id], self.nodes[node_id].attributes
-        for constraints, row in self._rows.items():
-            match = matches_attributes(constraints, attributes)
-            if row[i] != match:
-                row = row.copy()
-                row[i] = match
-                row.flags.writeable = False
-                self._rows[constraints] = row
-
     def admits(self, constraints: tuple, node_id: str) -> bool:
         """Whether the node admits the set: its cell of a built row, else
         that node's own match (a one-node question builds no row)."""
@@ -232,14 +218,14 @@ class CellState:
         elif kind is ev.EventKind.ADD_NODE_ATTRIBUTES:
             node = self.nodes.get(event.node_id)
             if node is not None:
+                self._rows.clear()
                 node.attributes.update(dict(event.attributes))
-                self._rematch(event.node_id)
         elif kind is ev.EventKind.REMOVE_NODE_ATTRIBUTES:
             node = self.nodes.get(event.node_id)
             if node is not None:
+                self._rows.clear()
                 for name in event.attribute_names:
                     node.attributes.pop(name, None)
-                self._rematch(event.node_id)
         elif kind is ev.EventKind.ADD_TASK:
             used = frozen_vector(np.zeros(self.catalog.dimension))
             task = TaskRuntime(

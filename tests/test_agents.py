@@ -409,32 +409,6 @@ def test_constraint_table_follows_node_events(data):
                 assert eligible.tolist() == old.tolist() == general.tolist()
 
 
-def test_attribute_event_rewrites_one_cell_per_row(monkeypatch):
-    """An attribute event matches the changed node once per built row and
-    replaces a row whose cell changes; the array a caller holds keeps its
-    values."""
-    from cellsim.workload import state as state_module
-    engine = build_engine([(1.0, 1.0)] * 4, attrs={i: (("rack", str(i % 2)),) for i in range(4)})
-    cell = engine.cell
-    racks = [(TaskConstraint(Op.EQUAL, "rack", rack),) for rack in "01"]
-    held = [cell.eligible(constraints) for constraints in racks]
-    calls = []
-
-    def counted(constraints, attributes):
-        calls.append(constraints)
-        return matches_attributes(constraints, attributes)
-
-    monkeypatch.setattr(state_module, "matches_attributes", counted)
-    cell.apply(ev.AddNodeAttributesEvent(0, "n002", (("rack", "1"),)))
-    assert calls == racks
-    assert [row.tolist() for row in held] == [[True, False, True, False], [False, True, False, True]]
-    rows = [cell.eligible(constraints) for constraints in racks]
-    assert [row.tolist() for row in rows] == [[True, False, False, False], [False, True, True, True]]
-    assert not any(row.flags.writeable for row in rows)
-    cell.apply(ev.RemoveNodeAttributesEvent(0, "n003", ("color",)))
-    assert len(calls) == 4 and all(a is b for a, b in zip(rows, map(cell.eligible, racks)))
-
-
 def test_constraint_table_is_bounded():
     """Past ``ROW_CELLS`` booleans the rows are dropped, and rebuilt equal."""
     engine = build_engine([(1.0, 1.0)] * 4, attrs={i: (("rack", str(i)),) for i in range(4)})

@@ -582,3 +582,37 @@ class TestPendingShortcut:
         result = tabu_search(problem, StrategyConfig(seed=0))
         assert result.best.assign.tolist() == [n_nodes - 3, 0, n_nodes - 2, 0]
         assert result.stats["candidates_examined"] == 1
+
+    def test_close_calls_are_decided_in_task_order(self):
+        """Tenths that add up to a capacity of 1.0 round differently in
+        different orders: 0.2 + 0.1 + 0.4 + 0.3 fits, but the placed tasks'
+        0.2 + 0.4 + 0.3, then the pending 0.1, does not.  First-fit decides
+        such a test in ``PackedProblem.loads``'s task order, so its answer
+        is the smallest key that ``is_stable`` admits, on every split of
+        1.0 into three or four tenths with each task placed on node 0 or
+        pending (one at least), and ``full_scan`` reports it as proven
+        optimal."""
+        close = PackedProblem(
+            task_ids=("a", "b", "c", "d"), node_ids=("n0", "n1"),
+            required=np.array([[0.2], [0.1], [0.4], [0.3]]), capacity=np.ones((2, 1)),
+            costs=np.ones(4), origin=np.array([0, -1, 0, 0]))
+        assert 0.2 + 0.4 + 0.3 + 0.1 > 1.0 >= 0.2 + 0.1 + 0.4 + 0.3
+        result = full_scan(close, StrategyConfig(seed=0))
+        assert result.best.assign.tolist() == [0, 0, 0, 0]
+        assert result.stats["candidates_examined"] == 1 and result.stats.get("proven_optimal")
+        checked = 0
+        for k in (3, 4):
+            for cuts in itertools.combinations(range(1, 10), k - 1):
+                tenths = np.diff((0,) + cuts + (10,)) / 10
+                for origin in list(itertools.product((-1, 0), repeat=k))[:-1]:
+                    problem = PackedProblem(
+                        task_ids=tuple(f"t{i}" for i in range(k)), node_ids=("n0", "n1"),
+                        required=tenths.reshape(k, 1), capacity=np.ones((2, 1)),
+                        costs=np.ones(k), origin=np.array(origin))
+                    shortcut = _origin_shortcut(_Run(problem, StrategyConfig(seed=0)))
+                    best = min(CandidateSolution(problem, np.array(assign)).rank_key()
+                               for assign in itertools.product((0, 1), repeat=k)
+                               if problem.is_stable(np.array(assign)))
+                    assert shortcut is not None and shortcut.best.rank_key() == best, (tenths, origin)
+                    checked += 1
+        assert checked == 36 * 7 + 84 * 15

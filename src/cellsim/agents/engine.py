@@ -51,7 +51,6 @@ from .messages import (
 from .scoring import own_scores, rus_fits, score
 from .selection import select_candidate_services
 
-MINUTE_US = 60 * 1_000_000
 #: Candidate nodes per broker quote.
 RECOMMENDATION_COUNT = 15
 #: Cached nodes a broker scans per quote: initial placements, re-allocations.
@@ -77,7 +76,7 @@ class AgentConfig:
     """What a run chooses (``RunConfig.agent_config``); the protocol's fixed
     parameters are the constants above and in ``selection``."""
 
-    tick_length_us: int = MINUTE_US
+    tick_length_us: int = ev.MINUTE_US
     rounds_per_tick: int = 6
     broker_count: int = 1
     #: Names in ``scoring.SCORERS``: initial sias(_gain), realloc sras(_gain).

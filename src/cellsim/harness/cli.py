@@ -23,6 +23,7 @@ from ..metaheuristics.strategies import SearchSpaceCapExceeded
 from ..workload.synth import SynthConfig
 from .config import ConfigError, RunConfig, read_config_file
 from .runner import InfeasibleWorkloadError, SimulationRunner, TraceError
+from .scaling import ALLOWED_FACTORS
 from .snapshot import SnapshotError, load_snapshot
 from .tracewriter import write_synthetic_trace
 
@@ -44,7 +45,7 @@ def _add_run_parser(subparsers) -> None:
     p.add_argument("--ticks", type=int, default=None, help="simulated ticks to run")
     p.add_argument("--tick-seconds", type=int, default=60)
     p.add_argument("--rounds-per-tick", type=int, default=6)
-    p.add_argument("--scale-factor", type=int, default=1, choices=(1, 2, 4, 8))
+    p.add_argument("--scale-factor", type=int, default=1, choices=ALLOWED_FACTORS)
     p.add_argument("--compaction", type=float, default=0.0,
                    help="fraction of nodes removed at the compaction tick")
     p.add_argument("--compaction-tick", type=int, default=1)

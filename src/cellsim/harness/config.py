@@ -9,9 +9,9 @@ from typing import Optional
 from ..agents.engine import AgentConfig
 from ..agents.scoring import SCORERS
 from ..metaheuristics.strategies import STRATEGIES, StrategyConfig
+from ..workload.events import MINUTE_US
 from ..workload.synth import SynthConfig
-
-MINUTE_US = 60 * 1_000_000
+from .scaling import ALLOWED_FACTORS
 
 MODES = ("replay", "masb", "metaheuristic")
 
@@ -73,8 +73,8 @@ class RunConfig:
             raise ConfigError("ticks must be >= 0")
         if not (0.0 <= self.compaction_fraction < 1.0):
             raise ConfigError("compaction fraction must be in [0, 1)")
-        if self.scale_factor not in (1, 2, 4, 8):
-            raise ConfigError("scale factor must be 1, 2, 4 or 8")
+        if self.scale_factor not in ALLOWED_FACTORS:
+            raise ConfigError(f"scale factor must be one of {ALLOWED_FACTORS}, got {self.scale_factor}")
         if self.tick_length_us <= 0 or self.rounds_per_tick <= 0:
             raise ConfigError("tick length and rounds per tick must be positive")
         if self.broker_count < 1:

@@ -1,9 +1,9 @@
 """Packed search-space representation for the centralized balancer.
 
-A candidate solution is a task-indexed array of node indices.  Deciding
-stability dominates runtime, so derived values (loads, stability, cost from
-origin) are computed lazily and memoized, and whole solutions are cached so
-no assignment is ever evaluated twice within a run.
+A candidate solution is a task-indexed array of node indices.  Its loads,
+stability, cost from origin and move count are computed once, when it is
+made, since the searches read them for almost every candidate; whole
+solutions are cached so no assignment is ever evaluated twice within a run.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ class PackedProblem:
     def is_stable(self, assign: np.ndarray) -> bool:
         return bool((self.loads(assign) <= self.capacity).all())
 
-    def stc(self, assign: np.ndarray) -> float:
-        return float(self.costs[assign != self.origin].sum())
-
-    def moved_count(self, assign: np.ndarray) -> int:
-        return int(np.count_nonzero(assign != self.origin))
-
     def origin_in_cell(self) -> bool:
         return bool(np.all(self.origin >= 0))
 
@@ -117,46 +111,24 @@ class PackedProblem:
 
 
 class CandidateSolution:
-    """One assignment with lazily derived stability, loads and origin cost.
+    """One assignment with its loads, stability, cost from the origin and
+    count of tasks off their origin.
 
     ``key`` is the assignment's ``PackedProblem.key``; pass the one the
     cache holds, so both share one bytes object."""
 
-    __slots__ = ("problem", "assign", "key", "_loads", "_stable", "_stc", "_moved")
+    __slots__ = ("problem", "assign", "key", "loads", "stable", "stc_from_origin", "moved_count")
 
     def __init__(self, problem: PackedProblem, assign: np.ndarray,
                  key: Optional[bytes] = None):
         self.problem = problem
         self.assign = assign
         self.key = problem.key(assign) if key is None else key
-        self._loads: Optional[np.ndarray] = None
-        self._stable: Optional[bool] = None
-        self._stc: Optional[float] = None
-        self._moved: Optional[int] = None
-
-    @property
-    def loads(self) -> np.ndarray:
-        if self._loads is None:
-            self._loads = self.problem.loads(self.assign)
-        return self._loads
-
-    @property
-    def stable(self) -> bool:
-        if self._stable is None:
-            self._stable = bool((self.loads <= self.problem.capacity).all())
-        return self._stable
-
-    @property
-    def stc_from_origin(self) -> float:
-        if self._stc is None:
-            self._stc = self.problem.stc(self.assign)
-        return self._stc
-
-    @property
-    def moved_count(self) -> int:
-        if self._moved is None:
-            self._moved = self.problem.moved_count(self.assign)
-        return self._moved
+        self.loads = problem.loads(assign)
+        self.stable = bool((self.loads <= problem.capacity).all())
+        moved = assign != problem.origin
+        self.stc_from_origin = float(problem.costs[moved].sum())
+        self.moved_count = int(np.count_nonzero(moved))
 
     def rank_key(self) -> tuple:
         """Stable-first ordering: lower cost, fewer moves, lexicographic."""

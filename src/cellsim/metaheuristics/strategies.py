@@ -3,29 +3,33 @@
 All strategies share the same contract: stability is a hard constraint, the
 objective is the transformation cost from the origin assignment, and among
 equal-cost stable solutions ties break by fewest migrated tasks then by
-lexicographic assignment encoding.  Every call first tries the origin with
-each pending task (origin -1) first-fitted onto the lowest-index node with
-room: when that is stable it is optimal and is returned at once, charged as
-one candidate (``_origin_shortcut``).  Strategies never report an unstable
-assignment as stable; if the budget runs out before a stable solution
-appears, the result says so.
+lexicographic assignment encoding.  Every strategy but the full scan is a
+body over one ``_Run`` and enters through ``_strategy``: the call first
+tries the origin with each pending task (origin -1) first-fitted onto the
+lowest-index node with room, and when that is stable it is optimal and is
+the answer, charged as one candidate (``_origin_shortcut``); otherwise the
+body searches.  Strategies never report an unstable assignment as stable;
+if the budget runs out before a stable solution appears, the result says
+so.
 
 Every candidate evaluation is metered against ``max_candidates``, which
 makes cross-strategy comparisons budget-fair and keeps results
 deterministic; the clock is read only to report ``elapsed_s``.
 
 Greedy and tabu search are one local-search loop: greedy is tabu search
-that keeps no tabu list and allows no non-improving move.  Annealing and
-the genetic mutation draw the same random one-task move.
+that keeps no tabu list and allows no non-improving move.  Local search and
+annealing restart from the same random stable starts (``_Run.restarts``).
+Annealing and the genetic mutation draw the same random one-task move.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -85,8 +89,11 @@ class StrategyConfig:
 @dataclass
 class BalancerResult:
     best: Optional[CandidateSolution]
-    stable: bool
     stats: dict = field(default_factory=dict)
+
+    @property
+    def stable(self) -> bool:
+        return self.best is not None
 
     @property
     def stc_mb(self) -> Optional[float]:
@@ -134,16 +141,25 @@ class _Run:
         self.offer(solution)
         return solution
 
-    def result(self, extra: Optional[dict] = None) -> BalancerResult:
+    def restarts(self) -> Iterator[CandidateSolution]:
+        """Random stable starts while budget is left, each counted in
+        ``runs``; they end at the first start that cannot be drawn."""
+        while self.budget_left():
+            self.runs += 1
+            start = self.random_stable()
+            if start is None:
+                return
+            yield start
+
+    def result(self, **extra) -> BalancerResult:
         stats = {
             "runs": self.runs,
             "candidates_examined": self.examined,
             "cache_hits": self.cache.hits,
             "elapsed_s": time.monotonic() - self.started,
+            **extra,
         }
-        if extra:
-            stats.update(extra)
-        return BalancerResult(best=self.best, stable=self.best is not None, stats=stats)
+        return BalancerResult(best=self.best, stats=stats)
 
 
 def _first_fit(loads: np.ndarray, capacity: np.ndarray, demand: np.ndarray,
@@ -218,9 +234,9 @@ def _first_fit_pending(problem: PackedProblem) -> Optional[np.ndarray]:
     return assign
 
 
-def _origin_shortcut(run: _Run) -> Optional[BalancerResult]:
-    """The origin with its pending tasks first-fitted, when it is stable:
-    the call's answer, charged as one candidate.
+def _origin_shortcut(run: _Run) -> bool:
+    """Whether the origin with its pending tasks first-fitted is stable; if
+    so it is offered as the call's answer, charged as one candidate.
 
     It is optimal.  Every candidate pays each pending task's cost, and
     moving a placed task off its origin only adds cost and moves, so no
@@ -240,12 +256,22 @@ def _origin_shortcut(run: _Run) -> Optional[BalancerResult]:
     problem = run.problem
     assign = _first_fit_pending(problem)
     if assign is None or not (problem.origin_in_cell() or problem.is_stable(assign)):
-        return None
+        return False
     solution = run.candidate(assign)
-    if not solution.stable:
-        return None
     run.offer(solution)
-    return run.result()
+    return solution.stable
+
+
+def _strategy(body: Callable[[_Run], None]) -> Callable[[Instance, StrategyConfig], BalancerResult]:
+    """A strategy from its body: the call's ``_Run`` is answered by the
+    origin shortcut when that is stable, and searched by ``body`` if not."""
+    @functools.wraps(body)
+    def strategy(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
+        run = _Run(instance, cfg)
+        if not _origin_shortcut(run):
+            body(run)
+        return run.result()
+    return strategy
 
 
 def _neighbor_scan(run: _Run, current: CandidateSolution,
@@ -294,26 +320,18 @@ def _neighbor_scan(run: _Run, current: CandidateSolution,
     return run.candidate(assign)
 
 
-def _local_search(instance: Instance, cfg: StrategyConfig, tabu: bool,
-                  tabu_dull_limit: int = TABU_DULL_MOVE_LIMIT) -> BalancerResult:
-    """Walk to the best stable neighbor, restarting while budget remains.
+def _local_search(run: _Run, tabu_dull_limit: Optional[int] = None) -> None:
+    """Walk to the best stable neighbor from each restart.
 
-    Without ``tabu`` the walk stops at its first non-improving (dull) step;
-    with it, it never revisits an assignment and stops after more than
-    ``tabu_dull_limit`` dull steps in a row."""
-    run = _Run(instance, cfg)
-    shortcut = _origin_shortcut(run)
-    if shortcut is not None:
-        return shortcut
+    Greedy (no ``tabu_dull_limit``) stops a walk at its first non-improving
+    (dull) step; tabu search never revisits an assignment and stops after
+    more than ``tabu_dull_limit`` dull steps in a row."""
+    tabu = tabu_dull_limit is not None
     dull_limit = tabu_dull_limit if tabu else 0
-    while run.budget_left():
-        run.runs += 1
-        current = run.random_stable()
-        if current is None:
-            break
+    for current in run.restarts():
         visited = {run.problem.key(current.assign)} if tabu else None
         dull = 0
-        while run.budget_left() and dull <= dull_limit:
+        while run.budget_left():
             step = _neighbor_scan(run, current, visited=visited)
             if step is None:
                 break
@@ -324,17 +342,24 @@ def _local_search(instance: Instance, cfg: StrategyConfig, tabu: bool,
                 break
             current = step
             run.offer(current)
-    return run.result()
 
 
-def greedy(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
+@_strategy
+def greedy(run: _Run) -> None:
     """Hill-climb to a local cost optimum, restarting while budget remains."""
-    return _local_search(instance, cfg, tabu=False)
+    _local_search(run)
 
 
-def tabu_search(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
+@_strategy
+def tabu_search(run: _Run) -> None:
     """Greedy walk that never revisits an assignment and allows a few dull moves."""
-    return _local_search(instance, cfg, tabu=True)
+    _local_search(run, TABU_DULL_MOVE_LIMIT)
+
+
+@_strategy
+def _seed_walk(run: _Run) -> None:
+    """Seeded GA's seed: a tabu walk that stops early, at a cheap local optimum."""
+    _local_search(run, SGA_SEED_DULL_MOVE_LIMIT)
 
 
 def _mutate(run: _Run, assign: np.ndarray) -> np.ndarray:
@@ -348,18 +373,15 @@ def _mutate(run: _Run, assign: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
+@_strategy
+def simulated_annealing(run: _Run) -> None:
     """Random-neighbor walk accepting regressions with probability
     exp(-delta/T) under geometric cooling; only stable candidates can become
     the reported best."""
-    run = _Run(instance, cfg)
     problem = run.problem
-    shortcut = _origin_shortcut(run)
-    if shortcut is not None:
-        return shortcut
     if problem.node_count < 2 or problem.task_count == 0:
         run.random_stable()
-        return run.result()
+        return
     # Instability enters the energy as a penalty dwarfing any possible cost.
     penalty = float(problem.costs.sum()) + 1.0
 
@@ -373,17 +395,11 @@ def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResu
     def initial_temperature(start: CandidateSolution) -> float:
         deltas = [abs(energy(run.candidate(_mutate(run, start.assign))) - energy(start))
                   for _ in range(min(64, problem.task_count * (problem.node_count - 1)))]
-        deltas = [d for d in deltas if d > 0]
-        if not deltas:
-            return 1.0
-        return float(sorted(deltas)[len(deltas) // 2]) or 1.0
+        deltas = sorted(d for d in deltas if d > 0)
+        return float(deltas[len(deltas) // 2]) if deltas else 1.0
 
     t_floor_factor = 1e-6
-    while run.budget_left():
-        run.runs += 1
-        current = run.random_stable()
-        if current is None:
-            break
+    for current in run.restarts():
         current_energy = energy(current)
         temperature = initial_temperature(current)
         floor = temperature * t_floor_factor
@@ -400,7 +416,6 @@ def simulated_annealing(instance: Instance, cfg: StrategyConfig) -> BalancerResu
             if steps_at_t >= SA_STEPS_PER_TEMPERATURE:
                 temperature *= SA_COOLING
                 steps_at_t = 0
-    return run.result()
 
 
 def _crossover(run: _Run, a: CandidateSolution, b: CandidateSolution) -> np.ndarray:
@@ -440,13 +455,10 @@ def _ga_loop(run: _Run, population: list[CandidateSolution],
         population = offspring
 
 
-def genetic(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
+@_strategy
+def genetic(run: _Run) -> None:
     """Population search: rank by (stability, cost), uniform crossover,
     single-move mutation, and fresh random stable injections each generation."""
-    run = _Run(instance, cfg)
-    shortcut = _origin_shortcut(run)
-    if shortcut is not None:
-        return shortcut
     population = []
     for _ in range(GA_POPULATION):
         if not run.budget_left():
@@ -456,18 +468,13 @@ def genetic(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
             break
         population.append(solution)
     _ga_loop(run, population, drift=run.random_stable)
-    return run.result()
 
 
-def seeded_genetic(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
+@_strategy
+def seeded_genetic(run: _Run) -> None:
     """Genetic search whose population (and drift) comes from locally optimal
     solutions, each a short tabu walk, at a quarter of the plain population
     size."""
-    run = _Run(instance, cfg)
-    shortcut = _origin_shortcut(run)
-    if shortcut is not None:
-        return shortcut
-
     pool_size = max(2, int(round(GA_POPULATION * SGA_POOL_FRACTION)))
     # One locally optimal seed costs about a full descent: a neighbor scan
     # per step, roughly one step per task to re-home.  Cutting seeds off
@@ -477,18 +484,17 @@ def seeded_genetic(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     slice_budget = max(64, scan_cost * (problem.task_count + 4))
 
     def seed() -> Optional[CandidateSolution]:
-        remaining = cfg.max_candidates - run.examined
+        remaining = run.cfg.max_candidates - run.examined
         if remaining <= 0:
             return None
         sub_cfg = StrategyConfig(seed=run.rng.randrange(2**63),
                                  max_candidates=min(slice_budget, remaining))
-        sub = _local_search(problem, sub_cfg, tabu=True, tabu_dull_limit=SGA_SEED_DULL_MOVE_LIMIT)
+        sub = _seed_walk(problem, sub_cfg)
         run.charge(sub.stats["candidates_examined"])
-        if sub.best is None:
+        if sub.best is None or not run.budget_left():
             return None
-        solution = run.candidate(sub.best.assign) if run.budget_left() else None
-        if solution is not None:
-            run.offer(solution)
+        solution = run.candidate(sub.best.assign)
+        run.offer(solution)
         return solution
 
     population: list[CandidateSolution] = []
@@ -509,7 +515,6 @@ def seeded_genetic(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
             population.append(solution)
 
     _ga_loop(run, population, drift=seed)
-    return run.result()
 
 
 def full_scan(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
@@ -524,21 +529,16 @@ def full_scan(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     run = _Run(instance, cfg)
     problem = run.problem
     n_tasks, n_nodes = problem.task_count, problem.node_count
-    if n_nodes == 0:
-        if n_tasks == 0:
-            run.offer(run.candidate(problem.origin.copy()))
-            return run.result({"proven_optimal": True})
-        return run.result({"proven_infeasible": True})
+    if n_nodes == 0 and n_tasks > 0:
+        return run.result(proven_infeasible=True)
     leaves = float(n_nodes) ** n_tasks
     if leaves > cfg.full_scan_leaf_cap:
         raise SearchSpaceCapExceeded(
             f"{n_nodes}^{n_tasks} = {leaves:.3g} leaves exceeds cap {cfg.full_scan_leaf_cap:.3g}")
-    shortcut = _origin_shortcut(run)
-    if shortcut is not None:
-        shortcut.stats["proven_optimal"] = True
-        return shortcut
+    if _origin_shortcut(run):
+        return run.result(proven_optimal=True)
     if not problem.demand_fits():
-        return run.result({"proven_infeasible": True})
+        return run.result(proven_infeasible=True)
 
     # A couple of quick random stable solutions seed the incumbent so cost
     # pruning bites from the start.
@@ -593,12 +593,9 @@ def full_scan(instance: Instance, cfg: StrategyConfig) -> BalancerResult:
     dfs(0, 0.0)
     if best_assign is not None:
         run.offer(run.candidate(best_assign))
-    extra = {"branch_nodes": visited_nodes}
     if run.best is None:
-        extra["proven_infeasible"] = True
-    else:
-        extra["proven_optimal"] = True
-    return run.result(extra)
+        return run.result(branch_nodes=visited_nodes, proven_infeasible=True)
+    return run.result(branch_nodes=visited_nodes, proven_optimal=True)
 
 
 STRATEGIES: dict[str, Callable[..., BalancerResult]] = {

@@ -15,6 +15,9 @@ from typing import Optional
 from ..model import Vector
 from .constraints import TaskConstraint
 
+#: Microseconds in a minute of simulation time: the default tick.
+MINUTE_US = 60 * 1_000_000
+
 
 class EventKind(enum.Enum):
     ADD_TASK = "AddTask"

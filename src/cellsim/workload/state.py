@@ -7,8 +7,8 @@ production-required vectors.  The fold turns each event's vectors into
 read-only float64 arrays once (``frozen_vector``); every later layer uses
 those arrays as they are, and an event replaces a vector, never writes
 into it, so a reader may keep one.  Only the per-node sums change in
-place.  Placement moves (``place``/``unplace``) and
-task events keep those sums current, so this is the one place a node's load
+place.  Placement moves (``place``) and task events keep those sums
+current, so this is the one place a node's load
 is defined: the agents read it, ``node_table`` stacks it for ``ticks.csv``
 and the usage dumps, and the centralized balancer packs the cell into arrays
 (``PackedProblem.from_cell``) every tick.  It is also the one place a task's
@@ -131,13 +131,6 @@ class CellState:
             self.nodes[node_id].attach(task)
             self.placement[task_id] = node_id
         self.pending.pop(task_id, None)
-
-    def unplace(self, task_id: str) -> None:
-        node_id = self.placement.pop(task_id, None)
-        if node_id is not None:
-            self.nodes[node_id].detach(self.tasks[task_id])
-        if task_id in self.tasks:
-            self.pending[task_id] = None
 
     # -- constraint classes --------------------------------------------------------
 

@@ -20,7 +20,6 @@ from typing import Iterator, Optional
 from . import events as ev
 from .constraints import ConstraintOperator, TaskConstraint
 
-MINUTE_US = 60 * 1_000_000
 #: The resources of a simulated cell, in vector order: the trace tables'
 #: two, and one ``node_capacity`` value each.
 RESOURCES = ("cpu", "memory")
@@ -108,7 +107,7 @@ class SynthConfig:
                 raise ValueError("distribution ranges must satisfy 0 <= lo <= hi")
         if not (0 <= self.constraint_rate <= 1):
             raise ValueError("constraint_rate must be in [0, 1]")
-        if int(self.usage_interval_minutes * MINUTE_US) < 1:
+        if int(self.usage_interval_minutes * ev.MINUTE_US) < 1:
             raise ValueError("usage_interval_minutes must be at least 1 microsecond")
 
     @classmethod
@@ -156,7 +155,7 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
     """
     config.validate()
     rng = random.Random(config.seed)
-    horizon_us = int(config.duration_minutes * MINUTE_US)
+    horizon_us = int(config.duration_minutes * ev.MINUTE_US)
 
     node_ids = [f"n{index:05d}" for index in range(config.node_count)]
     node_groups: list[Optional[str]] = []
@@ -195,11 +194,11 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
     arrivals: list[int] = []
     arrival_stop_us = horizon_us
     if config.arrival_window_minutes is not None:
-        arrival_stop_us = min(horizon_us, int(config.arrival_window_minutes * MINUTE_US))
+        arrival_stop_us = min(horizon_us, int(config.arrival_window_minutes * ev.MINUTE_US))
     if config.task_arrival_rate > 0:
         t = 0.0
         while True:
-            t += rng.expovariate(config.task_arrival_rate / MINUTE_US)
+            t += rng.expovariate(config.task_arrival_rate / ev.MINUTE_US)
             if t >= arrival_stop_us:
                 break
             arrivals.append(int(t))
@@ -212,7 +211,7 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
     # (task_id, usage, stop, end_us); no two entries tie on the first three
     scheduled: list[tuple] = []
     push, pop = heapq.heappush, heapq.heappop
-    interval = int(config.usage_interval_minutes * MINUTE_US)
+    interval = int(config.usage_interval_minutes * ev.MINUTE_US)
     ramp = max(1, config.usage_ramp_updates)
 
     def follow(report: int, index: int, step: int, task: tuple) -> None:
@@ -244,11 +243,11 @@ def synth_generate(config: SynthConfig) -> Iterator[ev.WorkloadEvent]:
         task_id = f"t{index:07d}"
         is_batch = rng.random() < config.batch_fraction
         if is_batch:
-            duration = rng.uniform(*config.batch_duration_min) * MINUTE_US
+            duration = rng.uniform(*config.batch_duration_min) * ev.MINUTE_US
             required = tuple(rng.uniform(*config.batch_required) * cap
                              for cap in config.node_capacity)
         else:
-            duration = rng.uniform(*config.service_duration_min) * MINUTE_US
+            duration = rng.uniform(*config.service_duration_min) * ev.MINUTE_US
             required = tuple(rng.uniform(*config.service_required) * cap
                              for cap in config.node_capacity)
         end = arrival + max(1, int(duration))

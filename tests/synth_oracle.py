@@ -13,13 +13,13 @@ from typing import Optional
 
 from cellsim.workload import events as ev
 from cellsim.workload.constraints import ConstraintOperator, TaskConstraint
-from cellsim.workload.synth import MINUTE_US, SynthConfig, _node_attributes
+from cellsim.workload.synth import SynthConfig, _node_attributes
 
 
 def eager_synth_events(config: SynthConfig) -> list[ev.WorkloadEvent]:
     config.validate()
     rng = random.Random(config.seed)
-    horizon_us = int(config.duration_minutes * MINUTE_US)
+    horizon_us = int(config.duration_minutes * ev.MINUTE_US)
 
     events: list[ev.WorkloadEvent] = []
     node_ids = [f"n{index:05d}" for index in range(config.node_count)]
@@ -53,26 +53,26 @@ def eager_synth_events(config: SynthConfig) -> list[ev.WorkloadEvent]:
     arrivals: list[int] = []
     arrival_stop_us = horizon_us
     if config.arrival_window_minutes is not None:
-        arrival_stop_us = min(horizon_us, int(config.arrival_window_minutes * MINUTE_US))
+        arrival_stop_us = min(horizon_us, int(config.arrival_window_minutes * ev.MINUTE_US))
     if config.task_arrival_rate > 0:
         t = 0.0
         while True:
-            t += rng.expovariate(config.task_arrival_rate / MINUTE_US)
+            t += rng.expovariate(config.task_arrival_rate / ev.MINUTE_US)
             if t >= arrival_stop_us:
                 break
             arrivals.append(int(t))
 
-    interval = int(config.usage_interval_minutes * MINUTE_US)
+    interval = int(config.usage_interval_minutes * ev.MINUTE_US)
     ramp = max(1, config.usage_ramp_updates)
     for seq, arrival in enumerate(arrivals):
         task_id = f"t{seq:07d}"
         is_batch = rng.random() < config.batch_fraction
         if is_batch:
-            duration = rng.uniform(*config.batch_duration_min) * MINUTE_US
+            duration = rng.uniform(*config.batch_duration_min) * ev.MINUTE_US
             required = tuple(rng.uniform(*config.batch_required) * cap
                              for cap in config.node_capacity)
         else:
-            duration = rng.uniform(*config.service_duration_min) * MINUTE_US
+            duration = rng.uniform(*config.service_duration_min) * ev.MINUTE_US
             required = tuple(rng.uniform(*config.service_required) * cap
                              for cap in config.node_capacity)
         end = arrival + max(1, int(duration))

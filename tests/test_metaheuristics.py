@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellsim.metaheuristics import (
+    STRATEGIES,
     BalancerResult,
     CandidateSolution,
     InfeasibleError,
@@ -42,6 +43,7 @@ from cellsim.metaheuristics.strategies import (
     _origin_shortcut,
     _Run,
 )
+import candidate_oracle
 from repair_oracle import random_stable_solution as oracle_random_stable_solution
 from scan_oracle import neighbor_scan as oracle_neighbor_scan
 
@@ -54,7 +56,7 @@ def brute_force_optimum(problem: PackedProblem):
         assign = np.array(combo, dtype=np.int64)
         if not problem.is_stable(assign):
             continue
-        cost = problem.stc(assign)
+        cost = candidate_oracle.stc(problem, assign)
         if best_cost is None or cost < best_cost:
             best_cost, best = cost, assign
     return best_cost, best
@@ -228,6 +230,37 @@ def test_rank_key_orders_like_the_index_tuple(data):
     order = range(len(solutions))
     assert (sorted(order, key=lambda i: solutions[i].rank_key())
             == sorted(order, key=lambda i: by_tuple(solutions[i])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_candidate_figures_match_a_recount(data):
+    """A candidate's loads, stability, cost and moves, computed when it is
+    made, equal a task-by-task recount, on small problems with some tasks
+    pending.  Demands and costs are multiples of 1/4, so every sum is
+    exact and the two summation orders must agree to the bit."""
+    n_nodes = data.draw(st.integers(1, 4))
+    n_tasks = data.draw(st.integers(1, 7))
+    dim = data.draw(st.integers(1, 3))
+    quarters = st.integers(0, 24).map(lambda q: q / 4)
+    nodes = st.integers(0, n_nodes - 1)
+    problem = PackedProblem(
+        task_ids=tuple(f"t{i}" for i in range(n_tasks)),
+        node_ids=tuple(f"n{i}" for i in range(n_nodes)),
+        required=np.array(data.draw(st.lists(st.lists(quarters, min_size=dim, max_size=dim),
+                                             min_size=n_tasks, max_size=n_tasks))),
+        capacity=np.array(data.draw(st.lists(st.lists(quarters, min_size=dim, max_size=dim),
+                                             min_size=n_nodes, max_size=n_nodes))),
+        costs=np.array(data.draw(st.lists(quarters, min_size=n_tasks, max_size=n_tasks))),
+        origin=np.array(data.draw(st.lists(st.one_of(st.just(-1), nodes),
+                                           min_size=n_tasks, max_size=n_tasks)), dtype=np.int64))
+    assign = np.array(data.draw(st.lists(nodes, min_size=n_tasks, max_size=n_tasks)), dtype=np.int64)
+    solution = CandidateSolution(problem, assign)
+    assert solution.loads.tolist() == candidate_oracle.loads(problem, assign)
+    assert solution.stable == candidate_oracle.stable(problem, assign)
+    assert solution.stc_from_origin == candidate_oracle.stc(problem, assign)
+    assert solution.moved_count == len(candidate_oracle.moved(problem, assign))
+    assert solution.rank_key() == candidate_oracle.rank_key(problem, assign)
 
 
 class TestSolutionCache:
@@ -503,25 +536,25 @@ class TestPendingShortcut:
 
     def test_answer_is_the_brute_force_minimum(self):
         """Whenever the shortcut answers, its key is the smallest over every
-        stable assignment, and every strategy returns it, ``full_scan`` as
-        proven optimal; when it does not answer, it charged, cached and drew
-        nothing (unless nothing was pending: the origin is charged then)."""
+        stable assignment, and every registered strategy returns it,
+        ``full_scan`` as proven optimal; when it does not answer, it
+        charged, cached and drew nothing (unless nothing was pending: the
+        origin is charged then)."""
         answered = 0
         for seed in range(300):
             problem = pending_problem(random.Random(seed))
             oracle = brute_force_best_key(problem)
             run = _Run(problem, StrategyConfig(seed=seed))
-            shortcut = _origin_shortcut(run)
-            if shortcut is None:
+            if not _origin_shortcut(run):
                 charged = int(problem.origin_in_cell())
                 assert run.examined == len(run.cache) == charged, seed
                 assert run.rng.getstate() == random.Random(seed).getstate(), seed
                 continue
             answered += 1
-            assert oracle is not None and shortcut.best.rank_key() == oracle, seed
-            assert shortcut.stats["candidates_examined"] == 1 and len(run.cache) == 1
+            assert oracle is not None and run.best.rank_key() == oracle, seed
+            assert run.examined == 1 and len(run.cache) == 1
             cfg = StrategyConfig(seed=seed, max_candidates=500)
-            for name, strategy in STRATEGY_CASES + [("full_scan", full_scan)]:
+            for name, strategy in STRATEGIES.items():
                 result = strategy(problem, cfg)
                 assert result.best.rank_key() == oracle, (seed, name)
                 assert result.stats["candidates_examined"] == 1, (seed, name)
@@ -534,12 +567,11 @@ class TestPendingShortcut:
         shortcut answers only a stable in-cell origin."""
         def origin_only(run):
             problem = run.problem
-            if problem.origin_in_cell():
-                origin = run.candidate(problem.origin.copy())
-                if origin.stable:
-                    run.offer(origin)
-                    return run.result()
-            return None
+            if not problem.origin_in_cell():
+                return False
+            origin = run.candidate(problem.origin.copy())
+            run.offer(origin)
+            return origin.stable
 
         runs = []
 
@@ -559,7 +591,7 @@ class TestPendingShortcut:
         # feasible ones: on the others a random start repairs until its cap
         instances += [problem for problem in map(pending_problem, map(random.Random, range(300)))
                       if not problem.origin_in_cell() and brute_force_best_key(problem)
-                      and _origin_shortcut(_Run(problem, StrategyConfig(seed=0))) is None][:10]
+                      and not _origin_shortcut(_Run(problem, StrategyConfig(seed=0)))][:10]
         assert len(instances) == 13
         monkeypatch.setattr(strategies, "_Run", Recorded)
         for i, instance in enumerate(instances):
@@ -609,10 +641,10 @@ class TestPendingShortcut:
                         task_ids=tuple(f"t{i}" for i in range(k)), node_ids=("n0", "n1"),
                         required=tenths.reshape(k, 1), capacity=np.ones((2, 1)),
                         costs=np.ones(k), origin=np.array(origin))
-                    shortcut = _origin_shortcut(_Run(problem, StrategyConfig(seed=0)))
+                    run = _Run(problem, StrategyConfig(seed=0))
                     best = min(CandidateSolution(problem, np.array(assign)).rank_key()
                                for assign in itertools.product((0, 1), repeat=k)
                                if problem.is_stable(np.array(assign)))
-                    assert shortcut is not None and shortcut.best.rank_key() == best, (tenths, origin)
+                    assert _origin_shortcut(run) and run.best.rank_key() == best, (tenths, origin)
                     checked += 1
         assert checked == 36 * 7 + 84 * 15

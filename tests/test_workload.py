@@ -217,7 +217,7 @@ NODE_IDS = ("n0", "n1", "n2")
 TASK_IDS = ("t0", "t1", "t2", "t3", "t4")
 #: place and the adds come more often, so tasks move between live nodes
 FOLD_KINDS = ("add_node", "add_node", "remove_node", "node_total", "add_task", "add_task",
-              "remove_task", "used", "required", "place", "place", "place", "unplace")
+              "remove_task", "used", "required", "place", "place", "place")
 #: (kind, index, index, vector, flag): adds take the first index into the id
 #: pools above, so a live id may come again; every other step takes it into
 #: the live ids, and place takes the second into the live nodes
@@ -251,8 +251,6 @@ def fold_step(cell, step):
     elif kind == "place":
         if cell.nodes:
             cell.place(target, sorted(cell.nodes)[other % len(cell.nodes)])
-    else:
-        cell.unplace(target)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,7 +20,7 @@ reports before it answers any request: it answers the round's quote
 requests as one batch, from the cache the reports have just fixed, and
 replies in request order.  A transfer takes one round, an initial
 placement's as a migration's: each commits at the next round's start (the
-last round's at the tick's end), so no reservation outlives its tick.
+last round's at the tick's end), so no reservation outlives its round.
 Wall-clock never enters the simulation.  Node and task vectors are the
 cell's float64 arrays, used without conversion.
 """
@@ -82,14 +82,6 @@ class AgentConfig:
     #: Names in ``scoring.SCORERS``: initial sias(_gain), realloc sras(_gain).
     initial_scorer: str = "sias_gain"
     realloc_scorer: str = "sras"
-
-
-@dataclass(slots=True)
-class InMigration:
-    snapshot: TaskSnapshot
-    source: Optional[str]
-    forced: bool
-    rec_age_us: int
 
 
 @dataclass(slots=True)
@@ -163,18 +155,18 @@ class NodeAgent:
     """Keeps one node stable; negotiates migrations for overloading tasks.
 
     The node's totals, attributes, residents and load sums live in the cell
-    (``self.node``); the agent keeps only its reservations, negotiations and
-    random stream.  The stream is seeded on the agent's first draw, since
-    most agents never draw: an agent draws only to shed tasks or to pick
-    among several brokers.  A negotiation is only ever open for a task that
-    sits on this node.
+    (``self.node``), and its transfers in the engine; the agent keeps only
+    the sums its accepted transfers reserve until the round ends, its
+    negotiations and its random stream.  The stream is seeded on the
+    agent's first draw, since most agents never draw: an agent draws only
+    to shed tasks or to pick among several brokers.  A negotiation is only
+    ever open for a task that sits on this node.
     """
 
     def __init__(self, node_id: str, engine: "AgentEngine"):
         self.id = node_id
         self.engine = engine
         dim = engine.dimension
-        self.in_migrations: dict[str, InMigration] = {}
         self.incoming_used = np.zeros(dim)
         self.incoming_prod_req = np.zeros(dim)
         self.negotiations: dict[str, Negotiation] = {}
@@ -205,20 +197,11 @@ class NodeAgent:
         """A task on this node finished or migrated away: stop moving it."""
         self.negotiations.pop(task_id, None)
 
-    def reserve(self, snapshot: TaskSnapshot, source: Optional[str], forced: bool,
-                rec_age_us: int) -> None:
-        self.in_migrations[snapshot.task_id] = InMigration(
-            snapshot=snapshot, source=source, forced=forced, rec_age_us=rec_age_us)
+    def reserve(self, snapshot: TaskSnapshot) -> None:
+        """Count an accepted transfer's load in until its round completes."""
         self.incoming_used += snapshot.used
         if snapshot.production:
             self.incoming_prod_req += snapshot.required
-
-    def release_reservation(self, task_id: str) -> InMigration:
-        reservation = self.in_migrations.pop(task_id)
-        self.incoming_used -= reservation.snapshot.used
-        if reservation.snapshot.production:
-            self.incoming_prod_req -= reservation.snapshot.required
-        return reservation
 
     # -- admission checks ---------------------------------------------------------
 
@@ -226,6 +209,7 @@ class NodeAgent:
         # element by element on Python floats: numpy's per-call cost dwarfs
         # a few comparisons.  Loads add up as (used + incoming) + task, and
         # the RUS test is ``rus_fits``'s ``all(<=)``, NaN outcomes included.
+        # Forced, it is the hosting rule a resident must pass too (``_compulsory_tasks``).
         node = self.node
         if snapshot.constraints and not self.engine.cell.admits(snapshot.constraints, self.id):
             return False
@@ -247,7 +231,7 @@ class NodeAgent:
     def stats(self, projected: bool = False) -> NodeStats:
         """The node's totals and one load: its used sum (a copy, as the fold
         updates the sum in place), or when ``projected`` the used sum plus
-        the reservations of the transfers coming in."""
+        the loads of the transfers it accepted this round."""
         node = self.node
         load = node.used + self.incoming_used if projected else node.used.copy()
         return NodeStats(node_id=self.id, total=node.total, load=load)
@@ -283,8 +267,7 @@ class NodeAgent:
         snapshot = message.task
         engine = self.engine
         task = engine.cell.tasks.get(snapshot.task_id)
-        duplicate = (snapshot.task_id in self.in_migrations
-                     or snapshot.task_id in self.node.residents)
+        duplicate = snapshot.task_id in engine.transfers or snapshot.task_id in self.node.residents
         if task is None or duplicate or not self.admission_ok(snapshot, message.forced):
             engine.send(Message(
                 kind=MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE,
@@ -292,9 +275,8 @@ class NodeAgent:
                 correlation_id=message.correlation_id, task=snapshot))
             return
         # Final check passed: resources are reserved and the transfer starts.
-        source = None if message.initial else message.sender
-        self.reserve(snapshot, source=source, forced=message.forced, rec_age_us=message.rec_age_us)
-        engine.transfers.append((self.id, snapshot.task_id))
+        self.reserve(snapshot)
+        engine.transfers[snapshot.task_id] = (self.id, message)
         engine.send(Message(
             kind=MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE,
             sender=self.id, recipient=message.sender,
@@ -412,17 +394,10 @@ class NodeAgent:
             correlation_id=engine.next_correlation(), node_stats=self.stats()))
 
     def _compulsory_tasks(self) -> list[str]:
-        out = []
-        cell = self.engine.cell
-        node = self.node
-        total = node.total.tolist()
-        for task_id in node.residents:
-            task = cell.tasks[task_id]
-            if task.constraints and not cell.admits(task.constraints, self.id):
-                out.append(task_id)
-            elif any(req > cap for req, cap in zip(task.required.tolist(), total)):
-                out.append(task_id)
-        return sorted(out)
+        """The residents the node could not take even when forced."""
+        tasks = self.engine.cell.tasks
+        return sorted(task_id for task_id in self.node.residents
+                      if not self.admission_ok(tasks[task_id], forced=True))
 
     def _run_selection_if_needed(self) -> None:
         engine = self.engine
@@ -877,12 +852,13 @@ class AgentEngine(Engine):
         #: recipient -> the mail sent to it this round, in send order
         self._mailboxes: dict[str, list[Message]] = {}
         self._correlation = 0
-        #: (target, task) of the transfers started this round, initial
-        #: placements among them.  A transfer completes at the next round's
-        #: start (the last round's at the tick's end), so ``task_left`` closes
-        #: the source's negotiation before the source hears of it, and no
-        #: transfer or reservation is open between ticks.
-        self.transfers: list[tuple[str, str]] = []
+        #: task -> (target, accepted process request) of the transfers started
+        #: this round, initial placements among them; the request names the
+        #: source (none when ``initial``).  A transfer completes at the next
+        #: round's start (the last round's at the tick's end), so
+        #: ``task_left`` closes the source's negotiation before the source
+        #: hears of it, and no transfer or reservation is open between rounds.
+        self.transfers: dict[str, tuple[str, Message]] = {}
         self.metrics = TickMetrics()
         #: live tasks reported unschedulable, so each gets one ERROR line
         self.unschedulable: set[str] = set()
@@ -939,40 +915,43 @@ class AgentEngine(Engine):
     # -- state transitions -------------------------------------------------------
 
     def _complete_transfers(self) -> None:
-        transfers, self.transfers = sorted(self.transfers), []
-        for node_id, task_id in transfers:
+        transfers, self.transfers = self.transfers, {}
+        # in (target, task) order, which fixes the order of the cell's load sums
+        for task_id in sorted(transfers, key=lambda task_id: (transfers[task_id][0], task_id)):
             # nodes and tasks only leave between ticks, when no transfer is open
+            node_id, request = transfers[task_id]
             target = self.agents[node_id]
-            reservation = target.release_reservation(task_id)
-            source = self.agents.get(reservation.source)
+            # every transfer of the round completes here: nothing stays reserved
+            target.incoming_used.fill(0.0)
+            target.incoming_prod_req.fill(0.0)
+            source = None if request.initial else self.agents.get(request.sender)
             if source is not None and task_id in source.node.residents:
                 source.task_left(task_id)
             self.cell.place(task_id, node_id)
-            if reservation.source is None:
+            if request.initial:
                 self.metrics.placements += 1
             else:
                 self.metrics.migrations_completed += 1
                 self.metrics.stc_mb += self.cell.tasks[task_id].migration_cost_mb
             if self.audit is not None:
-                self._audit(task_id, target, reservation)
+                self._audit(task_id, target, request)
 
-    def _audit(self, task_id: str, target: NodeAgent, reservation: InMigration) -> None:
+    def _audit(self, task_id: str, target: NodeAgent, request: Message) -> None:
         task = self.cell.tasks[task_id]
         total = target.node.total
-        initial = reservation.source is None
         self.audit(AuditRecord(
             task_id=task_id,
-            source=reservation.source,
+            source=None if request.initial else request.sender,
             target=target.id,
-            forced=reservation.forced,
-            initial=initial,
+            forced=request.forced,
+            initial=request.initial,
             constraints_ok=self.cell.admits(task.constraints, target.id),
             capacity_ok=all(map(le, task.required.tolist(), total.tolist())),
             stable_after=not target.overloaded(),
             rus_after=rus_fits(total, target.node.prod_required),
-            rec_age_us=reservation.rec_age_us,
+            rec_age_us=request.rec_age_us,
             ttl_us=self.quote_ttl_us,
-            cost_mb=0.0 if initial else task.migration_cost_mb,
+            cost_mb=0.0 if request.initial else task.migration_cost_mb,
         ))
 
     # -- workload events -----------------------------------------------------------

@@ -81,7 +81,8 @@ class NodeStats:
     """Fresh node-side numbers: the totals and the one load its reader
     uses.  A status report carries a copy of the node's used sum; an
     acceptance response carries the used sum plus the loads of the
-    transfers the node has reserved."""
+    transfers the node accepted this round, which complete at the next
+    round's start."""
 
     node_id: str
     total: np.ndarray

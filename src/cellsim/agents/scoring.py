@@ -121,16 +121,9 @@ def score(scorer: str, totals: np.ndarray, before: np.ndarray,
     params, gain = SCORERS[scorer]
     if not gain:
         return allocation_score_vec(params, totals, after)
-    if np.ndim(before) == 1:
-        return np.maximum(allocation_score_vec(params, totals, after) - before, 0.0)
-    # after and before rows scored in one call: each row's score depends
-    # on that row alone
-    totals = np.asarray(totals, dtype=np.float64)
-    if totals.ndim == 2 and len(totals) > 1:  # one (1, d) row serves all rows
-        totals = np.concatenate((totals, totals))
-    scores = allocation_score_vec(params, totals, np.concatenate((after, before)))
-    rows = len(after)
-    return np.maximum(scores[:rows] - scores[rows:], 0.0)
+    if np.ndim(before) == 2:
+        before = allocation_score_vec(params, totals, before)
+    return np.maximum(allocation_score_vec(params, totals, after) - before, 0.0)
 
 
 class AllocationClass(enum.Enum):

@@ -21,7 +21,7 @@ from ..metaheuristics import SCENARIOS, STRATEGIES, StrategyConfig, benchmark_st
 from ..metaheuristics.problem import InfeasibleError
 from ..metaheuristics.strategies import SearchSpaceCapExceeded
 from ..workload.synth import SynthConfig
-from .config import ConfigError, RunConfig, read_config_file
+from .config import MODES, ConfigError, RunConfig, read_config_file
 from .runner import InfeasibleWorkloadError, SimulationRunner, TraceError
 from .scaling import ALLOWED_FACTORS
 from .snapshot import SnapshotError, load_snapshot
@@ -35,7 +35,7 @@ EXIT_INFEASIBLE = 3
 
 def _add_run_parser(subparsers) -> None:
     p = subparsers.add_parser("run", help="run a simulation")
-    p.add_argument("--mode", required=True, choices=("replay", "masb", "metaheuristic"))
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", required=True, type=Path, help="output directory")
     p.add_argument("--run-name", default="run")

@@ -84,6 +84,12 @@ class RunConfig:
                 raise ConfigError(f"unknown scorer {scorer!r}; known: {', '.join(SCORERS)}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; known: {', '.join(STRATEGIES)}")
+        if self.strategy_budget < 1:
+            raise ConfigError("strategy budget must be >= 1")
+        if self.usage_dump_every < 0:
+            raise ConfigError("usage dump interval must be >= 0 (0 turns dumps off)")
+        if self.snapshot_every is not None and self.snapshot_every < 0:
+            raise ConfigError("snapshot interval must be >= 0 (0 turns snapshots off)")
         if self.synth is not None:
             try:
                 self.synth.validate()

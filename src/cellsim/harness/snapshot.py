@@ -15,10 +15,10 @@ from pathlib import Path
 
 MAGIC = b"CSIMSNAP"
 #: Raised whenever the pickled payload changes shape (the history is in the
-#: version control log).  Version 16: the agent engine keeps no task ->
-#: reservation index, since an initial placement commits with the transfers
-#: and no reservation is open between ticks.
-VERSION = 16
+#: version control log).  Version 17: node agents keep no reservation
+#: records, and the agent engine keeps each transfer as its accepted process
+#: request, by task, for the one round the transfer lasts.
+VERSION = 17
 
 
 class SnapshotError(RuntimeError):

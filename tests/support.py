@@ -22,13 +22,12 @@ def overloaded_count(engine) -> int:
     return sum(1 for agent in engine.agents.values() if agent.overloaded())
 
 
-def reservation_invariant_holds(engine) -> bool:
-    """Every reserved task is reserved on exactly one target."""
-    reserved: dict[str, int] = {}
-    for agent in engine.agents.values():
-        for task_id in agent.in_migrations:
-            reserved[task_id] = reserved.get(task_id, 0) + 1
-    return all(count == 1 for count in reserved.values())
+def transfers_settled(engine) -> bool:
+    """No transfer is open, and no agent counts any load coming in: every
+    agent's incoming sums are exactly zero."""
+    return not engine.transfers and all(
+        not agent.incoming_used.any() and not agent.incoming_prod_req.any()
+        for agent in engine.agents.values())
 
 
 def write_synth_config(config, path: str | Path) -> None:

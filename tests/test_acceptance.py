@@ -47,7 +47,7 @@ from cellsim.model import (
 from cellsim.workload import CellState, SynthConfig
 from cellsim.workload import events as ev
 
-from support import overloaded_count, place_directly, reservation_invariant_holds
+from support import overloaded_count, place_directly, transfers_settled
 from test_constraints import GOLDEN_ROWS
 from cellsim.workload.constraints import check_constraint
 
@@ -379,7 +379,7 @@ class TestCriterion8ProtocolSafety:
                 assert record.rec_age_us <= record.ttl_us, f"seed {seed}: expired recommendation used"
             if not engine.cell.conservation_holds():
                 conservation_failures += 1
-            assert reservation_invariant_holds(engine), f"seed {seed}: reservation imbalance"
+            assert transfers_settled(engine), f"seed {seed}: transfer or reservation left open"
             completed += len(records)
         assert conservation_failures == 0
         elapsed = time.monotonic() - start

@@ -13,7 +13,7 @@ import admission_oracle
 import quote_oracle
 import selection_oracle
 from cell_oracle import assert_loads_match
-from support import overloaded_count, place_directly, reservation_invariant_holds
+from support import overloaded_count, place_directly, transfers_settled
 from cellsim.agents import (
     REALLOC_PARAMS,
     AgentConfig,
@@ -776,7 +776,7 @@ class TestAdmission:
         engine = build_engine([(1.0, 1.0)])
         agent = engine.agents["n000"]
         inflight = snap("a", (0.5, 0.5), (0.6, 0.6))
-        agent.reserve(inflight, source="elsewhere", forced=False, rec_age_us=0)
+        agent.reserve(inflight)
         snapshot = snap("t", (0.2, 0.2), (0.5, 0.5))
         assert not agent.admission_ok(snapshot, forced=False)
 
@@ -925,7 +925,7 @@ class TestEndToEnd:
         metrics = run_ticks(engine, 5)
         assert overloaded_count(engine) == 0
         assert engine.cell.conservation_holds()
-        assert reservation_invariant_holds(engine)
+        assert transfers_settled(engine)
         assert sum(m.migrations_completed for m in metrics) > 0
 
     def test_overloaded_node_sheds_at_two_rounds_a_tick(self):
@@ -1010,6 +1010,22 @@ class TestEndToEnd:
         run_ticks(engine, 3)
         assert engine.cell.placement["pinned"] in ("n001", "n002")
 
+    def test_resident_beyond_a_shrunk_total_is_shed_as_compulsory(self):
+        # a node whose total drops below a resident's requirement cannot
+        # host it even when forced: the resident leaves as compulsory,
+        # though the node is not overloaded
+        engine = build_engine([(1.0, 1.0)] * 2, seed=3)
+        add_task(engine, "big", required=(0.5, 0.2), used=(0.1, 0.1), node="n000")
+        add_task(engine, "small", required=(0.1, 0.1), used=(0.1, 0.1), node="n000")
+        agent = engine.agents["n000"]
+        assert agent._compulsory_tasks() == []
+        engine.apply_events([ev.UpdateNodeTotalEvent(timestamp=0, node_id="n000",
+                                                     total=(0.4, 1.0))])
+        assert not agent.overloaded() and agent._compulsory_tasks() == ["big"]
+        run_ticks(engine, 3)
+        assert engine.cell.placement == {"big": "n001", "small": "n000"}
+        check_agent_invariants(engine)
+
     def test_task_removal_mid_negotiation_is_clean(self):
         engine = self._overload_scenario()
         engine.run_tick()
@@ -1017,7 +1033,7 @@ class TestEndToEnd:
                              ev.RemoveTaskEvent(timestamp=0, task_id="t1")])
         run_ticks(engine, 3)
         assert engine.cell.conservation_holds()
-        assert reservation_invariant_holds(engine)
+        assert transfers_settled(engine)
         assert "t0" not in engine.cell.tasks
 
     def test_node_removal_requeues_tasks(self):
@@ -1069,7 +1085,7 @@ def test_node_added_again_keeps_its_agent_and_residents():
     engine.apply_events([ev.AddTaskEvent(timestamp=0, task_id="t", required=(0.3, 0.3))])
     engine.run_tick()
     agent = engine.agents["n001"]
-    assert engine.cell.placement["t"] == "n001" and not agent.in_migrations
+    assert engine.cell.placement["t"] == "n001" and transfers_settled(engine)
     engine.apply_events([ev.AddNodeEvent(timestamp=0, node_id="n001", total=(1.0, 1.0))])
     assert engine.agents["n001"] is agent and agent.node.residents == {"t"}
     engine.run_tick()
@@ -1171,7 +1187,6 @@ def test_placement_in_flight_to_a_departing_node_is_retried(rounds, readd):
     if not readd:
         assert engine.cell.placement["t"] == other
     assert not broker.in_flight
-    assert all(not agent.in_migrations for agent in engine.agents.values())
     check_agent_invariants(engine)
 
 
@@ -1179,14 +1194,57 @@ def test_agent_stats_keep_their_values():
     engine = build_engine([(1.0, 1.0)])
     add_task(engine, "t", required=(0.3, 0.3), used=(0.2, 0.1), node="n000")
     agent = engine.agents["n000"]
-    agent.reserve(snap("in", (0.1, 0.1), (0.25, 0.5)), source="elsewhere", forced=False,
-                  rec_age_us=0)
+    agent.reserve(snap("in", (0.1, 0.1), (0.25, 0.5)))
     report, reply = agent.stats(), agent.stats(projected=True)
     engine.apply_events([ev.UpdateTaskUsedEvent(timestamp=0, task_id="t", used=(0.5, 0.4))])
-    agent.release_reservation("in")
+    agent.reserve(snap("more", (0.1, 0.1), (0.3, 0.3)))
     assert engine.cell.nodes["n000"].used.tolist() == [0.5, 0.4]
     assert report.load.tolist() == [0.2, 0.1]
     assert reply.load.tolist() == [0.45, 0.6]
+
+
+def request_transfer(engine, task_id, target, correlation_id):
+    """Hand ``target`` a broker's process request placing ``task_id``;
+    returns the kind of the answer it queues."""
+    engine.agents[target].handle(Message(
+        kind=MessageKind.TASK_MIGRATION_PROCESS_REQUEST, sender="broker-000",
+        recipient=target, correlation_id=correlation_id,
+        task=engine.snapshot_task(task_id), initial=True))
+    (answer,) = [m for m in pending_mail(engine) if m.correlation_id == correlation_id]
+    return answer.kind
+
+
+def test_a_round_of_transfers_leaves_no_incoming_residue():
+    """One target takes three transfers in a round, reserved in the order
+    c, b, a and completed in task order.  Subtracted in that order, the
+    sums would end at 8.3e-17, not zero: completing the round's transfers
+    must leave every incoming sum at exactly zero."""
+    engine = build_engine([(1.0, 1.0)])
+    for corr, (task_id, load) in enumerate((("c", 0.1), ("b", 0.2), ("a", 0.3)), start=1):
+        add_task(engine, task_id, required=(load, load), used=(load, load), production=True)
+        assert (request_transfer(engine, task_id, "n000", corr)
+                is MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE)
+    agent = engine.agents["n000"]
+    assert agent.incoming_used.tolist() == [0.1 + 0.2 + 0.3] * 2
+    engine._complete_transfers()
+    assert engine.cell.placement == dict.fromkeys("abc", "n000")
+    assert not engine.transfers
+    assert agent.incoming_used.tolist() == agent.incoming_prod_req.tolist() == [0.0, 0.0]
+
+
+def test_a_second_request_for_a_transferring_task_is_refused():
+    """A task has at most one transfer a round: once one target has taken
+    it, any other target answers a request for it with a process error
+    and reserves nothing."""
+    engine = build_engine([(1.0, 1.0)] * 2)
+    add_task(engine, "t", required=(0.2, 0.2), used=(0.1, 0.1))
+    assert (request_transfer(engine, "t", "n000", 1)
+            is MessageKind.TASK_MIGRATION_PROCESS_CONFIRMATION_RESPONSE)
+    assert (request_transfer(engine, "t", "n001", 2)
+            is MessageKind.TASK_MIGRATION_PROCESS_ERROR_RESPONSE)
+    assert engine.agents["n001"].incoming_used.tolist() == [0.0, 0.0]
+    engine._complete_transfers()
+    assert engine.cell.placement == {"t": "n000"}
 
 
 def test_task_snapshot_keeps_its_usage():
@@ -1259,10 +1317,9 @@ def check_agent_invariants(engine):
         # a negotiation is only open for a task on the agent's own node
         assert set(agent.negotiations) <= agent.node.residents, node_id
     assert engine.agents.keys() == engine.cell.nodes.keys()
-    assert reservation_invariant_holds(engine)
-    # every transfer, a placement's too, completes within its tick
-    assert not engine.transfers
-    assert all(not agent.in_migrations for agent in engine.agents.values())
+    # every transfer, a placement's too, completes within its tick, and
+    # leaves every agent's incoming sums at exactly zero
+    assert transfers_settled(engine)
     # between ticks every placement in flight awaits a queued request or answer
     queued = {message.correlation_id for message in pending_mail(engine)}
     for broker in engine.brokers.values():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cell_oracle import assert_loads_match
-from support import reservation_invariant_holds, write_synth_config
+from support import transfers_settled, write_synth_config
 from cellsim.agents import AuditRecord
 from cellsim.harness import (
     ConfigError,
@@ -609,7 +609,7 @@ class TestBrokersAndNodeLoss:
             assert runner.cell.conservation_holds()
             assert_loads_match(runner.cell)
             if config.mode == "masb":
-                assert reservation_invariant_holds(runner.engine)
+                assert transfers_settled(runner.engine)
             if config.compaction_fraction:
                 assert len(runner.cell.nodes) == 6  # 2 of the 8 nodes left
             trees.append(output_tree(config))
@@ -757,8 +757,14 @@ class TestCli:
         (["--synth-config", "missing.json"], "missing.json"),
         (["--profile-file", "missing.json"], "missing.json"),
         (["--profile-file", "profiles.json", "--migration-profile", "x"], "profiles.json"),
+        # a negative interval would dump or snapshot on every tick (tick % -1
+        # is 0), and a zero budget would search nothing
+        (["--usage-dump-every", "-1"], None),
+        (["--snapshot-every", "-1"], None),
+        (["--strategy-budget", "0"], None),
     ], ids=["no-broker", "negative-brokers", "missing-synth-config", "missing-profile-file",
-            "profile-without-cmdt"])
+            "profile-without-cmdt", "negative-dump-interval", "negative-snapshot-interval",
+            "zero-strategy-budget"])
     def test_bad_run_input_is_config_error(self, tmp_path, capsys, flags, named):
         # each is one config error line, not a traceback out of the run
         write_synth_config(synth_config(), tmp_path / "synth.json")
